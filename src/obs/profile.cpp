@@ -5,8 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <istream>
+#include <iterator>
 #include <ostream>
+#include <string_view>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -16,20 +19,51 @@ namespace paradyn::obs {
 
 namespace {
 
-/// Async ids are written as "0x..." hex strings; accept decimal too.
-std::uint64_t parse_chain_id(const std::string& id) {
-  return std::strtoull(id.c_str(), nullptr, 0);
+/// strcmp(s.c_str(), lit) == 0 for a string that may hold a NUL: the JSON
+/// path compares names the way the native path compares C strings.
+bool c_equal(std::string_view s, std::string_view lit) noexcept {
+  return s.size() >= lit.size() && s.compare(0, lit.size(), lit) == 0 &&
+         (s.size() == lit.size() || s[lit.size()] == '\0');
 }
 
+/// Async ids are written as "0x..." hex strings; accept anything
+/// std::strtoull(id, nullptr, 0) accepts.
+std::uint64_t parse_chain_id(std::string_view id) {
+  if (id.size() > 2 && id.size() <= 18 && id[0] == '0' && (id[1] == 'x' || id[1] == 'X')) {
+    std::uint64_t v = 0;
+    std::size_t i = 2;
+    for (; i < id.size(); ++i) {
+      const char c = id[i];
+      unsigned d = 0;
+      if (c >= '0' && c <= '9') d = static_cast<unsigned>(c - '0');
+      else if (c >= 'a' && c <= 'f') d = static_cast<unsigned>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F') d = static_cast<unsigned>(c - 'A' + 10);
+      else break;
+      v = v << 4 | d;
+    }
+    if (i == id.size()) return v;
+  }
+  return std::strtoull(std::string(id).c_str(), nullptr, 0);
+}
+
+/// Bound on the W3 window vector, so a malformed timestamp cannot make it
+/// grow without limit: ~4M windows, 4.8 simulated days at 100 ms.
+constexpr std::size_t kMaxWindows = std::size_t{1} << 22;
+
+/// Lifecycle progress marks, in causal order.
+enum Mark : int { kEnq = 0, kDeq, kCollect, kFwd, kNet };
+
 /// Which lifecycle progress mark an arg name denotes, or -1.
-int mark_code(const char* name) noexcept {
-  if (name == nullptr) return -1;
-  if (std::strcmp(name, "enq") == 0) return 0;
-  if (std::strcmp(name, "deq") == 0) return 1;
-  if (std::strcmp(name, "collect") == 0) return 2;
-  if (std::strcmp(name, "fwd") == 0) return 3;
-  if (std::strcmp(name, "net") == 0) return 4;
+int mark_code(std::string_view name) noexcept {
+  if (c_equal(name, "enq")) return kEnq;
+  if (c_equal(name, "deq")) return kDeq;
+  if (c_equal(name, "collect")) return kCollect;
+  if (c_equal(name, "fwd")) return kFwd;
+  if (c_equal(name, "net")) return kNet;
   return -1;
+}
+int mark_code(const char* name) noexcept {
+  return name == nullptr ? -1 : mark_code(std::string_view(name));
 }
 
 bool is_lifecycle(const char* cat, const char* name) noexcept {
@@ -37,30 +71,35 @@ bool is_lifecycle(const char* cat, const char* name) noexcept {
          std::strcmp(name, "lifecycle") == 0;
 }
 
-/// Insert [s, e] into a disjoint interval map, merging anything within
-/// `gap` of it.
-void merge_interval(std::map<double, double>& m, double s, double e, double gap) {
+}  // namespace
+
+void merge_busy_interval(std::vector<BusyInterval>& v, double s, double e, double gap) {
   if (e < s) std::swap(s, e);
-  // Absorb a predecessor that reaches (within gap of) s.
-  auto it = m.upper_bound(s);
-  if (it != m.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second + gap >= s) {
-      s = prev->first;
-      e = std::max(e, prev->second);
-      m.erase(prev);
+  if (v.empty() || s >= v.back().start) {
+    // At or past the last start: merge into the last interval or append.
+    if (!v.empty() && v.back().end + gap >= s) {
+      v.back().end = std::max(e, v.back().end);
+    } else {
+      v.push_back({s, e});
     }
+    return;
+  }
+  // The first interval starting after s.
+  auto it = std::upper_bound(v.begin(), v.end(), s,
+                             [](double x, const BusyInterval& b) { return x < b.start; });
+  // Absorb a predecessor that reaches (within gap of) s.
+  if (it != v.begin() && std::prev(it)->end + gap >= s) {
+    const auto prev = std::prev(it);
+    s = prev->start;
+    e = std::max(e, prev->end);
+    it = v.erase(prev);
   }
   // Absorb successors starting before (within gap of) e.
-  for (auto next = m.upper_bound(s); next != m.end() && next->first <= e + gap;
-       next = m.upper_bound(s)) {
-    e = std::max(e, next->second);
-    m.erase(next);
-  }
-  m[s] = e;
+  auto last = it;
+  for (; last != v.end() && last->start <= e + gap; ++last) e = std::max(e, last->end);
+  it = v.erase(it, last);
+  v.insert(it, {s, e});
 }
-
-}  // namespace
 
 std::string ProfileReport::track_label(std::int64_t pid, std::int32_t track) const {
   if (const auto it = labels.find({pid, track}); it != labels.end()) return it->second;
@@ -92,43 +131,40 @@ void Profiler::touch_ts(double ts) {
 Profiler::Window& Profiler::window_at(double ts) {
   double idx_f = ts / options_.window_us;
   if (!(idx_f >= 0.0)) idx_f = 0.0;  // negative / NaN timestamps -> window 0
-  auto idx = static_cast<std::size_t>(idx_f);
-  // Guard against absurd timestamps from malformed traces: never grow the
-  // window vector past ~4M entries.
-  constexpr std::size_t kMaxWindows = 1u << 22;
-  if (idx >= kMaxWindows) idx = kMaxWindows - 1;
+  // Absurd timestamps from malformed traces land in the last window.
+  const std::size_t idx =
+      idx_f < static_cast<double>(kMaxWindows) ? static_cast<std::size_t>(idx_f) : kMaxWindows - 1;
   if (idx >= windows_.size()) windows_.resize(idx + 1);
   return windows_[idx];
 }
 
-void Profiler::count_pipe_event(const char* name, double ts) {
-  if (name != nullptr && std::strcmp(name, "full") == 0) ++window_at(ts).pipe_full;
-}
-
-void Profiler::observe_span(std::int64_t pid, std::int32_t track, const char* cat, double ts,
+void Profiler::observe_span(std::int64_t pid, std::int32_t track, bool cpu, double ts,
                             double dur) {
   if (dur < 0.0 || !std::isfinite(dur)) dur = 0.0;
   ResourceAccum& res = resources_[{pid, track}];
   if (res.spans == 0) res.coalesce_gap_us = options_.coalesce_gap_us;
   ++res.spans;
-  merge_interval(res.intervals, ts, ts + dur, res.coalesce_gap_us);
+  merge_busy_interval(res.intervals, ts, ts + dur, res.coalesce_gap_us);
   // Bounded memory on any input: if the timeline fragments past the cap,
   // double the coalescing gap and re-merge.
   while (res.intervals.size() > options_.max_intervals_per_resource) {
     res.coalesce_gap_us = std::max(res.coalesce_gap_us * 2.0, 1.0);
-    std::map<double, double> rebuilt;
-    for (const auto& [s, e] : res.intervals) merge_interval(rebuilt, s, e, res.coalesce_gap_us);
+    std::vector<BusyInterval> rebuilt;
+    for (const auto& [s, e] : res.intervals) {
+      merge_busy_interval(rebuilt, s, e, res.coalesce_gap_us);
+    }
     res.intervals = std::move(rebuilt);
   }
 
   // ExcessiveCPU's when-axis: CPU busy time distributed over the windows
-  // the span overlaps.
-  if (cat != nullptr && std::strcmp(cat, "cpu") == 0 && dur > 0.0) {
+  // the span overlaps, up to the window cap (the hypothesis pass never
+  // looks past it).
+  if (cpu && dur > 0.0) {
     auto& busy = cpu_busy_[{pid, track}];
     const double w = options_.window_us;
     double s = std::max(ts, 0.0);
     const double e = std::max(ts + dur, s);
-    while (s < e) {
+    while (s < e && s / w < static_cast<double>(kMaxWindows)) {
       const auto idx = static_cast<std::size_t>(s / w);
       const double win_end = (static_cast<double>(idx) + 1.0) * w;
       const double chunk = std::min(e, win_end) - s;
@@ -149,40 +185,38 @@ void Profiler::chain_begin(std::int64_t pid, std::uint64_t id, std::int32_t trac
   t.gen_ts = ts;
   t.origin_track = track;
   t.have_begin = true;
-  if (!open_chains_.emplace(std::pair{pid, id}, t).second) {
+  if (!open_chains_.emplace(static_cast<std::uint64_t>(pid), id, t).second) {
     ++chains_unmatched_;  // duplicate begin: keep the first
   }
 }
 
-void Profiler::chain_mark(std::int64_t pid, std::uint64_t id, const char* mark, double ts,
-                          double arg) {
-  const int code = mark_code(mark);
-  if (code < 0) return;
+void Profiler::chain_mark(std::int64_t pid, std::uint64_t id, int mark, double ts, double arg) {
+  if (mark < 0) return;
   // Window enq/deq tallies feed StarvedDaemon even when the chain's begin
   // was dropped by the ring.
-  if (code == 0) ++window_at(ts).enq;
-  if (code == 1) ++window_at(ts).deq;
-  const auto it = open_chains_.find({pid, id});
-  if (it == open_chains_.end()) return;  // begin lost; chain will count unmatched
-  ChainTimes& t = it->second;
-  switch (code) {
-    case 0:
+  if (mark == kEnq) ++window_at(ts).enq;
+  if (mark == kDeq) ++window_at(ts).deq;
+  ChainTimes* open = open_chains_.find(static_cast<std::uint64_t>(pid), id);
+  if (open == nullptr) return;  // begin lost; chain will count unmatched
+  ChainTimes& t = *open;
+  switch (mark) {
+    case kEnq:
       if (t.enq_ts < 0.0) t.enq_ts = ts;
       break;
-    case 1:
+    case kDeq:
       if (t.deq_ts < 0.0) t.deq_ts = ts;
       break;
-    case 2:
+    case kCollect:
       if (t.collect_ts < 0.0) {
         t.collect_ts = ts;
         t.collect_svc_us = arg;
       }
       break;
-    case 3:
+    case kFwd:
       // First forward: later tree hops keep the earliest daemon-exit time.
       if (t.fwd_ts < 0.0 || ts < t.fwd_ts) t.fwd_ts = ts;
       break;
-    case 4:
+    case kNet:
       // Last network clear; occupancies accumulate across tree hops.
       if (ts > t.net_ts) t.net_ts = ts;
       t.net_svc_us += arg;
@@ -193,13 +227,13 @@ void Profiler::chain_mark(std::int64_t pid, std::uint64_t id, const char* mark, 
 }
 
 void Profiler::chain_end(std::int64_t pid, std::uint64_t id, double ts) {
-  const auto it = open_chains_.find({pid, id});
-  if (it == open_chains_.end()) {
+  const ChainTimes* open = open_chains_.find(static_cast<std::uint64_t>(pid), id);
+  if (open == nullptr) {
     ++chains_unmatched_;  // end without begin
     return;
   }
-  const ChainRecord rec = reduce_chain(pid, id, it->second, ts);
-  open_chains_.erase(it);
+  const ChainRecord rec = reduce_chain(pid, id, *open, ts);
+  open_chains_.erase(static_cast<std::uint64_t>(pid), id);
   ++chains_complete_;
   if (rec.out_of_order) ++chains_out_of_order_;
 
@@ -223,11 +257,12 @@ void Profiler::chain_end(std::int64_t pid, std::uint64_t id, double ts) {
   folded_.add(rec);
 }
 
-void Profiler::feed(const ParsedEvent& ev) {
+void Profiler::feed(const EventView& ev) {
+  const auto tid = static_cast<std::int32_t>(ev.tid);
   if (ev.ph == "M") {
     if (ev.name == "thread_name") {
-      if (const auto it = ev.str_args.find("name"); it != ev.str_args.end()) {
-        labels_[{ev.pid, static_cast<std::int32_t>(ev.tid)}] = it->second;
+      for (const StrArg& a : ev.str_args) {
+        if (a.key == "name") labels_[{ev.pid, tid}] = std::string(a.value);
       }
     }
     return;
@@ -236,24 +271,22 @@ void Profiler::feed(const ParsedEvent& ev) {
   touch_ts(ev.ts);
   if (ev.ph == "X") {
     touch_ts(ev.ts + ev.dur);
-    observe_span(ev.pid, static_cast<std::int32_t>(ev.tid), ev.cat.c_str(), ev.ts, ev.dur);
+    observe_span(ev.pid, tid, c_equal(ev.cat, "cpu"), ev.ts, ev.dur);
     return;
   }
   if (ev.ph == "i") {
-    if (ev.cat == "pipe") count_pipe_event(ev.name.c_str(), ev.ts);
+    if (ev.cat == "pipe" && c_equal(ev.name, "full")) ++window_at(ev.ts).pipe_full;
     return;
   }
   if (ev.ph == "b" || ev.ph == "n" || ev.ph == "e") {
-    if (!is_lifecycle(ev.cat.c_str(), ev.name.c_str())) return;
+    if (!c_equal(ev.cat, "sample") || !c_equal(ev.name, "lifecycle")) return;
     const std::uint64_t id = parse_chain_id(ev.id);
     if (ev.ph == "b") {
-      chain_begin(ev.pid, id, static_cast<std::int32_t>(ev.tid), ev.ts);
+      chain_begin(ev.pid, id, tid, ev.ts);
     } else if (ev.ph == "e") {
       chain_end(ev.pid, id, ev.ts);
     } else {
-      for (const auto& [key, value] : ev.num_args) {
-        chain_mark(ev.pid, id, key.c_str(), ev.ts, value);
-      }
+      for (const NumArg& a : ev.num_args) chain_mark(ev.pid, id, mark_code(a.key), ev.ts, a.value);
     }
   }
 }
@@ -264,11 +297,13 @@ void Profiler::feed(const TraceEvent& ev, std::int32_t pid) {
   switch (ev.phase) {
     case Phase::Complete:
       touch_ts(ev.ts_us + ev.dur_us);
-      observe_span(pid, ev.track, ev.category, ev.ts_us, ev.dur_us);
+      observe_span(pid, ev.track, ev.category != nullptr && std::strcmp(ev.category, "cpu") == 0,
+                   ev.ts_us, ev.dur_us);
       break;
     case Phase::Instant:
-      if (ev.category != nullptr && std::strcmp(ev.category, "pipe") == 0) {
-        count_pipe_event(ev.name, ev.ts_us);
+      if (ev.category != nullptr && std::strcmp(ev.category, "pipe") == 0 && ev.name != nullptr &&
+          std::strcmp(ev.name, "full") == 0) {
+        ++window_at(ev.ts_us).pipe_full;
       }
       break;
     case Phase::Counter:
@@ -278,7 +313,7 @@ void Profiler::feed(const TraceEvent& ev, std::int32_t pid) {
       break;
     case Phase::AsyncInstant:
       if (is_lifecycle(ev.category, ev.name)) {
-        chain_mark(pid, ev.id, ev.arg0_name, ev.ts_us, ev.arg0);
+        chain_mark(pid, ev.id, mark_code(ev.arg0_name), ev.ts_us, ev.arg0);
       }
       break;
     case Phase::AsyncEnd:
@@ -446,7 +481,7 @@ ProfileReport Profiler::finalize() {
 ProfileReport profile_trace_stream(std::istream& is, ProfileOptions options) {
   Profiler profiler(options);
   const TraceStreamInfo info =
-      stream_chrome_trace(is, [&](const ParsedEvent& ev) { profiler.feed(ev); });
+      stream_chrome_trace(is, [&](const EventView& ev) { profiler.feed(ev); });
   profiler.set_totals(info.recorded, info.dropped);
   return profiler.finalize();
 }

@@ -18,7 +18,8 @@
 //     Paradyn's Performance Consultant turned on our own telemetry.
 //
 // Memory is O(open chains + windows + tracks), never O(trace): events are
-// folded into accumulators as they stream past.
+// folded into accumulators as they stream past, and nothing is allocated
+// per event once the accumulators have grown to the trace's working set.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +30,24 @@
 
 #include "obs/critical_path.hpp"
 #include "obs/metrics.hpp"
+#include "obs/pair_map.hpp"
 #include "obs/trace_read.hpp"
 
 namespace paradyn::obs {
 
 struct TraceEvent;
 class TraceRecorder;
+
+/// One merged busy interval of a resource timeline.
+struct BusyInterval {
+  double start = 0.0;
+  double end = 0.0;
+};
+
+/// Insert [s, e] into `intervals` (sorted by start, disjoint), merging every
+/// interval within `gap` of it.  The common case, a span starting at or
+/// after the last interval's start, touches only the back of the vector.
+void merge_busy_interval(std::vector<BusyInterval>& intervals, double s, double e, double gap);
 
 struct ProfileOptions {
   /// Width of the W3 evaluation windows (simulated microseconds).
@@ -122,7 +135,7 @@ class Profiler {
   explicit Profiler(ProfileOptions options = {});
 
   /// Stream sink for parsed JSON events (metadata included).
-  void feed(const ParsedEvent& ev);
+  void feed(const EventView& ev);
   /// Native sink for in-process recorder shards (no JSON round-trip).
   void feed(const TraceEvent& ev, std::int32_t pid);
 
@@ -139,8 +152,8 @@ class Profiler {
  private:
   struct ResourceAccum {
     std::uint64_t spans = 0;
-    double coalesce_gap_us = 0.0;             ///< Doubles when intervals overflow.
-    std::map<double, double> intervals;       ///< start -> end, disjoint.
+    double coalesce_gap_us = 0.0;         ///< Doubles when intervals overflow.
+    std::vector<BusyInterval> intervals;  ///< Sorted by start, disjoint.
   };
   struct Window {
     double hop_queue_us[kHopCount] = {};
@@ -152,11 +165,11 @@ class Profiler {
     std::uint64_t chains = 0;     ///< Chains completing in the window.
   };
 
-  void observe_span(std::int64_t pid, std::int32_t track, const char* cat, double ts, double dur);
+  void observe_span(std::int64_t pid, std::int32_t track, bool cpu, double ts, double dur);
   void chain_begin(std::int64_t pid, std::uint64_t id, std::int32_t track, double ts);
-  void chain_mark(std::int64_t pid, std::uint64_t id, const char* mark, double ts, double arg);
+  /// `mark` is a lifecycle progress mark code (see mark_code in the .cpp).
+  void chain_mark(std::int64_t pid, std::uint64_t id, int mark, double ts, double arg);
   void chain_end(std::int64_t pid, std::uint64_t id, double ts);
-  void count_pipe_event(const char* name, double ts);
   void touch_ts(double ts);
   Window& window_at(double ts);
 
@@ -168,7 +181,7 @@ class Profiler {
   double ts_min_us_ = 0.0;
   double ts_max_us_ = 0.0;
 
-  std::map<std::pair<std::int64_t, std::uint64_t>, ChainTimes> open_chains_;
+  PairMap<ChainTimes> open_chains_;  ///< (pid, id) -> marks so far.
   std::uint64_t chains_complete_ = 0;
   std::uint64_t chains_unmatched_ = 0;
   std::uint64_t chains_out_of_order_ = 0;

@@ -198,6 +198,10 @@ class TraceRecorder {
  private:
   friend class Tracer;
 
+  /// Visit one shard's retained events oldest first.
+  template <class Fn>
+  static void for_each_retained(const Tracer::Shard& shard, Fn&& fn);
+
   mutable std::mutex mutex_;
   std::size_t events_per_tracer_;
   std::deque<Tracer::Shard> shards_;  ///< deque: stable addresses.

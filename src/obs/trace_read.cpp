@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <deque>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <system_error>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -16,290 +20,462 @@ namespace paradyn::obs {
 
 namespace {
 
-/// Pull-style scanner over an incrementally refilled window of the input
-/// stream.  Memory is bounded by one refill chunk regardless of document
-/// size, which is what lets the profiler stream gigabyte traces.
-class JsonScanner {
- public:
-  explicit JsonScanner(std::istream& is) : is_(is) {}
+/// Thrown when a parse attempt reaches the end of the read window before
+/// the end of its value; the reader then reads more and retries.
+struct NeedMore {};
 
-  void skip_ws() {
-    while (have(1) && (buf_[pos_] == ' ' || buf_[pos_] == '\t' || buf_[pos_] == '\n' ||
-                       buf_[pos_] == '\r')) {
-      ++pos_;
+/// Nesting limit for skipped values, so a hostile document fails with a
+/// message instead of overflowing the stack.
+constexpr int kMaxDepth = 1000;
+
+/// The integer a JSON number names; values outside int64 (and NaN) map to
+/// INT64_MIN, the value x86 conversion gives them.
+std::int64_t to_int64(double d) noexcept {
+  if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
+    return static_cast<std::int64_t>(d);
+  }
+  return INT64_MIN;
+}
+
+std::uint64_t to_uint64(double d) noexcept {
+  return d >= 0.0 && d < 18446744073709551616.0 ? static_cast<std::uint64_t>(d) : 0;
+}
+
+/// Characters std::strtod may consume (decimal, hex, inf and nan forms).
+bool strtod_char(char c) noexcept {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '.' || c == '+' || c == '-' ||
+         c == '(' || c == ')' || c == '_';
+}
+
+/// Streaming trace parser.  The input is read into a window that always
+/// holds the whole step being parsed: each step (one event, one separator,
+/// one token of another top-level value) is an attempt over the window,
+/// and an attempt that runs off its end reads more and starts over.  So
+/// the scanner needs no per-character refill checks, strings come back as
+/// views into the window, and memory is O(largest event or string).
+class TraceReader {
+ public:
+  explicit TraceReader(std::istream& is) : is_(is), buf_(kChunk) {}
+
+  TraceStreamInfo run(const std::function<void(const EventView&)>& sink) {
+    TraceStreamInfo info;
+    char first = 0;
+    attempt([&] { first = peek(); });
+    // Either {"traceEvents": [...], ...} or a bare top-level event array.
+    if (first == '[') {
+      events(info, sink);
+      return info;
     }
+    bool more = false;
+    attempt([&] {
+      expect('{');
+      more = !consume_if('}');
+    });
+    std::string key;
+    while (more) {
+      attempt([&] {
+        key = string();
+        expect(':');
+      });
+      if (key == "traceEvents") {
+        events(info, sink);
+      } else if (key == "otherData") {
+        attempt([&] {
+          reset_scratch();
+          args();
+          for (const NumArg& a : num_args_) {
+            if (a.key == "recorded") info.recorded = to_uint64(a.value);
+            if (a.key == "dropped") info.dropped = to_uint64(a.value);
+          }
+        });
+      } else {
+        skip_streamed();
+      }
+      attempt([&] {
+        more = consume_if(',');
+        if (!more) expect('}');
+      });
+    }
+    return info;
+  }
+
+ private:
+  static constexpr std::size_t kChunk = std::size_t{1} << 16;
+
+  void events(TraceStreamInfo& info, const std::function<void(const EventView&)>& sink) {
+    bool more = false;
+    attempt([&] {
+      expect('[');
+      more = !consume_if(']');
+    });
+    EventView ev;
+    while (more) {
+      attempt([&] { event(ev); });
+      ++info.events;
+      sink(ev);  // the window is untouched until the next attempt
+      attempt([&] {
+        more = consume_if(',');
+        if (!more) expect(']');
+      });
+    }
+  }
+
+  /// Run `step` over the window; on success its cursor becomes the new
+  /// start of the window.  A step must have no effect outside the reader
+  /// that a retry would repeat.
+  template <class Step>
+  void attempt(Step&& step) {
+    for (;;) {
+      p_ = buf_.data() + pos_;
+      end_ = buf_.data() + size_;
+      try {
+        step();
+        pos_ = static_cast<std::size_t>(p_ - buf_.data());
+        return;
+      } catch (const NeedMore&) {
+        refill();
+      }
+    }
+  }
+
+  /// Drop the consumed prefix and read at least as much again as is
+  /// pending, so a value larger than the window costs O(size) to read.
+  void refill() {
+    if (pos_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + pos_, size_ - pos_);
+      consumed_ += pos_;
+      size_ -= pos_;
+      pos_ = 0;
+    }
+    const std::size_t want = std::max(kChunk, size_);
+    if (buf_.size() < size_ + want) buf_.resize(size_ + want);
+    is_.read(buf_.data() + size_, static_cast<std::streamsize>(want));
+    const auto got = static_cast<std::size_t>(is_.gcount());
+    size_ += got;
+    if (got < want) eof_ = true;
+  }
+
+  /// The value continues past the window: read more, or fail at the end
+  /// of the input.
+  void need(const char* what_at_eof) {
+    if (eof_) fail(what_at_eof);
+    throw NeedMore{};
+  }
+
+  [[noreturn]] void fail(const std::string& what) const {
+    const auto at = consumed_ + static_cast<std::uint64_t>(p_ - buf_.data());
+    throw std::runtime_error("trace JSON parse error at byte " + std::to_string(at) + ": " +
+                             what);
+  }
+
+  void skip_ws() noexcept {
+    while (p_ < end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) ++p_;
   }
 
   [[nodiscard]] char peek() {
     skip_ws();
-    if (!have(1)) fail("unexpected end of input");
-    return buf_[pos_];
+    if (p_ == end_) need("unexpected end of input");
+    return *p_;
   }
 
   void expect(char c) {
     if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
+    ++p_;
   }
 
   [[nodiscard]] bool consume_if(char c) {
     skip_ws();
-    if (have(1) && buf_[pos_] == c) {
-      ++pos_;
-      return true;
+    if (p_ == end_) {
+      if (!eof_) throw NeedMore{};
+      return false;
     }
-    return false;
+    if (*p_ != c) return false;
+    ++p_;
+    return true;
   }
 
-  void parse_string(std::string& out) {
+  /// A string value: a view into the window, or into scratch space when it
+  /// holds escapes.
+  [[nodiscard]] std::string_view string() {
     expect('"');
-    out.clear();
-    while (true) {
-      if (!have(1)) fail("unterminated string");
-      const char c = buf_[pos_++];
-      if (c == '"') return;
-      if (c == '\\') {
-        if (!have(1)) fail("unterminated escape");
-        const char e = buf_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (!have(4)) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = buf_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("bad \\u escape");
-            }
-            // Trace names are ASCII; encode BMP code points as UTF-8.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default:
-            fail("unknown escape");
-        }
-      } else {
+    const char* start = p_;
+    const char* q = start;
+    while (q < end_ && *q != '"' && *q != '\\') ++q;
+    if (q < end_ && *q == '"') {
+      p_ = q + 1;
+      return {start, static_cast<std::size_t>(q - start)};
+    }
+    std::string& out = scratch();
+    out.assign(start, q);
+    p_ = q;
+    for (;;) {
+      if (p_ == end_) need("unterminated string");
+      const char c = *p_++;
+      if (c == '"') return out;
+      if (c != '\\') {
         out += c;
+        continue;
+      }
+      if (p_ == end_) need("unterminated escape");
+      const char e = *p_++;
+      switch (e) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+          if (end_ - p_ < 4) need("truncated \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = *p_++;
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+            else fail("bad \\u escape");
+          }
+          // Trace names are ASCII; encode BMP code points as UTF-8.
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
+        }
+        default:
+          fail("unknown escape");
       }
     }
   }
 
-  [[nodiscard]] std::string parse_string() {
-    std::string out;
-    parse_string(out);
-    return out;
-  }
-
-  [[nodiscard]] double parse_number() {
+  /// A number, as std::strtod reads it.
+  [[nodiscard]] double number() {
     skip_ws();
-    // Guarantee the full literal is in the window: any valid JSON number
-    // is far shorter than this lookahead, and buf_ is NUL-terminated so
-    // strtod stops at the window edge at EOF.
-    (void)have(64);
-    const char* start = buf_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) fail("expected a number");
-    pos_ += static_cast<std::size_t>(end - start);
+    // std::from_chars reads strtod's decimal forms with the same rounding.
+    // Its result stands when it ends where strtod would: inside the window,
+    // at a character strtod cannot consume either.  A leading '+', hex
+    // ("0x"), a literal cut by the window's end, out-of-range values, inf
+    // and nan (whose NaN payload may differ) go to strtod.
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(p_, end_, v);
+    if (ec == std::errc{} && end != end_ && !strtod_char(*end) && std::isfinite(v)) {
+      p_ = end;
+      return v;
+    }
+    // Hand strtod a terminated copy of every character it could consume,
+    // so it stops where the window does.
+    const char* q = p_;
+    while (q < end_ && strtod_char(*q)) ++q;
+    if (q == end_ && !eof_) throw NeedMore{};
+    const std::string token(p_, q);
+    char* stop = nullptr;
+    v = std::strtod(token.c_str(), &stop);
+    if (stop == token.c_str()) fail("expected a number");
+    p_ += stop - token.c_str();
     return v;
   }
 
-  /// Skip any JSON value (used for fields we do not care about).
-  void skip_value() {
+  /// Skip any JSON value (fields we do not care about).
+  void skip_value(int depth) {
+    if (depth > kMaxDepth) fail("values nested too deeply");
     const char c = peek();
     if (c == '"') {
-      parse_string(scratch_);
+      (void)string();
     } else if (c == '{') {
-      ++pos_;
+      ++p_;
       if (consume_if('}')) return;
       do {
-        parse_string(scratch_);
+        (void)string();
         expect(':');
-        skip_value();
+        skip_value(depth + 1);
       } while (consume_if(','));
       expect('}');
     } else if (c == '[') {
-      ++pos_;
+      ++p_;
       if (consume_if(']')) return;
       do {
-        skip_value();
+        skip_value(depth + 1);
       } while (consume_if(','));
       expect(']');
     } else if (c == 't' || c == 'f' || c == 'n') {
-      while (have(1) && std::isalpha(static_cast<unsigned char>(buf_[pos_]))) ++pos_;
+      while (p_ < end_ && std::isalpha(static_cast<unsigned char>(*p_))) ++p_;
+      if (p_ == end_ && !eof_) throw NeedMore{};
     } else {
-      (void)parse_number();
+      (void)number();
     }
   }
 
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("trace JSON parse error at byte " +
-                             std::to_string(consumed_ + pos_) + ": " + what);
+  /// Skip a top-level value one token per attempt, so the window holds at
+  /// most one token of it however large the value is.
+  void skip_streamed() {
+    std::string closers;  // '}' or ']' for each open container
+    bool want_value = true;
+    while (want_value || !closers.empty()) {
+      attempt([&] {
+        reset_scratch();
+        if (want_value) {
+          const char c = peek();
+          if (c != '{' && c != '[') {
+            skip_value(0);
+            want_value = false;
+            return;
+          }
+          ++p_;
+          const char closer = c == '{' ? '}' : ']';
+          if (consume_if(closer)) {
+            want_value = false;
+            return;
+          }
+          if (closers.size() >= std::size_t{kMaxDepth}) fail("values nested too deeply");
+          if (closer == '}') member_key();
+          closers.push_back(closer);
+        } else if (consume_if(',')) {
+          if (closers.back() == '}') member_key();
+          want_value = true;
+        } else {
+          expect(closers.back());
+          closers.pop_back();
+        }
+      });
+    }
   }
 
- private:
-  /// True when at least `n` bytes are readable at pos_; refills lazily.
-  [[nodiscard]] bool have(std::size_t n) {
-    if (pos_ + n <= buf_.size()) return true;
-    if (eof_) return false;
-    if (pos_ > 0) {  // compact the consumed prefix before reading more
-      consumed_ += pos_;
-      buf_.erase(0, pos_);
-      pos_ = 0;
-    }
-    while (buf_.size() < n && !eof_) {
-      char chunk[kChunk];
-      is_.read(chunk, sizeof(chunk));
-      const auto got = static_cast<std::size_t>(is_.gcount());
-      if (got == 0) {
-        eof_ = true;
-        break;
+  void member_key() {
+    (void)string();
+    expect(':');
+  }
+
+  template <class Arg, class Value>
+  static void put(std::vector<Arg>& args, std::string_view key, Value value) {
+    for (Arg& a : args) {
+      if (a.key == key) {
+        a.value = value;
+        return;
       }
-      buf_.append(chunk, got);
     }
-    return pos_ + n <= buf_.size();
+    args.push_back({key, value});
   }
 
-  static constexpr std::size_t kChunk = 1 << 16;
+  /// An "args" object: numbers and strings kept, anything else skipped.
+  void args() {
+    expect('{');
+    if (consume_if('}')) return;
+    do {
+      const std::string_view key = string();
+      expect(':');
+      const char c = peek();
+      if (c == '"') {
+        put(str_args_, key, string());
+      } else if (c == '{' || c == '[' || c == 't' || c == 'f' || c == 'n') {
+        skip_value(1);
+      } else {
+        put(num_args_, key, number());
+      }
+    } while (consume_if(','));
+    expect('}');
+  }
+
+  void event(EventView& ev) {
+    ev = EventView{};
+    reset_scratch();
+    expect('{');
+    if (!consume_if('}')) {
+      do {
+        const std::string_view key = string();
+        expect(':');
+        if (key == "name") ev.name = string();
+        else if (key == "cat") ev.cat = string();
+        else if (key == "ph") ev.ph = string();
+        else if (key == "ts") ev.ts = number();
+        else if (key == "dur") ev.dur = number();
+        else if (key == "pid") ev.pid = to_int64(number());
+        else if (key == "tid") ev.tid = to_int64(number());
+        else if (key == "id") ev.id = peek() == '"' ? string() : numeric_id();
+        else if (key == "args") args();
+        else skip_value(0);
+      } while (consume_if(','));
+      expect('}');
+    }
+    ev.num_args = num_args_;
+    ev.str_args = str_args_;
+  }
+
+  /// A numeric async id, spelled as std::to_string spells it.
+  std::string_view numeric_id() {
+    std::string& out = scratch();
+    out = std::to_string(number());
+    return out;
+  }
+
+  /// Scratch string that stays put until the next event.
+  std::string& scratch() {
+    if (scratch_used_ == scratch_.size()) scratch_.emplace_back();
+    return scratch_[scratch_used_++];
+  }
+
+  void reset_scratch() noexcept {
+    num_args_.clear();
+    str_args_.clear();
+    scratch_used_ = 0;
+  }
 
   std::istream& is_;
-  std::string buf_;
-  std::string scratch_;
-  std::size_t pos_ = 0;
-  std::size_t consumed_ = 0;
+  std::vector<char> buf_;
+  std::size_t pos_ = 0;   ///< Start of the unparsed input in buf_.
+  std::size_t size_ = 0;  ///< End of the input read so far in buf_.
+  std::uint64_t consumed_ = 0;  ///< Input bytes dropped from the window.
   bool eof_ = false;
+  const char* p_ = nullptr;    ///< Cursor of the current attempt.
+  const char* end_ = nullptr;  ///< End of the window.
+
+  std::vector<NumArg> num_args_;
+  std::vector<StrArg> str_args_;
+  std::deque<std::string> scratch_;  ///< deque: strings keep their place.
+  std::size_t scratch_used_ = 0;
 };
-
-void parse_args_object(JsonScanner& s, ParsedEvent& ev) {
-  s.expect('{');
-  if (s.consume_if('}')) return;
-  do {
-    const std::string key = s.parse_string();
-    s.expect(':');
-    const char c = s.peek();
-    if (c == '"') {
-      ev.str_args[key] = s.parse_string();
-    } else if (c == '{' || c == '[' || c == 't' || c == 'f' || c == 'n') {
-      s.skip_value();
-    } else {
-      ev.num_args[key] = s.parse_number();
-    }
-  } while (s.consume_if(','));
-  s.expect('}');
-}
-
-void parse_event_object(JsonScanner& s, ParsedEvent& ev) {
-  ev.name.clear();
-  ev.cat.clear();
-  ev.ph.clear();
-  ev.ts = 0.0;
-  ev.dur = 0.0;
-  ev.pid = 0;
-  ev.tid = 0;
-  ev.id.clear();
-  ev.num_args.clear();
-  ev.str_args.clear();
-  s.expect('{');
-  if (s.consume_if('}')) return;
-  do {
-    const std::string key = s.parse_string();
-    s.expect(':');
-    if (key == "name") s.parse_string(ev.name);
-    else if (key == "cat") s.parse_string(ev.cat);
-    else if (key == "ph") s.parse_string(ev.ph);
-    else if (key == "ts") ev.ts = s.parse_number();
-    else if (key == "dur") ev.dur = s.parse_number();
-    else if (key == "pid") ev.pid = static_cast<std::int64_t>(s.parse_number());
-    else if (key == "tid") ev.tid = static_cast<std::int64_t>(s.parse_number());
-    else if (key == "id") ev.id = s.peek() == '"' ? s.parse_string() : std::to_string(s.parse_number());
-    else if (key == "args") parse_args_object(s, ev);
-    else s.skip_value();
-  } while (s.consume_if(','));
-  s.expect('}');
-}
 
 }  // namespace
 
+ParsedEvent EventView::to_parsed() const {
+  ParsedEvent e;
+  e.name = name;
+  e.cat = cat;
+  e.ph = ph;
+  e.ts = ts;
+  e.dur = dur;
+  e.pid = pid;
+  e.tid = tid;
+  e.id = id;
+  for (const NumArg& a : num_args) e.num_args[std::string(a.key)] = a.value;
+  for (const StrArg& a : str_args) e.str_args[std::string(a.key)] = std::string(a.value);
+  return e;
+}
+
 TraceStreamInfo stream_chrome_trace(std::istream& is,
-                                    const std::function<void(const ParsedEvent&)>& sink) {
-  JsonScanner s(is);
-  TraceStreamInfo info;
-  ParsedEvent ev;  // reused across events so steady-state allocations are ~0
-
-  const auto parse_event_array = [&] {
-    s.expect('[');
-    if (!s.consume_if(']')) {
-      do {
-        parse_event_object(s, ev);
-        ++info.events;
-        sink(ev);
-      } while (s.consume_if(','));
-      s.expect(']');
-    }
-  };
-
-  // Either {"traceEvents": [...], ...} or a bare top-level event array.
-  if (s.peek() == '[') {
-    parse_event_array();
-    return info;
-  }
-
-  s.expect('{');
-  if (s.consume_if('}')) return info;
-  do {
-    const std::string key = s.parse_string();
-    s.expect(':');
-    if (key == "traceEvents") {
-      parse_event_array();
-    } else if (key == "otherData") {
-      ParsedEvent other;
-      parse_args_object(s, other);
-      if (const auto it = other.num_args.find("recorded"); it != other.num_args.end()) {
-        info.recorded = static_cast<std::uint64_t>(it->second);
-      }
-      if (const auto it = other.num_args.find("dropped"); it != other.num_args.end()) {
-        info.dropped = static_cast<std::uint64_t>(it->second);
-      }
-    } else {
-      s.skip_value();
-    }
-  } while (s.consume_if(','));
-  s.expect('}');
-  return info;
+                                    const std::function<void(const EventView&)>& sink) {
+  return TraceReader(is).run(sink);
 }
 
 ParsedTrace read_chrome_trace(std::istream& is) {
   ParsedTrace trace;
-  const TraceStreamInfo info =
-      stream_chrome_trace(is, [&](const ParsedEvent& ev) { trace.events.push_back(ev); });
+  const TraceStreamInfo info = stream_chrome_trace(
+      is, [&](const EventView& ev) { trace.events.push_back(ev.to_parsed()); });
   trace.recorded = info.recorded;
   trace.dropped = info.dropped;
   return trace;
 }
 
-TraceSummary summarize_trace(const ParsedTrace& trace) {
+TraceSummary summarize_trace(std::istream& is) {
   TraceSummary out;
-  out.recorded = trace.recorded;
-  out.dropped = trace.dropped;
-
   std::unordered_map<std::string, EventTypeStats> types;
   // (cat \x1f name \x1f pid \x1f id) -> begin timestamp.
   std::unordered_map<std::string, double> open_chains;
@@ -310,17 +486,23 @@ TraceSummary summarize_trace(const ParsedTrace& trace) {
   };
   std::unordered_map<std::string, ChainAccum> chains;
 
+  // Lookup keys are built in reused buffers, so only a new event type or a
+  // chain begin allocates.
+  std::string type_key;
+  std::string chain_key;
   bool first_ts = true;
-  for (const auto& ev : trace.events) {
-    if (ev.ph == "M") continue;  // metadata
+  const TraceStreamInfo info = stream_chrome_trace(is, [&](const EventView& ev) {
+    if (ev.ph == "M") return;  // metadata
     ++out.events;
     if (first_ts || ev.ts < out.ts_min_us) out.ts_min_us = ev.ts;
     const double end_ts = ev.ts + (ev.ph == "X" ? ev.dur : 0.0);
     if (first_ts || end_ts > out.ts_max_us) out.ts_max_us = end_ts;
     first_ts = false;
 
-    const std::string type_key = ev.cat + '\x1f' + ev.name;
-    auto& t = types[type_key];
+    type_key.assign(ev.cat).append(1, '\x1f').append(ev.name);
+    auto type_it = types.find(type_key);
+    if (type_it == types.end()) type_it = types.emplace(type_key, EventTypeStats{}).first;
+    EventTypeStats& t = type_it->second;
     if (t.count == 0) {
       t.cat = ev.cat;
       t.name = ev.name;
@@ -332,13 +514,17 @@ TraceSummary summarize_trace(const ParsedTrace& trace) {
     }
 
     if (ev.ph == "b" || ev.ph == "e") {
-      auto& chain = chains[type_key];
+      auto chain_it = chains.find(type_key);
+      if (chain_it == chains.end()) chain_it = chains.emplace(type_key, ChainAccum{}).first;
+      ChainAccum& chain = chain_it->second;
       if (chain.cat.empty()) {
         chain.cat = ev.cat;
         chain.name = ev.name;
       }
-      const std::string chain_key =
-          type_key + '\x1f' + std::to_string(ev.pid) + '\x1f' + ev.id;
+      char pid[24];
+      chain_key.assign(type_key).append(1, '\x1f');
+      chain_key.append(pid, std::to_chars(pid, pid + sizeof pid, ev.pid).ptr);
+      chain_key.append(1, '\x1f').append(ev.id);
       if (ev.ph == "b") {
         if (!open_chains.emplace(chain_key, ev.ts).second) ++chain.unmatched;
       } else {
@@ -351,7 +537,9 @@ TraceSummary summarize_trace(const ParsedTrace& trace) {
         }
       }
     }
-  }
+  });
+  out.recorded = info.recorded;
+  out.dropped = info.dropped;
 
   for (auto& [key, t] : types) out.types.push_back(std::move(t));
   std::sort(out.types.begin(), out.types.end(), [](const auto& a, const auto& b) {
@@ -377,8 +565,8 @@ TraceSummary summarize_trace(const ParsedTrace& trace) {
   // Count begins that never saw an end.
   for (const auto& [key, ts] : open_chains) {
     const auto sep = key.find('\x1f', key.find('\x1f') + 1);
-    const std::string type_key = key.substr(0, sep);
-    if (const auto it = chains.find(type_key); it != chains.end()) {
+    const std::string begin_type = key.substr(0, sep);
+    if (const auto it = chains.find(begin_type); it != chains.end()) {
       for (auto& cs : out.chains) {
         if (cs.cat == it->second.cat && cs.name == it->second.name) {
           ++cs.unmatched;

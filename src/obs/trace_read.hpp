@@ -11,7 +11,9 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace paradyn::obs {
@@ -28,6 +30,35 @@ struct ParsedEvent {
   std::string id;    ///< Async id (as written, e.g. "0x2a"); empty if absent.
   std::map<std::string, double> num_args;
   std::map<std::string, std::string> str_args;
+};
+
+struct NumArg {
+  std::string_view key;
+  double value = 0.0;
+};
+struct StrArg {
+  std::string_view key;
+  std::string_view value;
+};
+
+/// One event as the streaming parser decoded it, with the fields of
+/// ParsedEvent.  The views point into the parser's read window and are
+/// valid only during the sink call.  Arguments keep document order; a key
+/// that repeats keeps its last value, as in ParsedEvent's maps.
+struct EventView {
+  std::string_view name;
+  std::string_view cat;
+  std::string_view ph;
+  double ts = 0.0;
+  double dur = 0.0;
+  std::int64_t pid = 0;
+  std::int64_t tid = 0;
+  std::string_view id;
+  std::span<const NumArg> num_args;
+  std::span<const StrArg> str_args;
+
+  /// An owning copy.
+  [[nodiscard]] ParsedEvent to_parsed() const;
 };
 
 struct ParsedTrace {
@@ -49,14 +80,13 @@ struct TraceStreamInfo {
 };
 
 /// Streaming parse: decode the document incrementally through a bounded
-/// read buffer (never slurps the file) and invoke `sink` once per event,
-/// metadata included.  The ParsedEvent reference is only valid for the
-/// duration of the call — the same scratch object is reused.  This is the
-/// path the profiler uses so arbitrarily large traces cost O(1) parser
-/// memory.  Throws std::runtime_error with a byte offset on malformed
-/// input.
+/// read window (never slurps the file) and invoke `sink` once per event,
+/// metadata included.  The window holds one whole event, or one token of
+/// a top-level value other than the event array, so parser memory is
+/// O(largest event or string), not O(trace), and nothing is allocated per
+/// event.  Throws std::runtime_error with a byte offset on malformed input.
 TraceStreamInfo stream_chrome_trace(std::istream& is,
-                                    const std::function<void(const ParsedEvent&)>& sink);
+                                    const std::function<void(const EventView&)>& sink);
 
 /// Aggregate statistics of one (category, name) event type.
 struct EventTypeStats {
@@ -89,7 +119,9 @@ struct TraceSummary {
   std::vector<AsyncChainStats> chains;  ///< One entry per async (cat, name).
 };
 
-[[nodiscard]] TraceSummary summarize_trace(const ParsedTrace& trace);
+/// Summarize a trace stream (the `rocctrace` path): memory is O(event
+/// types + open chains), not O(trace).
+[[nodiscard]] TraceSummary summarize_trace(std::istream& is);
 
 /// Human-readable report of a summary (the body of `rocctrace`).
 void print_trace_summary(std::ostream& os, const TraceSummary& summary, std::size_t top_n = 20);

@@ -29,9 +29,9 @@ const HypothesisFinding* find_hypothesis(const ProfileReport& report, const std:
   return nullptr;
 }
 
-ParsedEvent lifecycle(const char* ph, double ts, const char* id, std::int64_t pid = 1,
-                      std::int64_t tid = 3) {
-  ParsedEvent ev;
+EventView lifecycle(const char* ph, double ts, const char* id, std::int64_t pid = 1,
+                    std::int64_t tid = 3) {
+  EventView ev;
   ev.cat = "sample";
   ev.name = "lifecycle";
   ev.ph = ph;
@@ -42,10 +42,10 @@ ParsedEvent lifecycle(const char* ph, double ts, const char* id, std::int64_t pi
   return ev;
 }
 
-ParsedEvent mark(double ts, const char* id, const char* stage, double arg,
-                 std::int64_t pid = 1) {
-  ParsedEvent ev = lifecycle("n", ts, id, pid);
-  ev.num_args[stage] = arg;
+/// A progress mark; the view points at `stage`, which must outlive it.
+EventView mark(double ts, const char* id, const NumArg& stage, std::int64_t pid = 1) {
+  EventView ev = lifecycle("n", ts, id, pid);
+  ev.num_args = {&stage, 1};
   return ev;
 }
 
@@ -74,11 +74,11 @@ TEST(Profiler, EmptyTraceYieldsWellFormedReport) {
 TEST(Profiler, SyntheticChainDecomposesIntoHops) {
   Profiler profiler;
   profiler.feed(lifecycle("b", 1000.0, "0x2a"));
-  profiler.feed(mark(1500.0, "0x2a", "enq", 1.0));
-  profiler.feed(mark(4000.0, "0x2a", "deq", 0.0));
-  profiler.feed(mark(5000.0, "0x2a", "collect", 800.0));  // daemon service us
-  profiler.feed(mark(6000.0, "0x2a", "fwd", 1.0));
-  profiler.feed(mark(8900.0, "0x2a", "net", 1200.0));  // network occupancy us
+  profiler.feed(mark(1500.0, "0x2a", {"enq", 1.0}));
+  profiler.feed(mark(4000.0, "0x2a", {"deq", 0.0}));
+  profiler.feed(mark(5000.0, "0x2a", {"collect", 800.0}));  // daemon service us
+  profiler.feed(mark(6000.0, "0x2a", {"fwd", 1.0}));
+  profiler.feed(mark(8900.0, "0x2a", {"net", 1200.0}));  // network occupancy us
   profiler.feed(lifecycle("e", 10000.0, "0x2a"));
   const auto report = profiler.finalize();
 
@@ -111,7 +111,7 @@ TEST(Profiler, UnmatchedBeginsAndEndsAreCountedNotCrashed) {
   Profiler profiler;
   profiler.feed(lifecycle("b", 100.0, "0x1"));  // begin without end
   profiler.feed(lifecycle("e", 200.0, "0x2"));  // end without begin
-  profiler.feed(mark(150.0, "0x3", "deq", 0.0));  // mark for a chain never begun
+  profiler.feed(mark(150.0, "0x3", {"deq", 0.0}));  // mark for a chain never begun
   const auto report = profiler.finalize();
   EXPECT_EQ(report.chains_complete, 0u);
   EXPECT_EQ(report.chains_unmatched, 2u);
@@ -121,8 +121,8 @@ TEST(Profiler, UnmatchedBeginsAndEndsAreCountedNotCrashed) {
 TEST(Profiler, OutOfOrderTimestampsAreClampedAndFlagged) {
   Profiler profiler;
   profiler.feed(lifecycle("b", 5000.0, "0x7"));
-  profiler.feed(mark(4000.0, "0x7", "enq", 1.0));  // regresses before the begin
-  profiler.feed(mark(5500.0, "0x7", "deq", 0.0));
+  profiler.feed(mark(4000.0, "0x7", {"enq", 1.0}));  // regresses before the begin
+  profiler.feed(mark(5500.0, "0x7", {"deq", 0.0}));
   profiler.feed(lifecycle("e", 6000.0, "0x7"));
   const auto report = profiler.finalize();
   ASSERT_EQ(report.chains_complete, 1u);

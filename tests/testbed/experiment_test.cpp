@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "testbed/cpu_timer.hpp"
 
 namespace paradyn::testbed {
@@ -143,11 +145,14 @@ TEST(Testbed, DaemonCountValidation) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+// The workload is a std::string, not a const char*: GoogleTest prints a
+// pointer parameter by address, which would put an ASLR-dependent value in
+// the test's listed name.
 class WorkloadPolicyMatrix
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(WorkloadPolicyMatrix, RunsCleanlyWithoutLoss) {
-  const auto [workload, batch] = GetParam();
+  const auto& [workload, batch] = GetParam();
   const auto r = run_testbed(quick(workload, batch));
   EXPECT_EQ(r.samples_received, r.samples_sent);
   EXPECT_GT(r.daemon_cpu_sec, 0.0);
@@ -155,10 +160,11 @@ TEST_P(WorkloadPolicyMatrix, RunsCleanlyWithoutLoss) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCells, WorkloadPolicyMatrix,
-                         ::testing::Combine(::testing::Values("bt", "is"),
+                         ::testing::Combine(::testing::Values(std::string("bt"),
+                                                              std::string("is")),
                                             ::testing::Values(1, 16, 128)),
                          [](const auto& info) {
-                           return std::string(std::get<0>(info.param)) + "_batch" +
+                           return std::get<0>(info.param) + "_batch" +
                                   std::to_string(std::get<1>(info.param));
                          });
 

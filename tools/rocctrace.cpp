@@ -85,8 +85,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "rocctrace: cannot open %s\n", path.c_str());
       return 1;
     }
-    const auto trace = obs::read_chrome_trace(is);
-    const auto summary = filter_summary(obs::summarize_trace(trace),
+    const auto summary = filter_summary(obs::summarize_trace(is),
                                         args.get_string("event", ""),
                                         args.get_string("cat", ""));
     std::cout << path << ":\n";
