@@ -15,13 +15,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "des/engine.hpp"
 #include "des/event_queue.hpp"
-#include "des/heap_event_queue.hpp"
 #include "des/random.hpp"
 #include "rocc/simulation.hpp"
 #include "stats/distributions.hpp"
@@ -29,6 +27,7 @@
 #include "stats/fitting.hpp"
 #include "stats/sampler.hpp"
 #include "stats/ziggurat.hpp"
+#include "support/heap_event_queue.hpp"
 
 namespace {
 
@@ -152,35 +151,6 @@ std::size_t workload_variates_frozen(const stats::FrozenSampler& sampler, std::s
   des::RngStream rng(11, 41);
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += sampler(rng);
-  benchmark::DoNotOptimize(acc);
-  return n;
-}
-
-/// n draws through FrozenSampler::fill() in prefill-buffer-sized blocks —
-/// the batched production path (BufferedSampler refills).  Same stream as
-/// the scalar loop, so the ratio isolates the batch-kernel gain.
-std::size_t workload_variates_fill(const stats::FrozenSampler& sampler, std::vector<double>& buf,
-                                   std::size_t n) {
-  des::RngStream rng(11, 41);
-  double acc = 0.0;
-  for (std::size_t done = 0; done < n; done += buf.size()) {
-    const std::size_t chunk = std::min(buf.size(), n - done);
-    sampler.fill(rng, std::span<double>(buf.data(), chunk));
-    acc += buf[chunk - 1];
-  }
-  benchmark::DoNotOptimize(acc);
-  return n;
-}
-
-/// n standard-normal draws through the batch ziggurat kernel.
-std::size_t workload_normal_fill(std::vector<double>& buf, std::size_t n) {
-  des::RngStream rng(11, 43);
-  double acc = 0.0;
-  for (std::size_t done = 0; done < n; done += buf.size()) {
-    const std::size_t chunk = std::min(buf.size(), n - done);
-    stats::ziggurat_normal_fill(rng, buf.data(), chunk);
-    acc += buf[chunk - 1];
-  }
   benchmark::DoNotOptimize(acc);
   return n;
 }
@@ -430,47 +400,6 @@ double median_mops(int reps, Fn&& fn) {
   return mops[mops.size() / 2];
 }
 
-/// Median of per-round fast/slow ratios, with the two workloads alternated
-/// inside every round.  Host frequency drift and scheduler steal then hit
-/// both sides of each ratio roughly equally, so the recorded speedup
-/// survives noise that skews two independently-timed medians — the same
-/// symmetric discipline as the overhead envelope in profile_overhead.
-/// `fast_mops_out`, when non-null, receives the median fast-side Mops/s.
-template <typename FastFn, typename SlowFn>
-double paired_speedup(int reps, FastFn&& fast, SlowFn&& slow, double* fast_mops_out = nullptr) {
-  std::vector<double> fast_mops;
-  std::vector<double> ratios;
-  for (int r = 0; r < reps; ++r) {
-    // Alternate which side runs first so ramp-up and post-AVX-512
-    // frequency transitions do not systematically favor one side.
-    double f;
-    double s;
-    if (r % 2 == 0) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const std::size_t fast_ops = fast();
-      const auto t1 = std::chrono::steady_clock::now();
-      const std::size_t slow_ops = slow();
-      const auto t2 = std::chrono::steady_clock::now();
-      f = static_cast<double>(fast_ops) / std::chrono::duration<double>(t1 - t0).count() / 1e6;
-      s = static_cast<double>(slow_ops) / std::chrono::duration<double>(t2 - t1).count() / 1e6;
-    } else {
-      const auto t0 = std::chrono::steady_clock::now();
-      const std::size_t slow_ops = slow();
-      const auto t1 = std::chrono::steady_clock::now();
-      const std::size_t fast_ops = fast();
-      const auto t2 = std::chrono::steady_clock::now();
-      s = static_cast<double>(slow_ops) / std::chrono::duration<double>(t1 - t0).count() / 1e6;
-      f = static_cast<double>(fast_ops) / std::chrono::duration<double>(t2 - t1).count() / 1e6;
-    }
-    fast_mops.push_back(f);
-    ratios.push_back(f / s);
-  }
-  std::sort(fast_mops.begin(), fast_mops.end());
-  std::sort(ratios.begin(), ratios.end());
-  if (fast_mops_out != nullptr) *fast_mops_out = fast_mops[fast_mops.size() / 2];
-  return ratios[ratios.size() / 2];
-}
-
 struct Metric {
   std::string key;
   double value;
@@ -537,38 +466,6 @@ int emit_bench_json(const std::string& path) {
         family,
         median_mops(kReps, [&] { return workload_variates_frozen(sampler, kDraws); }),
         median_mops(kReps, [&] { return workload_variates_virtual(*dist, kDraws); }));
-  }
-
-  // Batched generation: FrozenSampler::fill() in prefill-buffer-sized
-  // blocks vs the per-draw scalar loop over the SAME sampler.  The ratio is
-  // the gain BufferedSampler buys a hot site (SIMD kernels + amortized call
-  // overhead); both sides consume the identical stream.  These are the
-  // CI-gated keys, so they use paired rounds rather than two independent
-  // medians.
-  constexpr std::size_t kFillBlock = 4'096;
-  constexpr int kPairedReps = 7;
-  std::vector<double> fill_buf(kFillBlock);
-  const auto record_batch = [&metrics](const std::string& family, double fill, double speedup) {
-    metrics.push_back({"fill_" + family + "_mvps", fill});
-    metrics.push_back({"speedup_variates_batch_" + family, speedup});
-    std::cout << "variates batch " << family << ": fill " << fill << " Mv/s, speedup " << speedup
-              << " (" << stats::batch_dispatch_active() << ")\n";
-  };
-  {
-    double fill_mvps = 0.0;
-    const double speedup =
-        paired_speedup(kPairedReps, [&] { return workload_normal_fill(fill_buf, kDraws); },
-                       [] { return workload_normal_ziggurat(kDraws); }, &fill_mvps);
-    record_batch("normal", fill_mvps, speedup);
-  }
-  for (const char* family : {"exponential", "lognormal", "weibull", "empirical"}) {
-    const auto sampler = stats::FrozenSampler::compile(variate_family(family),
-                                                       stats::SamplerBackend::Ziggurat);
-    double fill_mvps = 0.0;
-    const double speedup = paired_speedup(
-        kPairedReps, [&] { return workload_variates_fill(sampler, fill_buf, kDraws); },
-        [&] { return workload_variates_frozen(sampler, kDraws); }, &fill_mvps);
-    record_batch(family, fill_mvps, speedup);
   }
 
   // Drain-heavy queue workload: the SoA key-column split shows up here

@@ -30,14 +30,11 @@ class ApplicationProcess {
   /// barrier synchronization).  `model` is this process's resolved workload
   /// (the global config's AppModel or a per-node override).  `controller`
   /// (nullable) supplies the adaptive sampling period.
-  /// `batch` (default: disabled) moves the burst/IO-duration draws onto
-  /// per-site prefill buffers (--batch-sampling); the I/O-branch Bernoulli
-  /// stays on `rng` either way.
   ApplicationProcess(des::Engine& engine, const SystemConfig& config, AppModel model,
                      CpuResource& cpu, NetworkResource& network, Pipe* pipe,
                      BarrierManager* barrier, const SamplingController* controller,
                      MetricsCollector& metrics, des::RngStream rng, std::int32_t node,
-                     std::int32_t index, stats::BatchSpec batch = {});
+                     std::int32_t index);
 
   ApplicationProcess(const ApplicationProcess&) = delete;
   ApplicationProcess& operator=(const ApplicationProcess&) = delete;
@@ -104,11 +101,10 @@ class ApplicationProcess {
   const SystemConfig& config_;
   AppModel model_;
   // The workload distributions frozen into inline samplers (the per-cycle
-  // hot path; see stats/sampler.hpp), optionally behind prefill buffers
-  // (stats/variate_buffer.hpp).
-  stats::BufferedSampler cpu_burst_;
-  stats::BufferedSampler net_burst_;
-  stats::BufferedSampler io_block_duration_;
+  // hot path; see stats/sampler.hpp).
+  stats::FrozenSampler cpu_burst_;
+  stats::FrozenSampler net_burst_;
+  stats::FrozenSampler io_block_duration_;
   CpuResource& cpu_;
   NetworkResource& network_;
   Pipe* pipe_;

@@ -8,7 +8,7 @@ OpenArrivalStream::OpenArrivalStream(des::Engine& engine, stats::DistributionPtr
                                      stats::DistributionPtr length, ProcessClass pclass,
                                      CpuResource* cpu, NetworkResource* network,
                                      des::RngStream rng, stats::SamplerBackend backend,
-                                     std::int32_t node, stats::BatchSpec batch)
+                                     std::int32_t node)
     : engine_(engine), pclass_(pclass), cpu_(cpu), network_(network), rng_(rng), node_(node) {
   if ((cpu_ == nullptr) == (network_ == nullptr)) {
     throw std::invalid_argument("OpenArrivalStream: exactly one target resource required");
@@ -16,9 +16,8 @@ OpenArrivalStream::OpenArrivalStream(des::Engine& engine, stats::DistributionPtr
   if (!interarrival || !length) {
     throw std::invalid_argument("OpenArrivalStream: distributions required");
   }
-  interarrival_ = stats::BufferedSampler(stats::FrozenSampler::compile(interarrival, backend),
-                                         batch.at(0));
-  length_ = stats::BufferedSampler(stats::FrozenSampler::compile(length, backend), batch.at(1));
+  interarrival_ = stats::FrozenSampler::compile(interarrival, backend);
+  length_ = stats::FrozenSampler::compile(length, backend);
 }
 
 void OpenArrivalStream::start() {

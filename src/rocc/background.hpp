@@ -18,15 +18,12 @@ class OpenArrivalStream {
  public:
   /// Exactly one of `cpu` / `network` must be non-null.  Both distributions
   /// are frozen into inline samplers compiled for `backend`.  `node` tags
-  /// network requests for the optional per-node busy accounting.  `batch`
-  /// (default: disabled) moves the interarrival/length draws onto per-site
-  /// prefill buffers (--batch-sampling); the spec's site must already be
-  /// unique to this stream (simulation.cpp spaces streams two sites apart).
+  /// network requests for the optional per-node busy accounting.
   OpenArrivalStream(des::Engine& engine, stats::DistributionPtr interarrival,
                     stats::DistributionPtr length, ProcessClass pclass, CpuResource* cpu,
                     NetworkResource* network, des::RngStream rng,
                     stats::SamplerBackend backend = stats::SamplerBackend::Ziggurat,
-                    std::int32_t node = -1, stats::BatchSpec batch = {});
+                    std::int32_t node = -1);
 
   OpenArrivalStream(const OpenArrivalStream&) = delete;
   OpenArrivalStream& operator=(const OpenArrivalStream&) = delete;
@@ -37,8 +34,8 @@ class OpenArrivalStream {
   void on_arrival();
 
   des::Engine& engine_;
-  stats::BufferedSampler interarrival_;
-  stats::BufferedSampler length_;
+  stats::FrozenSampler interarrival_;
+  stats::FrozenSampler length_;
   ProcessClass pclass_;
   CpuResource* cpu_;
   NetworkResource* network_;

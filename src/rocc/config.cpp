@@ -157,18 +157,6 @@ void SystemConfig::validate() const {
           "domains are node-local");
     }
   }
-  if (batch.enabled) {
-    if (batch.block < 1 || batch.block > 1'048'576) {
-      throw std::invalid_argument(
-          "SystemConfig: --batch-sampling block must be in [1, 1048576]");
-    }
-    if (reference_rng) {
-      throw std::invalid_argument(
-          "SystemConfig: --batch-sampling is incompatible with --reference-rng — reference mode "
-          "exists to bit-reproduce historical streams, and prefill buffers move hot sites onto "
-          "dedicated batch streams");
-    }
-  }
 }
 
 SystemConfig SystemConfig::paper_defaults() {
@@ -242,13 +230,6 @@ std::string SystemConfig::summary() const {
       duration_us, warmup_us, instrumentation_enabled ? "on" : "off",
       stats::to_string(sampler_backend()));
   std::string out = buf;
-  if (batch.enabled) {
-    // Only appended when on: batch sampling changes the consumed streams,
-    // so the stamp must distinguish it; default-off summaries stay
-    // byte-identical to every prior release.
-    std::snprintf(buf, sizeof(buf), " batch-sampling=%d", batch.block);
-    out += buf;
-  }
   if (shards > 0) {
     // Deliberately *excluded* from the stamp-visible summary when sharding
     // is off, keeping legacy report headers byte-identical.  The shard count

@@ -11,42 +11,8 @@
 #include "rocc/types.hpp"
 #include "stats/distributions.hpp"
 #include "stats/sampler.hpp"
-#include "stats/variate_buffer.hpp"
 
 namespace paradyn::rocc {
-
-/// Prefill-buffer batch sampling (--batch-sampling): hot sites draw their
-/// variates from per-site buffers refilled through the AVX2 batch kernels
-/// instead of calling the RNG per event.  Buffered sites move onto
-/// dedicated streams (site tags from kBatchSiteBase, disjoint from every
-/// entity/fault/repair tag), so results are deterministic across --jobs,
-/// --shards, block sizes, and both event queues — but differ from the
-/// default unbuffered streams, which is why this is opt-in.
-struct BatchSamplingConfig {
-  bool enabled = false;
-  /// Variates generated per refill at each site.  The block only sets the
-  /// refill amortization; the consumed stream is block-size-invariant
-  /// because fill() is bit-identical to scalar draws.
-  std::int32_t block = 256;
-};
-
-/// Per-site stream tag ranges used by batch prefill buffers.  Entity role
-/// tags occupy 1..11 (app/daemon/main/background/fault/repair); site tags
-/// start far above so the two spaces can never collide — and each entity
-/// *type* gets its own range, because entity ids are only unique within a
-/// type (app 3-of-node-0 and daemon 3 share the id 3).
-inline constexpr std::uint64_t kBatchSiteApp = 64;         ///< cpu, net, io sites.
-inline constexpr std::uint64_t kBatchSiteDaemon = 80;      ///< collect, forward, net, merge.
-inline constexpr std::uint64_t kBatchSiteBackground = 96;  ///< per-node stream pairs.
-inline constexpr std::uint64_t kBatchSiteMain = 112;       ///< main Paradyn service demand.
-
-/// The globally unique entity tag of application process `index` on
-/// `node` — the same composite simulation.cpp derives the app's RNG
-/// stream from, reused for its batch-site streams.
-[[nodiscard]] constexpr std::uint64_t app_entity_tag(std::int32_t node,
-                                                     std::int32_t index) noexcept {
-  return static_cast<std::uint64_t>(node) * 4096 + static_cast<std::uint64_t>(index);
-}
 
 /// Workload of one (instrumented) application process: alternating
 /// computation and communication states (Figure 7), optionally extended
@@ -255,23 +221,6 @@ struct SystemConfig {
   /// The variate backend every model entity compiles its samplers with.
   [[nodiscard]] stats::SamplerBackend sampler_backend() const noexcept {
     return reference_rng ? stats::SamplerBackend::Reference : stats::SamplerBackend::Ziggurat;
-  }
-
-  /// Prefill-buffer batch sampling (off by default; see --batch-sampling).
-  BatchSamplingConfig batch;
-
-  /// The BatchSpec an entity hands its hot draw sites: disabled (block 0)
-  /// unless batch sampling is on.  `entity` is the entity's id within its
-  /// type; `site_base` is the type's kBatchSite* range.  Each site within
-  /// the entity uses spec.at(i) for i = 0, 1, ...
-  [[nodiscard]] stats::BatchSpec batch_spec(std::uint64_t entity,
-                                            std::uint64_t site_base) const noexcept {
-    stats::BatchSpec spec;
-    spec.seed = seed;
-    spec.entity = entity;
-    spec.site = site_base;
-    spec.block = batch.enabled ? static_cast<std::uint32_t>(batch.block) : 0;
-    return spec;
   }
 
   /// Warm-up (transient-deletion) period: the model runs for this long,

@@ -10,23 +10,17 @@ namespace paradyn::rocc {
 
 ParadynDaemon::ParadynDaemon(des::Engine& engine, const SystemConfig& config, CpuResource& cpu,
                              NetworkResource& network, MetricsCollector& metrics,
-                             des::RngStream rng, std::int32_t node, stats::BatchSpec batch)
+                             des::RngStream rng, std::int32_t node)
     : engine_(engine),
       config_(config),
       cpu_(cpu),
       network_(network),
       metrics_(metrics),
-      collect_cpu_(stats::FrozenSampler::compile(config.pd.collect_cpu,
-                                                 config.sampler_backend()),
-                   batch.at(0)),
-      forward_cpu_(stats::FrozenSampler::compile(config.pd.forward_cpu,
-                                                 config.sampler_backend()),
-                   batch.at(1)),
-      net_occupancy_(stats::FrozenSampler::compile(config.pd.net_occupancy,
-                                                   config.sampler_backend()),
-                     batch.at(2)),
-      merge_cpu_(stats::FrozenSampler::compile(config.pd.merge_cpu, config.sampler_backend()),
-                 batch.at(3)),
+      collect_cpu_(stats::FrozenSampler::compile(config.pd.collect_cpu, config.sampler_backend())),
+      forward_cpu_(stats::FrozenSampler::compile(config.pd.forward_cpu, config.sampler_backend())),
+      net_occupancy_(
+          stats::FrozenSampler::compile(config.pd.net_occupancy, config.sampler_backend())),
+      merge_cpu_(stats::FrozenSampler::compile(config.pd.merge_cpu, config.sampler_backend())),
       rng_(rng),
       node_(node) {}
 

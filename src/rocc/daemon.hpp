@@ -31,11 +31,9 @@ class MainParadyn;
 
 class ParadynDaemon {
  public:
-  /// `batch` (default: disabled) moves the collect/forward/net/merge cost
-  /// draws onto per-site prefill buffers (--batch-sampling).
   ParadynDaemon(des::Engine& engine, const SystemConfig& config, CpuResource& cpu,
                 NetworkResource& network, MetricsCollector& metrics, des::RngStream rng,
-                std::int32_t node, stats::BatchSpec batch = {});
+                std::int32_t node);
 
   ParadynDaemon(const ParadynDaemon&) = delete;
   ParadynDaemon& operator=(const ParadynDaemon&) = delete;
@@ -127,10 +125,10 @@ class ParadynDaemon {
   NetworkResource& network_;
   MetricsCollector& metrics_;
   // Per-sample cost distributions frozen into inline samplers (hot path).
-  stats::BufferedSampler collect_cpu_;
-  stats::BufferedSampler forward_cpu_;
-  stats::BufferedSampler net_occupancy_;
-  stats::BufferedSampler merge_cpu_;
+  stats::FrozenSampler collect_cpu_;
+  stats::FrozenSampler forward_cpu_;
+  stats::FrozenSampler net_occupancy_;
+  stats::FrozenSampler merge_cpu_;
   des::RngStream rng_;
   std::int32_t node_;
 

@@ -22,8 +22,7 @@ namespace paradyn::rocc {
 class MainParadyn {
  public:
   MainParadyn(des::Engine& engine, const SystemConfig& config, CpuResource& host_cpu,
-              MetricsCollector& metrics, des::RngStream rng,
-              stats::BatchSpec batch = {});
+              MetricsCollector& metrics, des::RngStream rng);
 
   MainParadyn(const MainParadyn&) = delete;
   MainParadyn& operator=(const MainParadyn&) = delete;
@@ -58,7 +57,7 @@ class MainParadyn {
   CpuResource& host_cpu_;
   MetricsCollector& metrics_;
   // Per-unit Data Manager CPU demand frozen into an inline sampler.
-  stats::BufferedSampler main_cpu_;
+  stats::FrozenSampler main_cpu_;
   des::RngStream rng_;
   std::uint64_t batches_received_ = 0;
   std::uint64_t samples_received_ = 0;

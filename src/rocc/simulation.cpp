@@ -31,6 +31,12 @@ enum RoleTag : std::uint64_t {
   kTagFault = kFaultDropRngTag,
 };
 
+/// The globally unique entity tag of application process `index` on
+/// `node`, from which the app's RNG stream is derived.
+constexpr std::uint64_t app_entity_tag(std::int32_t node, std::int32_t index) noexcept {
+  return static_cast<std::uint64_t>(node) * 4096 + static_cast<std::uint64_t>(index);
+}
+
 }  // namespace
 
 Simulation::Simulation(SystemConfig config) : config_(std::move(config)) {
@@ -108,8 +114,7 @@ void Simulation::build() {
     // Partitioned: main lives on shard 0 (which owns node 0 and the
     // dedicated host CPU), writing into metrics_ — the shard-0 collector.
     main_ = std::make_unique<MainParadyn>(pdes ? shards_->engine(0) : engine_, config_, main_cpu,
-                                          metrics_, des::RngStream(config_.seed, 0, kTagMain),
-                                          config_.batch_spec(0, kBatchSiteMain));
+                                          metrics_, des::RngStream(config_.seed, 0, kTagMain));
   }
 
   // Daemons: one per node (NOW/MPP) or `daemons` sharing the pool (SMP).
@@ -122,8 +127,7 @@ void Simulation::build() {
       daemons_.push_back(std::make_unique<ParadynDaemon>(
           node_engine(host_node), config_, *node_cpus_[host_node], node_network(host_node),
           node_collector(host_node),
-          des::RngStream(config_.seed, static_cast<std::uint64_t>(d), kTagDaemon), host_node,
-          config_.batch_spec(static_cast<std::uint64_t>(d), kBatchSiteDaemon)));
+          des::RngStream(config_.seed, static_cast<std::uint64_t>(d), kTagDaemon), host_node));
       if (pdes) daemon_shard_.push_back(partition_.shard_of(host_node));
     }
     // Forwarding destinations.
@@ -198,14 +202,13 @@ void Simulation::build() {
         daemons_[daemon_idx]->attach_pipe(*pipe);
         pipe_daemon_.push_back(daemon_idx);
       }
-      const std::uint64_t app_tag = app_entity_tag(n, a);
       const auto override_it = config_.app_overrides.find(n);
       const AppModel& model =
           override_it != config_.app_overrides.end() ? override_it->second : config_.app;
       apps_.push_back(std::make_unique<ApplicationProcess>(
           node_engine(n), config_, model, *node_cpus_[n], node_network(n), pipe, barrier_.get(),
-          controller_.get(), node_collector(n), des::RngStream(config_.seed, app_tag, kTagApp),
-          n, a, config_.batch_spec(app_tag, kBatchSiteApp)));
+          controller_.get(), node_collector(n),
+          des::RngStream(config_.seed, app_entity_tag(n, a), kTagApp), n, a));
       if (pdes) {
         // Legacy ids come from the shared samples_generated counter, whose
         // interleaving depends on the sharding; give every app a disjoint
@@ -224,19 +227,19 @@ void Simulation::build() {
       background_.push_back(std::make_unique<OpenArrivalStream>(
           node_engine(n), bg.pvmd_interarrival, bg.pvmd_cpu_length, ProcessClass::PvmDaemon,
           node_cpus_[n].get(), nullptr, des::RngStream(config_.seed, node_tag, kTagPvmdCpu),
-          backend, n, config_.batch_spec(node_tag, kBatchSiteBackground)));
+          backend, n));
       background_.push_back(std::make_unique<OpenArrivalStream>(
           node_engine(n), bg.pvmd_interarrival, bg.pvmd_net_length, ProcessClass::PvmDaemon,
           nullptr, &node_network(n), des::RngStream(config_.seed, node_tag, kTagPvmdNet),
-          backend, n, config_.batch_spec(node_tag, kBatchSiteBackground + 2)));
+          backend, n));
       background_.push_back(std::make_unique<OpenArrivalStream>(
           node_engine(n), bg.other_cpu_interarrival, bg.other_cpu_length, ProcessClass::Other,
           node_cpus_[n].get(), nullptr, des::RngStream(config_.seed, node_tag, kTagOtherCpu),
-          backend, n, config_.batch_spec(node_tag, kBatchSiteBackground + 4)));
+          backend, n));
       background_.push_back(std::make_unique<OpenArrivalStream>(
           node_engine(n), bg.other_net_interarrival, bg.other_net_length, ProcessClass::Other,
           nullptr, &node_network(n), des::RngStream(config_.seed, node_tag, kTagOtherNet),
-          backend, n, config_.batch_spec(node_tag, kBatchSiteBackground + 6)));
+          backend, n));
     }
   }
 

@@ -3,8 +3,7 @@
 // The PR-6 Empirical sampler reproduced Empirical::quantile(U) inline:
 // scale U by (n-1), floor to pick a segment of the sorted order
 // statistics, and lerp.  That is one multiply + floor + two loads per
-// draw, but the floor/branch chain pipelines poorly and it cannot be
-// batched without re-deriving the segment index per lane.
+// draw, but the floor/branch chain pipelines poorly.
 //
 // The inverse-CDF mixture view gives an O(1) branch-light alternative:
 // the quantile path is exactly a mixture over the n-1 segments
@@ -68,11 +67,6 @@ class AliasTable {
     }
     if (frac > 1.0) frac = 1.0;  // reciprocal rounding can overshoot by 1 ulp
     return lo_[pick] + frac * width_[pick];
-  }
-
-  /// Bulk draw: the same stream as n scalar calls.
-  void fill(des::Pcg32& rng, double* out, std::size_t n) const noexcept {
-    for (std::size_t i = 0; i < n; ++i) out[i] = (*this)(rng);
   }
 
   /// Number of merged mixture components (1 column skips the alias test).

@@ -71,43 +71,4 @@ FrozenSampler FrozenSampler::compile(const DistributionPtr& dist, SamplerBackend
                               dist->describe());
 }
 
-void FrozenSampler::fill(des::Pcg32& rng, std::span<double> out) const {
-  double* p = out.data();
-  const std::size_t n = out.size();
-  switch (kind_) {
-    case Kind::kDeterministic:
-      for (std::size_t i = 0; i < n; ++i) p[i] = a_;
-      return;
-    case Kind::kExponentialZig:
-      // a_ * fill(e): scaling is elementwise, draw order unchanged.
-      ziggurat_exponential_fill(rng, p, n);
-      for (std::size_t i = 0; i < n; ++i) p[i] *= a_;
-      return;
-    case Kind::kLognormalZig:
-      // exp(mu + sigma * z) over a batch of normals — the transform loop
-      // is the scalar arithmetic applied per element, so the stream and
-      // values match n scalar draws exactly.
-      ziggurat_normal_fill(rng, p, n);
-      for (std::size_t i = 0; i < n; ++i) p[i] = std::exp(a_ + b_ * p[i]);
-      return;
-    case Kind::kWeibullZig:
-      ziggurat_exponential_fill(rng, p, n);
-      for (std::size_t i = 0; i < n; ++i) p[i] = a_ * std::pow(p[i], b_);
-      return;
-    case Kind::kEmpiricalAlias:
-      alias_->fill(rng, p, n);
-      return;
-    case Kind::kUniform:
-    case Kind::kExponentialRef:
-    case Kind::kLognormalRef:
-    case Kind::kWeibullRef:
-    case Kind::kEmpiricalQuantile:
-      // One-u64 families with no batch kernel (and the Reference replay
-      // paths, which must not change shape): the plain scalar loop is the
-      // definition of the contract.
-      for (std::size_t i = 0; i < n; ++i) p[i] = (*this)(rng);
-      return;
-  }
-}
-
 }  // namespace paradyn::stats

@@ -22,7 +22,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "des/random.hpp"
@@ -82,21 +81,6 @@ class FrozenSampler {
     }
     return a_;  // unreachable
   }
-
-  /// Bulk draw: out is filled with exactly the stream out.size() calls of
-  /// operator() would produce — bit for bit, same final RNG state — but
-  /// normals/exponentials go through the batch ziggurat kernels
-  /// (ziggurat_*_fill) and the lognormal/Weibull transforms run as a
-  /// separate elementwise pass over the block.
-  void fill(des::Pcg32& rng, std::span<double> out) const;
-
-  /// True when the sampler dispatches inline.  Always the case since the
-  /// virtual fallback was retired; kept for tests and introspection.
-  [[nodiscard]] bool devirtualized() const noexcept { return true; }
-
-  /// False for Deterministic: draws consume no randomness, so prefill
-  /// buffering would only add a copy.
-  [[nodiscard]] bool stochastic() const noexcept { return kind_ != Kind::kDeterministic; }
 
  private:
   enum class Kind : std::uint8_t {

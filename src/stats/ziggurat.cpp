@@ -68,9 +68,7 @@ ZigguratTable make_exp_table() {
 const ZigguratTable kNormalZig = make_normal_table();
 const ZigguratTable kExpZig = make_exp_table();
 
-double ziggurat_normal_slow(des::Pcg32& rng, std::int64_t hz, std::uint32_t iz,
-                            std::uint32_t* consumed) {
-  std::uint32_t n = 0;
+double ziggurat_normal_slow(des::Pcg32& rng, std::int64_t hz, std::uint32_t iz) {
   for (;;) {
     if (iz == 0) {
       // Layer 0 overhang: sample the tail |x| > r by Marsaglia's method.
@@ -79,54 +77,35 @@ double ziggurat_normal_slow(des::Pcg32& rng, std::int64_t hz, std::uint32_t iz,
       do {
         x = -std::log(rng.next_open_double()) * (1.0 / kNormalZigR);
         y = -std::log(rng.next_open_double());
-        n += 2;
       } while (y + y < x * x);
-      if (consumed != nullptr) *consumed = n;
       return hz > 0 ? kNormalZigR + x : -(kNormalZigR + x);
     }
     // Wedge between layer i and i-1: accept against the true density.
     const double x = static_cast<double>(hz) * kNormalZig.w[iz];
-    ++n;
     if (kNormalZig.f[iz] + rng.next_double() * (kNormalZig.f[iz - 1] - kNormalZig.f[iz]) <
         std::exp(-0.5 * x * x)) {
-      if (consumed != nullptr) *consumed = n;
       return x;
     }
     const std::uint64_t u = rng.next_u64();
-    ++n;
     iz = static_cast<std::uint32_t>(u & 255U);
     hz = static_cast<std::int64_t>(u) >> 11;
     const auto az = static_cast<std::uint64_t>(hz < 0 ? -hz : hz);
-    if (az < kNormalZig.k[iz]) {
-      if (consumed != nullptr) *consumed = n;
-      return static_cast<double>(hz) * kNormalZig.w[iz];
-    }
+    if (az < kNormalZig.k[iz]) return static_cast<double>(hz) * kNormalZig.w[iz];
   }
 }
 
-double ziggurat_exponential_slow(des::Pcg32& rng, std::uint64_t jz, std::uint32_t iz,
-                                 std::uint32_t* consumed) {
-  std::uint32_t n = 0;
+double ziggurat_exponential_slow(des::Pcg32& rng, std::uint64_t jz, std::uint32_t iz) {
   for (;;) {
     // Memoryless tail: x > r distributed as r + Exp(1).
-    if (iz == 0) {
-      if (consumed != nullptr) *consumed = n + 1;
-      return kExpZigR - std::log(rng.next_open_double());
-    }
+    if (iz == 0) return kExpZigR - std::log(rng.next_open_double());
     const double x = static_cast<double>(jz) * kExpZig.w[iz];
-    ++n;
     if (kExpZig.f[iz] + rng.next_double() * (kExpZig.f[iz - 1] - kExpZig.f[iz]) < std::exp(-x)) {
-      if (consumed != nullptr) *consumed = n;
       return x;
     }
     const std::uint64_t u = rng.next_u64();
-    ++n;
     iz = static_cast<std::uint32_t>(u & 255U);
     jz = u >> 11;
-    if (jz < kExpZig.k[iz]) {
-      if (consumed != nullptr) *consumed = n;
-      return static_cast<double>(jz) * kExpZig.w[iz];
-    }
+    if (jz < kExpZig.k[iz]) return static_cast<double>(jz) * kExpZig.w[iz];
   }
 }
 

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "des/event_queue.hpp"
-#include "des/heap_event_queue.hpp"
 #include "des/random.hpp"
+#include "support/heap_event_queue.hpp"
 
 namespace paradyn::des {
 namespace {

@@ -90,17 +90,5 @@ TEST(AliasTable, MatchesQuantilePathMixtureMoments) {
   EXPECT_NEAR(atom_prob, 1.0 / 3.0, 0.005);
 }
 
-TEST(AliasTable, FillMatchesScalarDraws) {
-  const AliasTable t = AliasTable::from_sorted_values({1.0, 2.0, 4.0, 8.0, 16.0});
-  des::RngStream rng_fill(17, 19);
-  des::RngStream rng_scalar(17, 19);
-  std::vector<double> batch(1003);
-  t.fill(rng_fill, batch.data(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(batch[i], t(rng_scalar)) << i;
-  }
-  EXPECT_EQ(rng_fill.next_u64(), rng_scalar.next_u64());
-}
-
 }  // namespace
 }  // namespace paradyn::stats

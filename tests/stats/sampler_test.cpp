@@ -1,7 +1,7 @@
-// Unit tests of FrozenSampler: devirtualization of the known families,
-// bit-exact reproduction of historical streams under the Reference backend,
-// distributional agreement of the Ziggurat backend, and rejection of
-// unknown Distribution subclasses (the retired virtual fallback).
+// Unit tests of FrozenSampler: bit-exact reproduction of historical streams
+// under the Reference backend, distributional agreement of the Ziggurat
+// backend, and rejection of unknown Distribution subclasses (the retired
+// virtual fallback).
 #include "stats/sampler.hpp"
 
 #include <gtest/gtest.h>
@@ -27,14 +27,6 @@ std::vector<DistributionPtr> known_families() {
       std::make_shared<Uniform>(10.0, 50.0),
       std::make_shared<Deterministic>(7.5),
   };
-}
-
-TEST(FrozenSampler, KnownFamiliesCompileToInlineDispatch) {
-  for (const auto& dist : known_families()) {
-    for (const auto backend : {SamplerBackend::Ziggurat, SamplerBackend::Reference}) {
-      EXPECT_TRUE(FrozenSampler::compile(dist, backend).devirtualized()) << dist->describe();
-    }
-  }
 }
 
 TEST(FrozenSampler, CompileRejectsNull) {
@@ -114,7 +106,6 @@ TEST(FrozenSampler, EmpiricalReferenceBackendBitMatchesVirtualSample) {
   const std::vector<double> data{1.0, 2.0, 4.0, 8.0, 16.0};
   const DistributionPtr dist = std::make_shared<Empirical>(data);
   const auto sampler = FrozenSampler::compile(dist, SamplerBackend::Reference);
-  EXPECT_TRUE(sampler.devirtualized());
   des::RngStream rng_frozen(9, 9);
   des::RngStream rng_virtual(9, 9);
   for (int i = 0; i < 1'000; ++i) {
@@ -162,37 +153,6 @@ TEST(FrozenSampler, EmpiricalTableOutlivesSourceDistribution) {
     ASSERT_GE(x, 1.0);
     ASSERT_LE(x, 3.0);
   }
-}
-
-// fill() is defined as the batch form of n scalar draws: for every family,
-// both backends, and both batch dispatch arms, the block must bit-match
-// the scalar loop and leave the RNG in the identical state.
-TEST(FrozenSampler, FillBitMatchesScalarLoopAllFamiliesAllDispatchArms) {
-  auto families = known_families();
-  families.push_back(std::make_shared<Empirical>(std::vector<double>{1.0, 2.0, 2.0, 5.0, 9.0}));
-  // Odd size: exercises the vector body and the scalar tail.
-  constexpr std::size_t kN = 1003;
-  for (const auto dispatch :
-       {BatchDispatch::Auto, BatchDispatch::CapAvx2, BatchDispatch::ForceScalar}) {
-    set_batch_dispatch(dispatch);
-    for (const auto& dist : families) {
-      for (const auto backend : {SamplerBackend::Ziggurat, SamplerBackend::Reference}) {
-        const auto sampler = FrozenSampler::compile(dist, backend);
-        des::RngStream rng_fill(41, 13);
-        des::RngStream rng_scalar(41, 13);
-        std::vector<double> batch(kN);
-        sampler.fill(rng_fill, batch);
-        for (std::size_t i = 0; i < kN; ++i) {
-          const double want = sampler(rng_scalar);
-          ASSERT_EQ(batch[i], want) << dist->describe() << " " << to_string(backend)
-                                    << " dispatch=" << batch_dispatch_active() << " i=" << i;
-        }
-        ASSERT_EQ(rng_fill.next_u64(), rng_scalar.next_u64())
-            << dist->describe() << " " << to_string(backend) << ": RNG state diverged";
-      }
-    }
-  }
-  set_batch_dispatch(BatchDispatch::Auto);
 }
 
 // A Distribution subclass outside the known families is a configuration

@@ -1,4 +1,4 @@
-#include "des/heap_event_queue.hpp"
+#include "support/heap_event_queue.hpp"
 
 #include <algorithm>
 

@@ -73,12 +73,6 @@ void print_help() {
       "  --seed N                RNG seed; default 1\n"
       "  --reference-rng         draw variates with the pre-ziggurat reference\n"
       "                          backend (bit-reproduces pre-PR-5 streams)\n"
-      "  --batch-sampling [N]    prefill-buffer batch sampling: hot sites draw\n"
-      "                          from per-site buffers refilled N variates at a\n"
-      "                          time through the SIMD batch kernels (default\n"
-      "                          N=256).  Deterministic across --jobs/--shards and\n"
-      "                          block sizes, but a different stream than the\n"
-      "                          default; incompatible with --reference-rng\n"
       "  --reps N                replications with 90% CIs; default 1\n"
       "  --jobs N                worker threads for the replications; default: all\n"
       "                          hardware threads, 1 = serial (results identical)\n"
@@ -167,8 +161,7 @@ int main(int argc, char** argv) {
     const tools::CliArgs args(
         argc, argv,
         {"arch", "nodes", "apps", "daemons", "sampling-ms", "batch", "topology", "barrier-ms",
-         "pipe", "seconds", "warmup", "shards", "uplink-ms", "seed", "reference-rng",
-         "batch-sampling", "reps",
+         "pipe", "seconds", "warmup", "shards", "uplink-ms", "seed", "reference-rng", "reps",
          "jobs", "uninstrumented", "dedicated-main",
          "adaptive-budget", "fault", "repair", "adaptive-sampling", "trace", "trace-events",
          "metrics",
@@ -228,13 +221,6 @@ int main(int argc, char** argv) {
     }
     cfg.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
     cfg.reference_rng = args.get_bool("reference-rng");
-    if (args.has("batch-sampling")) {
-      cfg.batch.enabled = true;
-      // Bare switch keeps the default block; --batch-sampling=N sets it.
-      if (args.get_string("batch-sampling", "true") != "true") {
-        cfg.batch.block = static_cast<std::int32_t>(args.get_long("batch-sampling", 256));
-      }
-    }
     cfg.instrumentation_enabled = !args.get_bool("uninstrumented");
     cfg.main_on_dedicated_host = args.get_bool("dedicated-main");
     cfg.validate();
