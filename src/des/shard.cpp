@@ -9,10 +9,10 @@ namespace paradyn::des {
 
 ShardSet::ShardSet(const ShardSetConfig& config) : config_(config) {
   if (config_.shards == 0) throw std::invalid_argument("ShardSet: shard count must be >= 1");
-  if (!(config_.window_us > 0.0)) {
+  if (!(config_.window_us > 0.0) && !(config_.window_us == 0.0 && config_.shards == 1)) {
     throw std::invalid_argument(
-        "ShardSet: window (lookahead) must be > 0 — zero lookahead cannot be synchronized "
-        "conservatively");
+        "ShardSet: window (lookahead) must be > 0 with two or more shards — zero lookahead "
+        "cannot be synchronized conservatively");
   }
   if (!(config_.duration_us > 0.0)) throw std::invalid_argument("ShardSet: duration must be > 0");
   if (config_.warmup_us < 0.0 || config_.warmup_us >= config_.duration_us) {
@@ -60,8 +60,9 @@ void ShardSet::flush_outboxes() {
 }
 
 void ShardSet::run(const std::function<void(SimTime)>& checkpoint) {
-  // Boundary grid: every window multiple below duration, plus the warm-up
-  // time and the duration itself.  Interior boundaries are *exclusive*
+  // Boundary grid: every window multiple below duration (none for a
+  // zero-width one-shard window), plus the warm-up time and the duration
+  // itself.  Interior boundaries are *exclusive*
   // (Engine::run_before) so an event at exactly k*W runs after that
   // boundary's injections; the warm-up and final boundaries are *inclusive*
   // (Engine::run_until) to match the single-engine run()/collect()
@@ -72,7 +73,8 @@ void ShardSet::run(const std::function<void(SimTime)>& checkpoint) {
     bool inclusive;
   };
   std::vector<Boundary> boundaries;
-  for (SimTime t = config_.window_us; t < config_.duration_us; t += config_.window_us) {
+  for (SimTime t = config_.window_us; config_.window_us > 0.0 && t < config_.duration_us;
+       t += config_.window_us) {
     boundaries.push_back({t, false});
   }
   if (config_.warmup_us > 0.0) boundaries.push_back({config_.warmup_us, true});

@@ -35,9 +35,12 @@ namespace paradyn::des {
 
 struct ShardSetConfig {
   std::size_t shards = 1;
-  /// Window length == conservative lookahead, in microseconds.  Must be > 0:
-  /// zero lookahead would admit a message due at the current instant, which
-  /// the barrier could only honor by running the shards in lockstep.
+  /// Window length == conservative lookahead, in microseconds.  Must be > 0
+  /// for two or more shards: zero lookahead would admit a message due at the
+  /// current instant, which the barrier could only honor by running the
+  /// shards in lockstep.  A single shard may use 0, which runs the whole run
+  /// as one window (no cross-shard messages are possible, so post() is never
+  /// legal there).
   SimTime window_us = 0.0;
   /// Optional warm-up checkpoint (0 = none).  The run() loop stops every
   /// shard exactly at this time (inclusive semantics, like

@@ -138,11 +138,8 @@ void ApplicationProcess::emit_sample() {
   last_sample_cpu_ = cpu_time_used_;
   last_sample_comm_ = comm_time_used_;
   ++metrics_.samples_generated;
-  // Run-unique id.  The legacy path numbers samples off the shared
-  // generated-counter; the partitioned path gives every process its own id
-  // namespace, since shards each own a metrics collector and a shared
-  // counter would order ids by shard layout.
-  sample.id = sample_id_base_ != 0 ? sample_id_base_ + ++sample_seq_ : metrics_.samples_generated;
+  sample.id = next_sample_id_;
+  next_sample_id_ += sample_id_stride_;
   // Fault injection: the counters were read, but the write to the pipe is
   // lost (a lossy /proc read or dropped trace record).
   if (fault_gate_ != nullptr && fault_gate_->active() && fault_gate_->should_drop(node_)) {

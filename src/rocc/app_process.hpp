@@ -53,11 +53,14 @@ class ApplicationProcess {
     throttle_domain_ = domain;
   }
 
-  /// Give this process a private sample-id namespace (ids become base+1,
-  /// base+2, ...).  The partitioned PDES build uses disjoint bases so ids
-  /// stay run-unique without a shared counter; 0 (default) keeps the legacy
-  /// shared-counter numbering.  Call before start().
-  void set_sample_id_base(std::uint64_t base) noexcept { sample_id_base_ = base; }
+  /// Sample ids run first, first + stride, first + 2*stride, ...  The
+  /// Simulation gives process k of n the ids k+1, k+1+n, k+1+2n, ...:
+  /// run-unique with no shared counter, so they are independent of the
+  /// sharding and of warm-up deletion.  Default 1, 1.  Call before start().
+  void set_sample_ids(std::uint64_t first, std::uint64_t stride) noexcept {
+    next_sample_id_ = first;
+    sample_id_stride_ = stride;
+  }
 
   [[nodiscard]] std::int32_t node() const noexcept { return node_; }
   [[nodiscard]] std::int32_t index() const noexcept { return index_; }
@@ -113,8 +116,8 @@ class ApplicationProcess {
   const PerDaemonThrottle* throttle_ = nullptr;
   std::int32_t throttle_domain_ = 0;
   FaultGate* fault_gate_ = nullptr;
-  std::uint64_t sample_id_base_ = 0;
-  std::uint64_t sample_seq_ = 0;
+  std::uint64_t next_sample_id_ = 1;
+  std::uint64_t sample_id_stride_ = 1;
   MetricsCollector& metrics_;
   des::RngStream rng_;
   std::int32_t node_;

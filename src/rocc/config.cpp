@@ -124,37 +124,39 @@ void SystemConfig::validate() const {
     throw std::invalid_argument("SystemConfig: uplink_latency_us must be >= 0");
   }
   if (shards < 0) throw std::invalid_argument("SystemConfig: shards must be >= 0");
-  if (shards > 0) {
+  if (shards > 1) {
     // Conservative-window PDES preconditions.  Each rule names the global
-    // coupling that would break the lookahead argument.
+    // coupling that would break the lookahead argument; one shard (0 or 1)
+    // has no cross-shard coupling and accepts them all.
     if (!(uplink_latency_us > 0.0)) {
       throw std::invalid_argument(
-          "SystemConfig: --shards requires uplink_latency_us > 0 — the minimum cross-shard "
+          "SystemConfig: --shards >= 2 requires uplink_latency_us > 0 — the minimum cross-shard "
           "network latency is the conservative lookahead, and zero lookahead cannot be "
           "window-synchronized");
+    }
+    if (arch == Architecture::Smp) {
+      throw std::invalid_argument(
+          "SystemConfig: --shards >= 2 is incompatible with SMP — all processes share one CPU "
+          "pool");
     }
     if (shards > nodes) {
       throw std::invalid_argument("SystemConfig: shards must not exceed nodes");
     }
-    if (arch == Architecture::Smp) {
-      throw std::invalid_argument(
-          "SystemConfig: --shards is incompatible with SMP — all processes share one CPU pool");
-    }
     if (contention == NetworkContention::SharedSingleServer) {
       throw std::invalid_argument(
-          "SystemConfig: --shards requires a contention-free network — a shared single-server "
-          "interconnect is a global FIFO with no lookahead");
+          "SystemConfig: --shards >= 2 requires a contention-free network — a shared "
+          "single-server interconnect is a global FIFO with no lookahead");
     }
     if (barrier_period_us > 0.0 || barrier_every_cycles > 0) {
       throw std::invalid_argument(
-          "SystemConfig: --shards is incompatible with application barriers — a global barrier "
-          "couples all nodes at zero latency");
+          "SystemConfig: --shards >= 2 is incompatible with application barriers — a global "
+          "barrier couples all nodes at zero latency");
     }
     if (adaptive.enabled) {
       throw std::invalid_argument(
-          "SystemConfig: --shards is incompatible with the global adaptive sampling controller "
-          "(it reads every CPU's accounting each interval); use --adaptive-throttle, whose "
-          "domains are node-local");
+          "SystemConfig: --shards >= 2 is incompatible with the global adaptive sampling "
+          "controller (it reads every CPU's accounting each interval); use --adaptive-throttle, "
+          "whose domains are node-local");
     }
   }
 }
@@ -230,13 +232,12 @@ std::string SystemConfig::summary() const {
       duration_us, warmup_us, instrumentation_enabled ? "on" : "off",
       stats::to_string(sampler_backend()));
   std::string out = buf;
-  if (shards > 0) {
-    // Deliberately *excluded* from the stamp-visible summary when sharding
-    // is off, keeping legacy report headers byte-identical.  The shard count
-    // itself is also excluded when on: --shards N and --shards 1 produce
-    // bit-identical results, and the differential suite compares whole
-    // report documents, stamp included.
-    std::snprintf(buf, sizeof(buf), " pdes uplink=%gus", uplink_latency_us);
+  if (uplink_latency_us > 0.0) {
+    // Omitted at 0 so historical stamps stay byte-identical.  The shard
+    // count is never part of the stamp: every shard count gives the same
+    // results, and the differential suite compares whole report documents,
+    // stamp included.
+    std::snprintf(buf, sizeof(buf), " uplink=%gus", uplink_latency_us);
     out += buf;
   }
   return out;

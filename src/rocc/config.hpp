@@ -195,20 +195,19 @@ struct SystemConfig {
   SimTime duration_us = 10.0e6;
   std::uint64_t seed = 1;
 
-  /// Conservative-window PDES shard count (--shards).  0 = the classic
-  /// single-engine path, byte-identical to every prior release.  N >= 1
-  /// partitions the nodes into N contiguous groups, each owning its own
-  /// des::Engine; results are bit-identical for every N (the differential
-  /// suite gates N vs 1), but the partitioned path inserts explicit
-  /// daemon-uplink delivery events, so it is *not* bit-identical to the
-  /// legacy path.  Requires uplink_latency_us > 0 (the lookahead).
+  /// Conservative-window PDES shard count (--shards), an execution choice
+  /// only: every run is a des::ShardSet of max(1, shards) contiguous node
+  /// groups, each owning its own des::Engine, and results are bit-identical
+  /// for every count (the differential suite gates 0, 1 and N).  Two or
+  /// more shards need uplink_latency_us > 0 (the lookahead) and reject SMP,
+  /// barriers and the global adaptive cost model.
   std::int32_t shards = 0;
 
   /// Minimum latency (microseconds) of a daemon's uplink delivery — batch
   /// forwarding completes on the network at t, and the destination (main or
   /// tree parent) receives it at t + uplink_latency_us.  This is the
-  /// cross-shard lookahead when shards > 0.  0 keeps the legacy synchronous
-  /// delivery (and is then incompatible with sharding).
+  /// cross-shard lookahead and the window width.  0 (one shard only) hands
+  /// each batch over inside the event that cleared the network.
   SimTime uplink_latency_us = 0.0;
 
   /// Use the pre-PR-5 reference variate backend (Box-Muller normal,

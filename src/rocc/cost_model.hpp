@@ -96,8 +96,8 @@ class PerDaemonThrottle {
   [[nodiscard]] double max_factor() const noexcept { return max_factor_; }
   [[nodiscard]] std::uint64_t adjustments() const noexcept { return adjustments_; }
   /// Adjustment-interval events this instance fired (whether or not any
-  /// factor moved).  The partitioned Simulation subtracts replica control
-  /// events so `events_processed` stays shard-count-invariant.
+  /// factor moved).  Simulation subtracts the replicas' control events so
+  /// `events_processed` stays shard-count-invariant.
   [[nodiscard]] std::uint64_t ticks() const noexcept { return ticks_; }
 
  private:

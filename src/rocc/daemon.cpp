@@ -256,27 +256,10 @@ void ParadynDaemon::on_flush_due() {
 
 void ParadynDaemon::deliver(const Batch& batch) {
   if (forward_sink_) {
-    // PDES: the router stamps the delivery time (now + uplink latency) and
-    // injects the batch into the destination shard at a window boundary.
+    // The router stamps the delivery time (now + uplink latency) and
+    // injects the batch at a window boundary.
     forward_sink_(batch);
-    return;
-  }
-  if (config_.uplink_latency_us > 0.0) {
-    // Modeled uplink delivery latency: the batch cleared this daemon's
-    // network occupancy at `now` and reaches the destination L later.  The
-    // default of 0 keeps the historical synchronous hand-off bit-for-bit.
-    // Init-capture: copy-capturing the const& parameter directly would give
-    // the closure a const member, whose "move" is a throwing copy — and the
-    // event slab requires nothrow moves.
-    engine_.schedule_after(config_.uplink_latency_us,
-                           [this, b = batch] { deliver_direct(b); });
-    return;
-  }
-  deliver_direct(batch);
-}
-
-void ParadynDaemon::deliver_direct(const Batch& batch) {
-  if (parent_ != nullptr) {
+  } else if (parent_ != nullptr) {
     parent_->receive_from_child(batch);
   } else {
     main_->receive(batch);

@@ -47,10 +47,11 @@ class ParadynDaemon {
   void set_destination_main(MainParadyn& main);
   /// Tree configuration: deliver to the parent daemon.
   void set_destination_parent(ParadynDaemon& parent);
-  /// PDES configuration: hand completed forwards to an external router
-  /// (which turns them into timestamped cross-shard messages).  Overrides
-  /// both destinations and the uplink-latency scheduling — the router owns
-  /// delivery timing.
+  /// Modeled uplink latency: hand completed forwards to an external router
+  /// (which turns them into timestamped ShardSet messages).  Overrides both
+  /// destinations — the router owns delivery timing.  Without a sink the
+  /// destination receives the batch inside the event that cleared the
+  /// network.
   void set_forward_sink(std::function<void(const Batch&)> sink) {
     forward_sink_ = std::move(sink);
   }
@@ -116,8 +117,6 @@ class ParadynDaemon {
   /// CPU(forward) then network occupancy then delivery.
   void forward_batch(Batch batch);
   void deliver(const Batch& batch);
-  /// Hand the batch to the configured destination at the current instant.
-  void deliver_direct(const Batch& batch);
 
   des::Engine& engine_;
   const SystemConfig& config_;

@@ -382,11 +382,10 @@ void FaultGate::remove_drop(std::int32_t node, double probability) {
 }
 
 des::RngStream& FaultGate::stream_for(std::int32_t node) {
-  if (!per_node_) return rng_;
   auto it = node_rngs_.find(node);
   if (it == node_rngs_.end()) {
     it = node_rngs_
-             .emplace(node, des::RngStream(per_node_seed_, static_cast<std::uint64_t>(node),
+             .emplace(node, des::RngStream(seed_, static_cast<std::uint64_t>(node),
                                            kFaultDropRngTag))
              .first;
   }

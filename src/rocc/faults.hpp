@@ -155,27 +155,17 @@ struct FaultPlan {
   [[nodiscard]] std::vector<SimTime> schedule_points() const;
 };
 
-/// Runtime sample-drop gate shared by one run's application processes:
-/// the currently active drop windows plus the dedicated fault RNG stream.
-/// Bernoulli draws happen only while a window covers the emitting node, so
-/// a fault-free run consumes no randomness and every model entity's stream
-/// is untouched by the presence of this object.
+/// Runtime sample-drop gate shared by the application processes of one
+/// shard: the currently active drop windows plus one RNG stream per
+/// emitting node, RngStream(seed, node, kFaultDropRngTag).  A node's drop
+/// decisions depend only on its own emission history — never on how other
+/// nodes' emissions interleave, on one shard or across several.  Bernoulli
+/// draws happen only while a window covers the emitting node, so a
+/// fault-free run consumes no randomness and every model entity's stream is
+/// untouched by the presence of this object.
 class FaultGate {
  public:
-  explicit FaultGate(des::RngStream rng) noexcept : rng_(rng) {}
-
-  /// Per-node-stream mode, for the PDES partitioned build: each emitting
-  /// node draws from its own RngStream(seed, node, kFaultDropRngTag), so a
-  /// node's drop decisions depend only on its own emission history — never
-  /// on the interleaving of other nodes' emissions across shard replicas.
-  /// The legacy single-stream constructor above stays bit-identical for the
-  /// single-engine path.
-  [[nodiscard]] static FaultGate per_node(std::uint64_t seed) noexcept {
-    FaultGate gate{des::RngStream(seed, 0, kFaultDropRngTag)};
-    gate.per_node_seed_ = seed;
-    gate.per_node_ = true;
-    return gate;
-  }
+  explicit FaultGate(std::uint64_t seed) noexcept : seed_(seed) {}
 
   /// Activate / deactivate a drop window (node -1 = all nodes).
   void add_drop(std::int32_t node, double probability);
@@ -190,12 +180,10 @@ class FaultGate {
  private:
   [[nodiscard]] des::RngStream& stream_for(std::int32_t node);
 
-  des::RngStream rng_;
-  bool per_node_ = false;
-  std::uint64_t per_node_seed_ = 0;
-  /// Lazily materialized per-node streams (per-node mode only).  Ordered
-  /// map: iteration order never matters, but a deterministic container
-  /// keeps the gate's behavior auditable.
+  std::uint64_t seed_;
+  /// Lazily materialized per-node streams.  Ordered map: iteration order
+  /// never matters, but a deterministic container keeps the gate's behavior
+  /// auditable.
   std::map<std::int32_t, des::RngStream> node_rngs_;
   std::vector<std::pair<std::int32_t, double>> windows_;
 };

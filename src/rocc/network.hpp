@@ -55,11 +55,11 @@ class NetworkResource {
     for (auto& per_node : busy_node_) per_node.fill(0.0);
   }
 
-  /// Opt into per-originating-node busy accounting for `nodes` nodes.  The
-  /// PDES partitioned build needs it: each shard owns a replica of the
-  /// contention-free network, and the global per-class totals are rebuilt
-  /// by summing per-node contributions in node order — a canonical
-  /// floating-point order independent of the shard count.
+  /// Opt into per-originating-node busy accounting for `nodes` nodes.
+  /// Simulation enables it on every shard's network replica and rebuilds
+  /// the global per-class totals by summing per-node contributions in node
+  /// order — a canonical floating-point order independent of the shard
+  /// count.
   void enable_node_accounting(std::int32_t nodes) {
     busy_node_.assign(static_cast<std::size_t>(nodes), {});
   }

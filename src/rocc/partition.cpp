@@ -26,9 +26,9 @@ PartitionPlan PartitionPlan::build(std::int32_t nodes, std::int32_t shards) {
 
 namespace {
 
-/// Daemon indices adjacent to `d` — must mirror
-/// Simulation::topology_neighbors exactly (tree: parent + children; direct:
-/// the index chain), ascending.
+/// Daemon indices adjacent to `d` under the forwarding topology, ascending:
+/// tree = parent + children; direct forwarding has no daemon-to-daemon
+/// edges, so the index chain (d-1, d+1) gives cascades a topology.
 std::vector<std::size_t> neighbors(std::size_t d, std::size_t daemon_count,
                                    ForwardingTopology topology) {
   std::vector<std::size_t> out;
@@ -74,11 +74,11 @@ std::vector<CascadeHit> resolve_cascades(const FaultPlan& plan, std::size_t daem
   // The cascade events form a closed subsystem of the real engine's queue:
   // model events neither produce them nor consume the cascade stream, so
   // executing just this subset in (time, insertion-seq) order reproduces
-  // both the draw order and the hit times of the legacy runtime BFS.
+  // both the draw order and the hit times of a runtime BFS.
   des::RngStream rng(seed, 0, kCascadeRngTag);
   std::priority_queue<CascadeEvent, std::vector<CascadeEvent>, LaterEvent> queue;
   std::uint64_t seq = 0;
-  // apply_fault events are scheduled at build time in plan order — before
+  // Fault start events are scheduled at run start in plan order — before
   // any hit event exists — so they take the lowest sequence numbers.
   for (std::size_t i = 0; i < plan.faults.size(); ++i) {
     const FaultSpec& f = plan.faults[i];
@@ -106,7 +106,7 @@ std::vector<CascadeHit> resolve_cascades(const FaultPlan& plan, std::size_t daem
     const CascadeEvent ev = queue.top();
     // Time-ordered heap: once the next event lies beyond the run length,
     // everything remaining does too — none of it would have executed (or
-    // drawn) in the legacy engine.
+    // drawn) in a run.
     if (ev.time > horizon_us) break;
     queue.pop();
     const FaultSpec& f = plan.faults[ev.fault_index];

@@ -1,6 +1,7 @@
 // PDES partitioning of the ROCC model.
 //
-// Two pieces the sharded Simulation build needs:
+// Two pieces the Simulation build needs (every run is a des::ShardSet, one
+// shard or many):
 //
 //  * PartitionPlan — the node -> shard map.  Nodes are cut into contiguous
 //    blocks so shard 0 always owns node 0 (and with it the main Paradyn
@@ -12,10 +13,9 @@
 //    which neighbors are hit, and when — can be replayed before the run
 //    starts by a miniature event loop that reproduces the engine's
 //    (time, insertion-seq) execution order of the cascade events exactly,
-//    consuming the kCascadeRngTag stream in the same order the legacy
-//    runtime BFS does.  The partitioned build then compiles the precomputed
-//    hits into per-shard timed events; the legacy single-engine path keeps
-//    its original runtime BFS untouched.
+//    consuming the kCascadeRngTag stream in the same order a runtime BFS
+//    inside the fault's start event would.  The build then compiles the
+//    precomputed hits into per-shard timed events.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +44,8 @@ struct PartitionPlan {
 /// One precomputed cascade hit: at `at_us` the cascade of plan fault
 /// `fault_index` lands on `daemon` (an uplink penalty of
 /// plan.faults[fault_index].cascade_factor until the parent window ends).
-/// Hits are returned in engine execution order — the order the legacy
-/// runtime appends induced FaultOutcome rows.
+/// Hits are returned in engine execution order — the order of the induced
+/// FaultOutcome rows.
 struct CascadeHit {
   SimTime at_us = 0.0;
   std::size_t fault_index = 0;
@@ -54,15 +54,14 @@ struct CascadeHit {
 
 /// Replay the cascade BFS of every cascade-bearing fault in `plan` against
 /// the forwarding topology, drawing from RngStream(seed, 0, kCascadeRngTag)
-/// in exactly the legacy runtime order.  Hits at or after the parent
-/// window's end are filtered (the runtime check `now >= end`), matching the
-/// legacy behavior including its RNG consumption: a filtered hit still
-/// propagated no further, and its Bernoulli draw already happened at its
-/// parent's propagation step.  `horizon_us` is the run length: the engine
-/// executes events at times <= horizon (run_until is inclusive), so the
-/// replay stops — recording nothing and drawing nothing further — once the
-/// next pending event lies strictly beyond it, exactly like events left
-/// pending in the legacy queue at the end of the run.
+/// in runtime BFS order.  Hits at or after the parent window's end are
+/// filtered (the runtime check `now >= end`), including their RNG
+/// consumption: a filtered hit propagates no further, and its Bernoulli draw
+/// already happened at its parent's propagation step.  `horizon_us` is the
+/// run length: the engine executes events at times <= horizon (run_until is
+/// inclusive), so the replay stops — recording nothing and drawing nothing
+/// further — once the next pending event lies strictly beyond it, exactly
+/// like events left pending in the queue at the end of the run.
 [[nodiscard]] std::vector<CascadeHit> resolve_cascades(const FaultPlan& plan,
                                                        std::size_t daemon_count,
                                                        ForwardingTopology topology,

@@ -13,9 +13,14 @@
 //   rocc::Simulation sim(cfg);
 //   sim.main_process()->set_sample_sink([&](const rocc::Sample& s) { ... });
 //   auto r = sim.run();
+//
+// Every run executes on a des::ShardSet of max(1, config.shards) shards.
+// --shards is an execution choice only: one shard and many give the same
+// results for the same uplink_latency_us.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -51,15 +56,14 @@ class Simulation {
   [[nodiscard]] SimulationResult run();
 
   /// Accessors for tests and custom drivers (valid after construction).
-  /// Partitioned runs (config.shards > 0) expose shard 0's engine — the one
-  /// hosting the main Paradyn process, so detection/repair machinery that
-  /// schedules against "the" engine lands on the shard whose clock governs
-  /// sample delivery.
-  [[nodiscard]] des::Engine& engine() noexcept {
-    return shards_ ? shards_->engine(0) : engine_;
-  }
+  /// engine() is shard 0's engine — the one hosting the main Paradyn
+  /// process, so detection/repair machinery that schedules against "the"
+  /// engine lands on the shard whose clock governs sample delivery.
+  [[nodiscard]] des::Engine& engine() noexcept { return shards_->engine(0); }
   [[nodiscard]] const SystemConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const MetricsCollector& metrics() const noexcept { return metrics_; }
+  /// Shard 0's collector: every delivery-side counter, and the whole run's
+  /// counters when the run has one shard.
+  [[nodiscard]] const MetricsCollector& metrics() const noexcept { return collectors_.front(); }
   [[nodiscard]] std::size_t num_daemons() const noexcept { return daemons_.size(); }
   [[nodiscard]] std::size_t num_apps() const noexcept { return apps_.size(); }
   /// The main Paradyn process, for attaching sample consumers (null when
@@ -74,47 +78,54 @@ class Simulation {
   [[nodiscard]] const FaultPlan& effective_fault_plan() const noexcept { return plan_; }
 
   // --- Consultant-driven repair actions (consultant/repair.hpp).  Each
-  // returns true when the fault's effect was actually lifted; callable only
-  // from inside the run (they schedule follow-up events). ---
+  // returns true when the action was dispatched against a fault whose
+  // effect was still active; callable only from inside the run.  The
+  // decision reads only the plan and the repairs already dispatched, never
+  // cross-shard state.  The action itself takes effect inside the calling
+  // event when uplink_latency_us is 0, else one uplink latency later on
+  // every affected shard. ---
 
   /// restart_daemon: kill + re-warm the daemons covered by plan fault
   /// `fault_index` (stall/crash) — buffered samples are lost (counted as
-  /// dropped) and draining resumes now, pre-empting the rest of the fault
+  /// dropped) and draining resumes, pre-empting the rest of the fault
   /// window.  False when no covered daemon was still stalled.
   bool repair_restart_daemon(std::size_t fault_index);
   /// reroute_link: replace the fault's active slowdown factor with the
-  /// fallback path's capacity penalty (>= 1).  False when the window
-  /// already ended.
+  /// fallback path's capacity penalty (>= 1).  False when the window is
+  /// not active.
   bool repair_reroute_link(std::size_t fault_index, double penalty_factor);
   /// reset_pipe: lift the fault's capacity clamp and drain the covered
-  /// pipes (drained samples count as dropped).  False when the clamp is
-  /// no longer active.
+  /// pipes (drained samples count as dropped).  False when the window is
+  /// not active or the clamp was already reset.
   bool repair_reset_pipe(std::size_t fault_index);
 
-  /// Attach a trace recorder handle: engine spans, CPU/network occupancy
-  /// intervals, daemon/main activity, and sample lifecycles all record into
-  /// it on fixed tracks (0 = engine, 1 = network, 2 = main, then CPUs,
-  /// daemons, application processes — labeled via track metadata).  Call
-  /// before run(); pass nullptr to detach.  The Tracer must outlive run().
+  /// Attach one tracer to a one-shard run: engine spans, CPU/network
+  /// occupancy intervals, daemon/main activity, and sample lifecycles all
+  /// record into it on fixed tracks (0 = engine, 1 = network, 2 = main, then
+  /// CPUs, daemons, application processes — labeled via track metadata).
+  /// Call before run(); pass nullptr to detach.  The tracer's recorder must
+  /// outlive run().  Throws std::logic_error when the run has two or more
+  /// shards (use set_trace_recorder).
   void set_tracer(obs::Tracer* tracer);
 
-  /// Tracing entry point that works in both modes: legacy runs get one
-  /// tracer; partitioned runs get one tracer (= one recorder shard) per DES
-  /// shard, with entities keeping the same global track numbering as
-  /// set_tracer so cross-shard traces merge into the familiar layout.  Call
-  /// before run(); the recorder must outlive it.
+  /// Tracing for any shard count: one tracer (= one recorder process) per
+  /// shard, named "rocc" for a one-shard run and "shard s" otherwise, with
+  /// every entity on its owner shard's tracer under the same global track
+  /// numbering as set_tracer.  Call before run(); the recorder must outlive
+  /// it.
   void set_trace_recorder(obs::TraceRecorder& recorder);
 
-  /// Executor for the partitioned window loop (see des::ShardSet): absent,
-  /// shards run serially in index order; tools install a ThreadPool-backed
-  /// executor when hardware allows.  Results are bit-identical either way.
+  /// Executor for the window loop (see des::ShardSet): absent, shards run
+  /// serially in index order; tools install a ThreadPool-backed executor
+  /// when hardware allows.  Results are bit-identical either way.
   void set_shard_executor(des::ShardSet::Executor executor);
 
   /// Register the standard probes (event-queue depth, pipe occupancy,
   /// per-class CPU busy fraction, main backlog, sample counters) on
   /// `registry` and sample them every `tick_us` of simulated time during
-  /// run().  Call before run(); the registry must outlive it.  Rejected in
-  /// partitioned mode (the probes read cross-shard state mid-run).
+  /// run().  Call before run(); the registry must outlive it.  Throws
+  /// std::logic_error when the run has two or more shards (the probes read
+  /// cross-shard state mid-run).
   void enable_metrics(obs::MetricsRegistry& registry, SimTime tick_us);
 
  private:
@@ -122,107 +133,98 @@ class Simulation {
   /// config.faults + the legacy stall shorthand, before resolution.
   [[nodiscard]] FaultPlan compose_fault_plan() const;
   void schedule_metrics_tick();
+  /// Compile the plan (and the resolved cascade hits) into shard-local
+  /// timed events.
   void schedule_faults();
-  void apply_fault(std::size_t fault_index);
-  void revert_fault(std::size_t fault_index);
-  void recompute_slowdown();
-  void recompute_pipe_clamps();
-  /// Daemon indices adjacent to `d` under the forwarding topology (tree:
-  /// parent + children; direct: d-1 and d+1), ascending.
-  [[nodiscard]] std::vector<std::size_t> topology_neighbors(std::size_t d) const;
-  void propagate_cascade(std::size_t fault_index, std::size_t from, std::int32_t hop);
-  void apply_cascade_hit(std::size_t fault_index, std::size_t daemon, std::int32_t hop);
+  /// Open or close plan fault `fault_index`'s window on `shard`'s replica
+  /// of a replicated resource (link slowdown, drop gate, pipe clamp).
+  void fault_edge(std::size_t fault_index, std::size_t shard, bool opening);
+  void recompute_slowdown(std::size_t shard);
+  void recompute_pipe_clamps(std::size_t shard);
   void recompute_net_penalty(std::size_t daemon);
-  [[nodiscard]] SimulationResult collect() const;
-
-  // --- Partitioned (PDES) mode helpers; active iff shards_ != nullptr ---
-  [[nodiscard]] MetricsCollector& shard_collector(std::size_t shard) noexcept {
-    return shard == 0 ? metrics_ : *extra_metrics_[shard - 1];
-  }
-  [[nodiscard]] const MetricsCollector& shard_collector(std::size_t shard) const noexcept {
-    return shard == 0 ? metrics_ : *extra_metrics_[shard - 1];
-  }
-  void schedule_faults_partitioned();
-  void recompute_slowdown_shard(std::size_t shard);
-  void recompute_pipe_clamps_shard(std::size_t shard);
   /// Deterministic mirror of a daemon's stalled-until deadline as of shard
   /// 0 time `t`, folded from the plan's stall/crash windows and the restart
   /// deliveries this run dispatched (window starts win ties, restarts
-  /// override) — the partitioned repair API decides from this instead of
-  /// peeking at cross-shard daemon state.
+  /// override) — restart_daemon decides from this instead of peeking at
+  /// cross-shard daemon state.
   [[nodiscard]] SimTime mirror_stalled_until(std::size_t daemon, SimTime t) const;
+  /// Run `deliver` on shard `to` one uplink latency after shard `from`'s
+  /// now: inside the calling event when the latency is 0 (one shard, one
+  /// window), else as a ShardSet mailbox message.
+  void send(std::size_t from, std::size_t to, std::uint64_t sender_key,
+            std::function<void()> deliver);
+  /// A fault/repair marker on `shard`'s engine track (no-op untraced).
+  void trace_marker(std::size_t shard, const char* category, const char* name,
+                    const char* arg_name, double arg);
+  /// Lay out the fixed tracks on `tracers` (one per shard, or none to
+  /// detach).
+  void attach_tracers(std::vector<obs::Tracer> tracers);
+  /// Shard owning CPU group `n` (the dedicated main host rides on shard 0).
+  [[nodiscard]] std::size_t cpu_shard(std::size_t n) const;
+  [[nodiscard]] SimulationResult collect() const;
 
   SystemConfig config_;
-  des::Engine engine_;
-  MetricsCollector metrics_;
+  /// Node -> shard map; max(1, config.shards) contiguous node blocks.
+  PartitionPlan partition_;
+  /// Every run is a ShardSet: one engine per shard, synchronized at windows
+  /// of uplink_latency_us (one window for the whole run when that is 0).
+  std::unique_ptr<des::ShardSet> shards_;
+  /// One collector per shard, sized once in build() (entities keep
+  /// references).  Shard 0's holds the main-owned delivery counters;
+  /// generation-side counters are written where the emitting entity lives
+  /// and summed by collect().
+  std::vector<MetricsCollector> collectors_;
   obs::MetricsRegistry* registry_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
   SimTime metrics_tick_us_ = 0.0;
 
   std::vector<std::unique_ptr<CpuResource>> node_cpus_;
-  std::unique_ptr<NetworkResource> network_;
+  /// Per-shard network replicas with per-node busy accounting, so collect()
+  /// rebuilds the global figure in canonical node order.
+  std::vector<std::unique_ptr<NetworkResource>> networks_;
   std::unique_ptr<SamplingController> controller_;
-  std::unique_ptr<PerDaemonThrottle> throttle_;
   std::unique_ptr<BarrierManager> barrier_;
   std::vector<std::unique_ptr<Pipe>> pipes_;
   /// Index of the daemon draining pipes_[i] (backpressure targeting).
   std::vector<std::size_t> pipe_daemon_;
   std::vector<std::unique_ptr<ApplicationProcess>> apps_;
   std::vector<std::unique_ptr<ParadynDaemon>> daemons_;
+  std::vector<std::size_t> daemon_shard_;
   std::unique_ptr<MainParadyn> main_;
   std::vector<std::unique_ptr<OpenArrivalStream>> background_;
-  /// Runtime fault state (allocated only when the plan is non-empty).
-  /// Effects are keyed by plan fault index so overlapping same-target
-  /// windows revert exactly what they applied (satellite: deterministic
-  /// overlap normalization) and repairs can retarget a single fault.
-  FaultPlan plan_;
-  std::unique_ptr<FaultGate> fault_gate_;
-  std::vector<FaultOutcome> fault_outcomes_;
-  /// Active link slowdowns as (plan fault index, factor); the factor of a
-  /// rerouted fault is replaced by the fallback penalty in place.
-  std::vector<std::pair<std::size_t, double>> active_slowdowns_;
-  /// Active pipe clamps as (plan fault index, capacity); per-pipe limit is
-  /// the min over clamps covering it.
-  std::vector<std::pair<std::size_t, std::int32_t>> active_clamps_;
-  /// Cascade state: per-fault visited set (each daemon is tested at most
-  /// once per cascade) and per-daemon active uplink penalties as
-  /// (plan fault index, factor) so the parent window's revert lifts
-  /// exactly the penalties its cascade applied.
-  std::vector<std::vector<char>> cascade_visited_;
-  std::vector<std::vector<std::pair<std::size_t, double>>> daemon_net_penalties_;
-  std::unique_ptr<des::RngStream> cascade_rng_;
-  bool ran_ = false;
-
-  // --- Partitioned (PDES) state; engaged when config.shards > 0 ---
-  std::unique_ptr<des::ShardSet> shards_;
-  PartitionPlan partition_;
-  /// Collectors for shards 1..N-1; shard 0 writes into metrics_ so the
-  /// delivery-side fields (latency, delivered, batches — all main-owned)
-  /// live where the legacy collect path already looks.
-  std::vector<std::unique_ptr<MetricsCollector>> extra_metrics_;
-  std::vector<std::unique_ptr<NetworkResource>> shard_networks_;
-  std::vector<std::unique_ptr<FaultGate>> shard_gates_;
-  std::vector<std::unique_ptr<PerDaemonThrottle>> shard_throttles_;
-  std::vector<std::size_t> daemon_shard_;
+  /// Per-shard adaptive throttles (empty when off); daemon d is domain
+  /// daemon_throttle_domain_[d] of its shard's instance.
+  std::vector<std::unique_ptr<PerDaemonThrottle>> throttles_;
   std::vector<std::int32_t> daemon_throttle_domain_;
-  /// Per-shard replicas of the link-slowdown / pipe-clamp effect lists
-  /// (same (fault index, value) pairs, applied by shard-local events).
-  std::vector<std::vector<std::pair<std::size_t, double>>> shard_slowdowns_;
-  std::vector<std::vector<std::pair<std::size_t, std::int32_t>>> shard_clamps_;
-  /// Build-time resolved cascade hits (partition.hpp), in legacy order.
+
+  /// Runtime fault state.  Effects are keyed by plan fault index so
+  /// overlapping same-target windows revert exactly what they applied and
+  /// repairs can retarget a single fault.
+  FaultPlan plan_;
+  std::vector<FaultOutcome> fault_outcomes_;
+  /// Per-shard drop gates (allocated only when the plan drops samples).
+  std::vector<std::unique_ptr<FaultGate>> gates_;
+  /// Per-shard active link slowdowns as (plan fault index, factor); the
+  /// factor of a rerouted fault is replaced by the fallback penalty in place.
+  std::vector<std::vector<std::pair<std::size_t, double>>> slowdowns_;
+  /// Per-shard active pipe clamps as (plan fault index, capacity); a pipe's
+  /// limit is the min over clamps covering it.
+  std::vector<std::vector<std::pair<std::size_t, std::int32_t>>> clamps_;
+  /// Build-time resolved cascade hits (partition.hpp), in engine order, and
+  /// per-daemon active uplink penalties as (plan fault index, factor).
   std::vector<CascadeHit> cascade_hits_;
+  std::vector<std::vector<std::pair<std::size_t, double>>> daemon_net_penalties_;
   /// Control events that fired per shard: effects replicated onto every
   /// shard (link/drop/clamp edges, repair broadcasts) plus throttle ticks.
   /// collect() reports sum(engines) - sum(control) + control[0], which is
   /// invariant in the shard count.
-  std::vector<std::uint64_t> shard_control_fired_;
+  std::vector<std::uint64_t> control_fired_;
   /// Repair mirror: restart delivery times dispatched per daemon, and a
   /// one-shot flag per plan fault for reset_pipe.
   std::vector<std::vector<SimTime>> restart_dispatches_;
   std::vector<char> reset_dispatched_;
-  std::vector<obs::Tracer> shard_tracers_;
-  obs::TraceRecorder* trace_recorder_ = nullptr;
-  des::ShardSet::Executor shard_executor_;
+  /// One tracer per shard while tracing, else empty.
+  std::vector<obs::Tracer> tracers_;
+  bool ran_ = false;
 };
 
 /// Convenience: build and run in one call.

@@ -256,6 +256,32 @@ TEST(TraceSummary, SimulationTraceHasSpansAndCompleteLifecycles) {
   EXPECT_NE(os.str().find("sample"), std::string::npos);
 }
 
+TEST(TraceSummary, LifecycleIdsStayUniqueAcrossWarmup) {
+  // Warm-up deletion zeroes the sample counters; the lifecycle ids must not
+  // restart with them, or chains from before and after the boundary merge.
+  auto cfg = rocc::SystemConfig::now(4);
+  cfg.duration_us = 2e6;
+  cfg.warmup_us = 1e6;
+  cfg.sampling_period_us = 10'000.0;
+
+  TraceRecorder recorder(1u << 18);
+  Tracer tracer = recorder.create_tracer();
+  rocc::Simulation sim(cfg);
+  sim.set_tracer(&tracer);
+  (void)sim.run();
+  ASSERT_EQ(recorder.dropped(), 0u);
+
+  std::size_t begins = 0;
+  std::set<std::uint64_t> ids;
+  recorder.for_each_event([&](const TraceEvent& e, std::int32_t) {
+    if (e.phase != Phase::AsyncBegin) return;
+    ++begins;
+    ids.insert(e.id);
+  });
+  EXPECT_EQ(begins, 800u);  // 4 apps x 200 sampling periods
+  EXPECT_EQ(ids.size(), begins);
+}
+
 TEST(TraceReader, RejectsMalformedJson) {
   std::stringstream ss("{\"traceEvents\": [ {\"ph\": ");
   EXPECT_THROW((void)read_chrome_trace(ss), std::runtime_error);

@@ -234,7 +234,7 @@ TEST(FaultPlan, SchedulePointsInDeclarationOrder) {
 }
 
 TEST(FaultGate, DrawsOnlyInsideWindowsAndRespectsTarget) {
-  FaultGate gate(des::RngStream(7, 0, 8));
+  FaultGate gate(/*seed=*/7);
   EXPECT_FALSE(gate.active());
 
   gate.add_drop(/*node=*/1, /*probability=*/1.0);
@@ -252,7 +252,7 @@ TEST(FaultGate, DrawsOnlyInsideWindowsAndRespectsTarget) {
 }
 
 TEST(FaultGate, BernoulliRateTracksProbability) {
-  FaultGate gate(des::RngStream(11, 0, 8));
+  FaultGate gate(/*seed=*/11);
   gate.add_drop(-1, 0.25);
   int dropped = 0;
   constexpr int kTrials = 20'000;

@@ -4,7 +4,10 @@
 // The load-bearing property: for every supported flavor grid — plain,
 // batching + warm-up, all four fault types, stochastic windows, cascades,
 // detection + repair, adaptive throttle, binary-tree forwarding — running
-// with `--shards N` is *bit-identical* to `--shards 1`.  Identity is checked
+// with `--shards N` (and with the default `--shards 0`) is *bit-identical*
+// to `--shards 1`.  Features that couple nodes at zero latency (SMP,
+// barriers, the global cost model, metrics probes) run on one shard only,
+// where `--shards 1` must match `--shards 0`.  Identity is checked
 // three ways: field-by-field on SimulationResult, string equality of the
 // serialized --report-json results array, and (for traces) multiset equality
 // of every recorded model event.  The suite also pins the des-layer edge
@@ -91,11 +94,20 @@ SimulationResult run_at_shards(SystemConfig c, std::int32_t shards) {
   return sim.run();
 }
 
-/// Run the config at --shards 1 and at each count in `counts`, asserting
-/// pairwise bit-identity against the 1-shard baseline.
+/// The shard counts a grid compares against its 1-shard baseline: the
+/// default 0 (also one shard) plus `counts`.
+std::vector<std::int32_t> with_default_count(std::initializer_list<std::int32_t> counts) {
+  std::vector<std::int32_t> all{0};
+  all.insert(all.end(), counts.begin(), counts.end());
+  return all;
+}
+
+/// Run the config at --shards 1, at the default --shards 0, and at each
+/// count in `counts`, asserting pairwise bit-identity against the 1-shard
+/// baseline.
 void expect_shard_invariant(const SystemConfig& c, std::initializer_list<std::int32_t> counts) {
   const SimulationResult baseline = run_at_shards(c, 1);
-  for (const std::int32_t n : counts) {
+  for (const std::int32_t n : with_default_count(counts)) {
     SCOPED_TRACE("shards=" + std::to_string(n));
     expect_bit_identical(baseline, run_at_shards(c, n));
   }
@@ -211,7 +223,7 @@ SimulationResult run_with_harness(SystemConfig c, std::int32_t shards,
 void expect_repair_invariant(const SystemConfig& c, const consultant::RepairPolicy* policy,
                              std::initializer_list<std::int32_t> counts) {
   const SimulationResult baseline = run_with_harness(c, 1, policy);
-  for (const std::int32_t n : counts) {
+  for (const std::int32_t n : with_default_count(counts)) {
     SCOPED_TRACE("shards=" + std::to_string(n));
     const SimulationResult r = run_with_harness(c, n, policy);
     expect_bit_identical(baseline, r);
@@ -296,16 +308,22 @@ TEST(PdesInvariance, ReportJsonDocumentsStringIdentical) {
 }
 
 TEST(PdesInvariance, SummaryExcludesShardCount) {
-  auto a = pdes_config(4);
-  auto b = pdes_config(4);
-  a.shards = 1;
-  b.shards = 4;
-  EXPECT_EQ(a.summary(), b.summary());
-  // ... but the partitioned stamp differs from the legacy one (the pdes
-  // uplink suffix), so legacy report headers stay byte-identical.
-  auto legacy = pdes_config(4);
-  legacy.shards = 0;
-  EXPECT_NE(a.summary(), legacy.summary());
+  auto c = pdes_config(4);
+  std::vector<std::string> stamps;
+  for (const std::int32_t shards : {0, 1, 4}) {
+    c.shards = shards;
+    stamps.push_back(c.summary());
+  }
+  EXPECT_EQ(stamps[0], stamps[1]);
+  EXPECT_EQ(stamps[0], stamps[2]);
+  // ... but the uplink latency is part of the model, so it is stamped for
+  // any shard count; 0 keeps the historical stamp.
+  auto at_zero = SystemConfig::now(4);
+  auto at_ten = SystemConfig::now(4);
+  at_ten.uplink_latency_us = 10'000.0;
+  EXPECT_NE(at_zero.summary(), at_ten.summary());
+  EXPECT_NE(at_ten.summary().find("uplink=10000us"), std::string::npos) << at_ten.summary();
+  EXPECT_EQ(at_zero.summary().find("uplink"), std::string::npos) << at_zero.summary();
 }
 
 TEST(PdesInvariance, PoolExecutorBitIdenticalToSerial) {
@@ -440,6 +458,86 @@ TEST(PdesInvariance, SetTracerRejectedWhenPartitioned) {
   obs::TraceRecorder recorder;
   obs::Tracer tracer = recorder.create_tracer("x");
   EXPECT_THROW(sim.set_tracer(&tracer), std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// One shard: zero-latency couplings run, and --shards 1 matches --shards 0
+// ---------------------------------------------------------------------------
+
+/// Both one-shard spellings run and agree bit for bit.
+void expect_one_shard_identical(const SystemConfig& c) {
+  expect_bit_identical(run_at_shards(c, 0), run_at_shards(c, 1));
+}
+
+TEST(PdesOneShard, ZeroUplinkMatchesShardsZero) {
+  auto c = pdes_config(4);
+  c.uplink_latency_us = 0.0;
+  c.batch_size = 8;
+  c.warmup_us = 200'000.0;
+  c.faults = FaultPlan::parse(
+      "daemon_stall:daemon=1,start=300ms,dur=200ms;"
+      "sample_drop:node=all,start=500ms,dur=200ms,p=0.3");
+  expect_one_shard_identical(c);
+}
+
+TEST(PdesOneShard, SmpMatchesShardsZero) {
+  auto c = SystemConfig::smp(4, 8, 2);
+  c.duration_us = 1e6;
+  c.sampling_period_us = 10'000.0;
+  c.batch_size = 4;
+  expect_one_shard_identical(c);
+  c.uplink_latency_us = 500.0;
+  expect_one_shard_identical(c);
+}
+
+TEST(PdesOneShard, BarrierMatchesShardsZero) {
+  auto c = pdes_config(4);
+  c.barrier_period_us = 50'000.0;
+  c.warmup_us = 100'000.0;
+  expect_one_shard_identical(c);
+  c.uplink_latency_us = 0.0;
+  const SimulationResult r = run_at_shards(c, 1);
+  EXPECT_GT(r.barrier_rounds, 0u);
+  expect_bit_identical(run_at_shards(c, 0), r);
+}
+
+TEST(PdesOneShard, GlobalAdaptiveSamplingMatchesShardsZero) {
+  auto c = pdes_config(4);
+  c.adaptive.enabled = true;
+  c.adaptive.overhead_budget_pct = 1.0;
+  expect_one_shard_identical(c);
+  c.uplink_latency_us = 0.0;
+  const SimulationResult r = run_at_shards(c, 1);
+  EXPECT_FALSE(r.cost_adjustments.empty());
+  expect_bit_identical(run_at_shards(c, 0), r);
+}
+
+/// Probe rows of a metrics-enabled run as CSV, plus its result.
+std::pair<std::string, SimulationResult> metrics_run(SystemConfig c, std::int32_t shards) {
+  c.shards = shards;
+  Simulation sim(c);
+  obs::MetricsRegistry registry;
+  sim.enable_metrics(registry, 50'000.0);
+  SimulationResult r = sim.run();
+  std::ostringstream os;
+  registry.write_csv(os);
+  return {os.str(), std::move(r)};
+}
+
+TEST(PdesOneShard, MetricsProbesMatchShardsZero) {
+  for (const double uplink : {0.0, 500.0}) {
+    SCOPED_TRACE("uplink=" + std::to_string(uplink));
+    auto c = pdes_config(4);
+    c.uplink_latency_us = uplink;
+    c.adaptive_throttle.enabled = true;
+    c.faults = FaultPlan::parse("link_slow:start=200ms,dur=300ms,factor=4");
+    const auto zero = metrics_run(c, 0);
+    const auto one = metrics_run(c, 1);
+    EXPECT_NE(zero.first.find("samples.delivered"), std::string::npos);
+    EXPECT_GT(std::count(zero.first.begin(), zero.first.end(), '\n'), 10);
+    EXPECT_EQ(zero.first, one.first);
+    expect_bit_identical(zero.second, one.second);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -584,24 +682,39 @@ TEST(ShardSetEdge, CheckpointFiresExactlyAtWarmup) {
   EXPECT_DOUBLE_EQ(set.engine(1).now(), 320.0);
 }
 
-// ---------------------------------------------------------------------------
-// Legacy paths stay deterministic
-// ---------------------------------------------------------------------------
-
-TEST(PdesLegacy, UplinkLatencyDeterministicAtShardsZero) {
-  // The modeled uplink delivery delay is new in this change; the legacy
-  // single-engine path must stay run-to-run deterministic with it on.
-  auto c = SystemConfig::now(4);
-  c.duration_us = 1e6;
-  c.sampling_period_us = 10'000.0;
-  c.uplink_latency_us = 500.0;
-  c.shards = 0;
-  expect_bit_identical(run_simulation(c), run_simulation(c));
+TEST(ShardSetEdge, ZeroWindowRunsOneShardAsOneWindow) {
+  des::ShardSetConfig sc;
+  sc.shards = 1;
+  sc.window_us = 0.0;
+  sc.warmup_us = 100.0;
+  sc.duration_us = 300.0;
+  des::ShardSet set(sc);
+  std::vector<double> fired;
+  for (const double t : {50.0, 100.0, 250.0, 300.0, 301.0}) {
+    set.engine(0).schedule_at(t, [&fired, t] { fired.push_back(t); });
+  }
+  std::vector<double> checkpoints;
+  set.run([&](des::SimTime t) { checkpoints.push_back(t); });
+  EXPECT_EQ(fired, (std::vector<double>{50.0, 100.0, 250.0, 300.0}));
+  EXPECT_EQ(checkpoints, (std::vector<double>{100.0}));
+  EXPECT_DOUBLE_EQ(set.engine(0).now(), 300.0);
 }
 
+TEST(ShardSetEdge, ZeroWindowRejectedForTwoShards) {
+  des::ShardSetConfig sc;
+  sc.shards = 2;
+  sc.window_us = 0.0;
+  sc.duration_us = 300.0;
+  EXPECT_THROW(des::ShardSet set(sc), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Defaults keep the historical model
+// ---------------------------------------------------------------------------
+
 TEST(PdesLegacy, ShardsZeroWithoutUplinkMatchesHistoricalShape) {
-  // Sanity: uplink = 0 keeps the historical synchronous hand-off — samples
-  // still flow and nothing partitioned is engaged.
+  // Sanity: uplink = 0 keeps the historical synchronous hand-off, with the
+  // whole run as one window — samples still flow.
   auto c = SystemConfig::now(2);
   c.duration_us = 200'000.0;
   c.sampling_period_us = 10'000.0;

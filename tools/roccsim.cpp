@@ -47,11 +47,13 @@ void print_help() {
       "  --pipe N                pipe capacity in samples; default 64\n"
       "  --seconds X             simulated seconds; default 10\n"
       "  --warmup X              warm-up seconds excluded from metrics; default 0\n"
-      "  --shards N              partition the model into N conservative-window DES\n"
-      "                          shards (PDES); results are bit-identical for every N.\n"
-      "                          Default 0 = the classic single-engine path\n"
-      "  --uplink-ms X           daemon uplink delivery latency in ms — the cross-shard\n"
-      "                          lookahead; default 0 (0.5 when --shards is given)\n"
+      "  --shards N              run the model on N conservative-window DES shards\n"
+      "                          (PDES); results are bit-identical for every N, and\n"
+      "                          0 and 1 both mean one shard (default 0).  N >= 2\n"
+      "                          needs --uplink-ms > 0 and rejects SMP, --barrier-ms,\n"
+      "                          --adaptive-budget and --metrics\n"
+      "  --uplink-ms X           daemon uplink delivery latency in ms — part of the\n"
+      "                          model, and the cross-shard lookahead; default 0\n"
       "  --adaptive-budget X     enable the dynamic cost model with an IS overhead\n"
       "                          budget of X%% of CPU capacity; default off\n"
       "  --fault SPEC            inject perturbations; SPEC is ';'-joined entries like\n"
@@ -195,11 +197,7 @@ int main(int argc, char** argv) {
     cfg.duration_us = args.get_double("seconds", 10.0) * 1e6;
     cfg.warmup_us = args.get_double("warmup", 0.0) * 1e6;
     cfg.shards = static_cast<std::int32_t>(args.get_long("shards", 0));
-    // The uplink latency doubles as the cross-shard lookahead, so sharded
-    // runs need one; half the default daemon net occupancy is a sensible
-    // floor when the user asked for shards but said nothing about uplinks.
-    cfg.uplink_latency_us =
-        args.get_double("uplink-ms", cfg.shards > 0 ? 0.5 : 0.0) * 1'000.0;
+    cfg.uplink_latency_us = args.get_double("uplink-ms", 0.0) * 1'000.0;
     if (args.has("adaptive-budget")) {
       cfg.adaptive.enabled = true;
       cfg.adaptive.overhead_budget_pct = args.get_double("adaptive-budget", 1.0);
@@ -238,10 +236,10 @@ int main(int argc, char** argv) {
     const std::string metrics_json_file = args.get_string("metrics-json", "");
     // --metrics-json wants the probes armed even without a CSV destination.
     const bool want_metrics = !metrics_file.empty() || !metrics_json_file.empty();
-    if (cfg.shards > 0 && want_metrics) {
+    if (cfg.shards > 1 && want_metrics) {
       throw std::invalid_argument(
-          "--metrics/--metrics-json are not supported with --shards (the probes read "
-          "cross-shard state mid-run); drop --shards or the metrics flags");
+          "--metrics/--metrics-json need one shard (the probes read cross-shard state "
+          "mid-run); drop --shards or the metrics flags");
     }
     if (args.get_bool("progress")) experiments::set_progress_stream(&std::cerr);
 
@@ -278,10 +276,10 @@ int main(int argc, char** argv) {
       const experiments::RunHook hook = [&](rocc::Simulation& sim, std::size_t /*cell*/,
                                             std::size_t rep) {
         if (recorder) {
-          if (cfg.shards > 0) {
-            // Partitioned runs trace one tracer per shard ("shard s"
-            // process names); attach the recorder to rep 0 only so the
-            // shard names stay unambiguous across replications.
+          if (cfg.shards > 1) {
+            // Sharded runs trace one tracer per shard ("shard s" process
+            // names); attach the recorder to rep 0 only so the shard names
+            // stay unambiguous across replications.
             if (rep == 0) sim.set_trace_recorder(*recorder);
           } else {
             tracers[rep] = recorder->create_tracer("rep " + std::to_string(rep));
@@ -417,7 +415,7 @@ int main(int argc, char** argv) {
       }
       obs::Tracer tracer;
       if (recorder) {
-        if (cfg.shards > 0) {
+        if (cfg.shards > 1) {
           sim.set_trace_recorder(*recorder);
         } else {
           tracer = recorder->create_tracer();

@@ -46,10 +46,12 @@ void print_help() {
       "  --values a,b,c     sweep points (required)\n"
       "  --arch now|smp|mpp --nodes N --apps N --daemons N --sampling-ms X\n"
       "  --batch N --topology direct|tree --seconds X --reps N --seed N\n"
-      "  --shards N         partition every run into N conservative-window DES\n"
-      "                     shards (PDES); results are bit-identical for every N\n"
-      "  --uplink-ms X      daemon uplink latency in ms (the cross-shard lookahead);\n"
-      "                     default 0 (0.5 when --shards is given)\n"
+      "  --shards N         run every simulation on N conservative-window DES\n"
+      "                     shards (PDES); results are bit-identical for every N,\n"
+      "                     and 0 and 1 both mean one shard (default 0).  N >= 2\n"
+      "                     needs --uplink-ms > 0 and rejects SMP and barriers\n"
+      "  --uplink-ms X      daemon uplink latency in ms — part of the model, and\n"
+      "                     the cross-shard lookahead; default 0\n"
       "  --reference-rng    pre-ziggurat variate backend (pre-PR-5 streams)\n"
       "  --jobs N           worker threads per replication set; default: all\n"
       "                     hardware threads, 1 = serial (results identical).\n"
@@ -381,8 +383,7 @@ int main(int argc, char** argv) {
     base.duration_us = args.get_double("seconds", 5.0) * 1e6;
     base.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
     base.shards = static_cast<std::int32_t>(args.get_long("shards", 0));
-    base.uplink_latency_us =
-        args.get_double("uplink-ms", base.shards > 0 ? 0.5 : 0.0) * 1'000.0;
+    base.uplink_latency_us = args.get_double("uplink-ms", 0.0) * 1'000.0;
     base.reference_rng = args.get_bool("reference-rng");
 
     if (args.get_bool("progress")) experiments::set_progress_stream(&std::cerr);
