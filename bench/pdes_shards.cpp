@@ -14,8 +14,11 @@
 //                             partitioned engine on the 4-vCPU runners)
 //   pdes_shard4_meps          4-shard throughput in M events/s (info)
 //
-// Best-of-3 per flavor: wall times take the minimum, the canonical noise
-// shield for throughput benches on shared CI runners.
+// Protocol: 7 paired rounds.  Each round runs both flavors back to back,
+// alternating which goes first, and yields one shard1 / shard4 ratio, so
+// host drift between rounds cancels inside each pair.  The speedup is the
+// median ratio (its interquartile range is printed beside it); the wall
+// times are the medians of each flavor.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -27,6 +30,7 @@
 #include "experiments/thread_pool.hpp"
 #include "repro_common.hpp"
 #include "rocc/simulation.hpp"
+#include "stats/summary.hpp"
 
 namespace {
 
@@ -81,6 +85,18 @@ void require_identical(const paradyn::rocc::SimulationResult& a,
   }
 }
 
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+Spread spread(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return {paradyn::stats::empirical_quantile(values, 0.5),
+          paradyn::stats::empirical_quantile(values, 0.75) -
+              paradyn::stats::empirical_quantile(values, 0.25)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,45 +109,44 @@ int main(int argc, char** argv) {
   const des::ShardSet::Executor pooled =
       experiments::shard_pool_executor(pool, std::max<std::size_t>(1, lanes));
 
-  constexpr int kReps = 3;
-  double wall1 = 1e300;
-  double wall4 = 1e300;
-  rocc::SimulationResult r1;
+  constexpr int kRounds = 7;
+  std::vector<double> walls1;
+  std::vector<double> walls4;
+  std::vector<double> ratios;
   rocc::SimulationResult r4;
-  for (int rep = 0; rep < kReps; ++rep) {
-    // Alternate order so drift on a noisy runner hits both flavors alike.
-    if (rep % 2 == 0) {
-      const Run a = run_once(1, {});
-      const Run b = run_once(4, pooled);
-      wall1 = std::min(wall1, a.wall_sec);
-      wall4 = std::min(wall4, b.wall_sec);
-      r1 = a.result;
-      r4 = b.result;
+  for (int round = 0; round < kRounds; ++round) {
+    Run one;
+    Run four;
+    if (round % 2 == 0) {
+      one = run_once(1, {});
+      four = run_once(4, pooled);
     } else {
-      const Run b = run_once(4, pooled);
-      const Run a = run_once(1, {});
-      wall1 = std::min(wall1, a.wall_sec);
-      wall4 = std::min(wall4, b.wall_sec);
-      r1 = a.result;
-      r4 = b.result;
+      four = run_once(4, pooled);
+      one = run_once(1, {});
     }
-    require_identical(r1, r4);
+    require_identical(one.result, four.result);
+    walls1.push_back(one.wall_sec);
+    walls4.push_back(four.wall_sec);
+    ratios.push_back(four.wall_sec > 0.0 ? one.wall_sec / four.wall_sec : 0.0);
+    r4 = four.result;
   }
 
-  const double speedup = wall4 > 0.0 ? wall1 / wall4 : 0.0;
+  const Spread wall1 = spread(walls1);
+  const Spread wall4 = spread(walls4);
+  const Spread speedup = spread(ratios);
   const double meps =
-      wall4 > 0.0 ? static_cast<double>(r4.events_processed) / wall4 / 1e6 : 0.0;
-  std::printf("pdes_shards: %llu events, shard1 %.3f s, shard4 %.3f s (%zu lane(s)), "
-              "speedup %.2fx\n",
-              static_cast<unsigned long long>(r4.events_processed), wall1, wall4, lanes,
-              speedup);
+      wall4.median > 0.0 ? static_cast<double>(r4.events_processed) / wall4.median / 1e6 : 0.0;
+  std::printf("pdes_shards: %llu events, %d paired rounds, medians (IQR): shard1 %.3f s (%.3f), "
+              "shard4 %.3f s (%.3f) on %zu lane(s), speedup %.2fx (%.2f)\n",
+              static_cast<unsigned long long>(r4.events_processed), kRounds, wall1.median,
+              wall1.iqr, wall4.median, wall4.iqr, lanes, speedup.median, speedup.iqr);
 
   const std::string json = bench::bench_json_path(argc, argv);
   if (!json.empty()) {
     bench::write_bench_json(json, {
-                                      {"pdes_shard1_wall_seconds", wall1},
-                                      {"pdes_shard4_wall_seconds", wall4},
-                                      {"speedup_pdes_shards", speedup},
+                                      {"pdes_shard1_wall_seconds", wall1.median},
+                                      {"pdes_shard4_wall_seconds", wall4.median},
+                                      {"speedup_pdes_shards", speedup.median},
                                       {"pdes_shard4_meps", meps},
                                   });
   }

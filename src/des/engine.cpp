@@ -1,14 +1,33 @@
 #include "des/engine.hpp"
 
+#include <limits>
+
 #include "obs/trace.hpp"
 
 namespace paradyn::des {
 
 std::uint64_t Engine::run() {
+  const std::uint64_t executed = execute(std::numeric_limits<SimTime>::infinity(), true);
+  if (tracer_ != nullptr) trace_flush();
+  return executed;
+}
+
+std::uint64_t Engine::run_until(SimTime t_end) { return run_to(t_end, true); }
+
+std::uint64_t Engine::run_before(SimTime t_end) { return run_to(t_end, false); }
+
+std::uint64_t Engine::run_to(SimTime t_end, bool inclusive) {
+  const std::uint64_t executed = execute(t_end, inclusive);
+  if (!stopping_ && now_ < t_end) now_ = t_end;
+  if (tracer_ != nullptr) trace_flush();
+  return executed;
+}
+
+std::uint64_t Engine::execute(SimTime limit, bool inclusive) {
   stopping_ = false;
   std::uint64_t executed = 0;
   while (!stopping_) {
-    auto fired = queue_.pop();
+    const auto fired = queue_.pop_until(limit, inclusive);
     if (!fired) break;
     now_ = fired->time;
     if (tracer_ != nullptr) trace_event_executed();
@@ -16,43 +35,6 @@ std::uint64_t Engine::run() {
     ++executed;
     ++processed_;
   }
-  if (tracer_ != nullptr) trace_flush();
-  return executed;
-}
-
-std::uint64_t Engine::run_until(SimTime t_end) {
-  stopping_ = false;
-  std::uint64_t executed = 0;
-  while (!stopping_) {
-    auto next = queue_.peek_time();
-    if (!next || *next > t_end) break;
-    auto fired = queue_.pop();
-    now_ = fired->time;
-    if (tracer_ != nullptr) trace_event_executed();
-    queue_.fire(*fired);
-    ++executed;
-    ++processed_;
-  }
-  if (!stopping_ && now_ < t_end) now_ = t_end;
-  if (tracer_ != nullptr) trace_flush();
-  return executed;
-}
-
-std::uint64_t Engine::run_before(SimTime t_end) {
-  stopping_ = false;
-  std::uint64_t executed = 0;
-  while (!stopping_) {
-    auto next = queue_.peek_time();
-    if (!next || *next >= t_end) break;
-    auto fired = queue_.pop();
-    now_ = fired->time;
-    if (tracer_ != nullptr) trace_event_executed();
-    queue_.fire(*fired);
-    ++executed;
-    ++processed_;
-  }
-  if (!stopping_ && now_ < t_end) now_ = t_end;
-  if (tracer_ != nullptr) trace_flush();
   return executed;
 }
 

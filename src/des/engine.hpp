@@ -80,6 +80,11 @@ class Engine {
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
+  /// Fire events below `limit` (or at it, when `inclusive`) until none is
+  /// left or stop() is called.
+  std::uint64_t execute(SimTime limit, bool inclusive);
+  /// execute(), then set the clock to t_end unless stopped.
+  std::uint64_t run_to(SimTime t_end, bool inclusive);
   void trace_event_executed();
   void trace_flush();
 

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 
 namespace paradyn::des {
 
-EventQueue::EventQueue() : bucket_head_(kNumBuckets, kNpos) {}
+EventQueue::EventQueue() : bucket_head_(kNumBuckets, kNpos), bucket_tail_(kNumBuckets, kNpos) {}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNpos) {
@@ -47,14 +48,34 @@ std::size_t EventQueue::bucket_index(SimTime time) const noexcept {
   return index < kNumBuckets ? index : kNumBuckets - 1;
 }
 
+void EventQueue::append_bucket(std::size_t index, std::uint32_t slot) noexcept {
+  next_[slot] = kNpos;
+  if (bucket_head_[index] == kNpos) {
+    bucket_head_[index] = slot;
+  } else {
+    next_[bucket_tail_[index]] = slot;
+  }
+  bucket_tail_[index] = slot;
+  ++in_buckets_;
+}
+
 void EventQueue::insert_bucket(std::size_t index, std::uint32_t slot) noexcept {
+  if (index < cursor_) cursor_ = index;
   const SimTime time = time_[slot];
   const std::uint64_t seq = seq_[slot];
-  std::uint32_t* head = &bucket_head_[index];
+  // A push at or after the tail's instant sorts last, since its seq is the
+  // largest yet: append without a walk.
+  const std::uint32_t tail = bucket_tail_[index];
+  if (bucket_head_[index] == kNpos || time > time_[tail] ||
+      (time == time_[tail] && seq > seq_[tail])) {
+    append_bucket(index, slot);
+    return;
+  }
   // Insertion sort by (time, seq): bucket lists hold ~1 live record at the
   // adapted width, so the walk is short — and it reads only the packed key
-  // columns, never the callback slabs.
-  while (*head != kNpos) {
+  // columns, never the callback slabs.  It stops before the tail.
+  std::uint32_t* head = &bucket_head_[index];
+  for (;;) {
     const std::uint32_t other = *head;
     if (time < time_[other] || (time == time_[other] && seq < seq_[other])) break;
     head = &next_[other];
@@ -62,7 +83,6 @@ void EventQueue::insert_bucket(std::size_t index, std::uint32_t slot) noexcept {
   next_[slot] = *head;
   *head = slot;
   ++in_buckets_;
-  if (index < cursor_) cursor_ = index;
 }
 
 void EventQueue::link(std::uint32_t slot, SimTime time) {
@@ -132,14 +152,11 @@ bool EventQueue::advance_window() {
   window_valid_ = true;
   cursor_ = 0;
 
-  // Migration visits slots in ascending (time, seq), so a record landing in
-  // the same bucket as its predecessor appends at the tail; the hint makes
-  // that O(1) instead of re-walking the bucket list per record.  The
+  // The near tier is empty here and migration visits slots in ascending
+  // (time, seq), so every record appends at its bucket's tail.  The
   // per-slot state/link lookups are data-dependent loads off the ladder,
   // so prefetch the columns a few entries ahead of the scan.
   constexpr std::size_t kPrefetchAhead = 8;
-  std::size_t last_index = kNumBuckets;
-  std::uint32_t last_slot = kNpos;
   while (ladder_head_ < ladder_.size()) {
     if (ladder_head_ + kPrefetchAhead < ladder_.size()) {
       const std::uint32_t ahead = ladder_[ladder_head_ + kPrefetchAhead].slot;
@@ -153,16 +170,7 @@ bool EventQueue::advance_window() {
       ++ladder_head_;
       continue;
     }
-    const std::size_t index = bucket_index(entry.time);
-    if (index == last_index) {
-      next_[last_slot] = entry.slot;
-      next_[entry.slot] = kNpos;
-      ++in_buckets_;
-    } else {
-      insert_bucket(index, entry.slot);
-    }
-    last_index = index;
-    last_slot = entry.slot;
+    append_bucket(bucket_index(entry.time), entry.slot);
     ++ladder_head_;
   }
   if (ladder_head_ == ladder_.size()) {
@@ -188,12 +196,17 @@ std::uint32_t EventQueue::sweep_to_head() noexcept {
 }
 
 std::optional<EventQueue::Fired> EventQueue::pop() {
+  return pop_until(std::numeric_limits<SimTime>::infinity(), true);
+}
+
+std::optional<EventQueue::Fired> EventQueue::pop_until(SimTime limit, bool inclusive) {
   for (;;) {
     const std::uint32_t slot = sweep_to_head();
     if (slot == kNpos) {
       if (!advance_window()) return std::nullopt;
       continue;
     }
+    if (inclusive ? time_[slot] > limit : time_[slot] >= limit) return std::nullopt;
     bucket_head_[cursor_] = next_[slot];
     --in_buckets_;
     state_[slot] = State::Firing;

@@ -7,8 +7,13 @@
 //    simulated time wide.  An event whose time falls inside the window is
 //    insertion-sorted into its bucket's intrusive list; with the width
 //    adapted to roughly one live event per bucket, push and pop are O(1)
-//    amortized.  A cursor sweeps the window monotonically, so pop never
-//    rescans drained buckets.
+//    amortized.  Each bucket also keeps its tail, and a push that sorts
+//    after the tail appends there without a walk.  Every push at the
+//    latest instant of its bucket does, because seq only grows — so a
+//    burst of same-instant timers (every sampler firing at one period)
+//    costs O(1) per push instead of an insertion sort of the burst.  A
+//    cursor sweeps the window monotonically, so pop never rescans drained
+//    buckets.
 //  * Far tier — events beyond the window land in an unsorted staging
 //    buffer of (time, seq, slot) tuples.  When the near tier drains, the
 //    window advances: the staging buffer is sorted and merged into the
@@ -81,11 +86,11 @@ class EventHandle {
 
 class EventQueue {
  public:
-  /// Inline capture budget per event.  Sized to hold a moved-in
-  /// rocc::SmallCallback (itself a 64-byte-capture InlineFunction) with
-  /// room to spare; larger captures are a compile error, not a heap
-  /// allocation.
-  static constexpr std::size_t kCallbackCapacity = 96;
+  /// Inline capture budget per event: a moved-in rocc::SmallCallback (a
+  /// 32-byte InlineFunction), a std::function, or the largest model capture
+  /// (48 bytes), so a slot is one 64-byte InlineFunction.  Larger captures
+  /// are a compile error, not a heap allocation.
+  static constexpr std::size_t kCallbackCapacity = 48;
   using Callback = InlineFunction<kCallbackCapacity>;
 
   EventQueue();
@@ -118,6 +123,12 @@ class EventQueue {
     std::uint32_t slot = 0;
   };
   [[nodiscard]] std::optional<Fired> pop();
+
+  /// pop(), bounded: the earliest live event if its time is below `limit`
+  /// (or equal to it, when `inclusive`), else nullopt with every live
+  /// event left in place.  One sweep to the head serves both the bound
+  /// check and the removal.
+  [[nodiscard]] std::optional<Fired> pop_until(SimTime limit, bool inclusive);
 
   /// Invoke the popped event's callback, then recycle its record.
   void fire(const Fired& fired);
@@ -169,6 +180,8 @@ class EventQueue {
   /// Route a record into its bucket or the far tier.
   void link(std::uint32_t slot, SimTime time);
   void insert_bucket(std::size_t index, std::uint32_t slot) noexcept;
+  /// Link a record that sorts after every record in the bucket.
+  void append_bucket(std::size_t index, std::uint32_t slot) noexcept;
   [[nodiscard]] std::size_t bucket_index(SimTime time) const noexcept;
 
   /// Advance the window over the far tier.  Returns false when the far
@@ -192,8 +205,10 @@ class EventQueue {
   std::uint32_t free_head_ = kNpos;
   std::size_t allocated_ = 0;
 
-  // Near tier.
+  // Near tier.  bucket_tail_[i] is valid only while bucket_head_[i] is not
+  // kNpos (a bucket loses its tail record last).
   std::vector<std::uint32_t> bucket_head_;
+  std::vector<std::uint32_t> bucket_tail_;
   std::size_t cursor_ = 0;          ///< First bucket that may hold records.
   std::size_t in_buckets_ = 0;      ///< Records linked in buckets (any state).
   bool window_valid_ = false;

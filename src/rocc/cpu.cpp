@@ -33,8 +33,7 @@ SimTime CpuResource::busy_time_total() const noexcept {
 
 void CpuResource::dispatch() {
   while (idle_cpus_ > 0 && !ready_.empty()) {
-    Job job = std::move(ready_.front());
-    ready_.pop_front();
+    Job job = ready_.pop_front();
     --idle_cpus_;
 
     const SimTime slice = std::min(quantum_, job.remaining);

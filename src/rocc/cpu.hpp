@@ -10,11 +10,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "des/engine.hpp"
 #include "obs/trace.hpp"
+#include "rocc/ring.hpp"
 #include "rocc/types.hpp"
 
 namespace paradyn::rocc {
@@ -76,7 +76,7 @@ class CpuResource {
   std::int32_t num_cpus_;
   SimTime quantum_;
   std::int32_t idle_cpus_;
-  std::deque<Job> ready_;
+  Ring<Job> ready_;
   /// Jobs currently holding a CPU, in reusable slots: the slice-completion
   /// event captures only {this, slot}, so scheduling a slice never copies
   /// the job through the event queue.  At most num_cpus_ slots are ever

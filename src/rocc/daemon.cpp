@@ -44,7 +44,7 @@ void ParadynDaemon::start() {
 }
 
 void ParadynDaemon::receive_from_child(Batch batch) {
-  merge_queue_.push_back(batch);
+  merge_queue_.push_back(std::move(batch));
   try_start();
 }
 
@@ -59,7 +59,7 @@ bool ParadynDaemon::stalled() const noexcept { return engine_.now() < stalled_un
 
 std::uint64_t ParadynDaemon::kill_buffers() {
   std::uint64_t lost = pending_batch_.size() + merged_pending_.size();
-  for (const Batch& b : merge_queue_) lost += b.sample_count();
+  for (std::size_t i = 0; i < merge_queue_.size(); ++i) lost += merge_queue_[i].sample_count();
   metrics_.samples_dropped += lost;
   pending_batch_.clear();
   merged_pending_.clear();
@@ -93,9 +93,7 @@ void ParadynDaemon::try_start() {
 
   // Merged traffic first: en-route samples have already paid latency.
   if (!merge_queue_.empty()) {
-    Batch batch = merge_queue_.front();
-    merge_queue_.pop_front();
-    start_merge(batch);
+    start_merge(merge_queue_.pop_front());
     return;
   }
 
@@ -124,30 +122,28 @@ void ParadynDaemon::try_start() {
 
 void ParadynDaemon::start_collect(const Sample& sample) {
   busy_ = true;
-  const SimTime t0 = engine_.now();
-  // Stash the drawn service time for the profiler marker: busy_ serializes
-  // collects, so the member survives until the completion callback without
-  // growing the 64-byte inline capture.  Draw order is unchanged.
+  op_started_at_ = engine_.now();
+  op_sample_ = sample;
   last_collect_cpu_us_ = collect_cpu_(rng_);
   cpu_.submit(CpuRequest{last_collect_cpu_us_, ProcessClass::ParadynDaemon,
-                         [this, sample, t0] {
-                           ++samples_collected_;
-                           if (tracer_ != nullptr) {
-                             tracer_->complete("daemon", "collect", track_, t0,
-                                               engine_.now() - t0);
-                             tracer_->async_instant("sample", "lifecycle", sample.id, track_,
-                                                    engine_.now(), "collect",
-                                                    last_collect_cpu_us_);
-                           }
-                           pending_batch_.push_back(sample);
-                           if (static_cast<std::int32_t>(pending_batch_.size()) >=
-                               config_.batch_size) {
-                             begin_forward_local();
-                           } else {
-                             busy_ = false;
-                             try_start();
-                           }
-                         }});
+                         [this] { on_collect_done(); }});
+}
+
+void ParadynDaemon::on_collect_done() {
+  ++samples_collected_;
+  if (tracer_ != nullptr) {
+    tracer_->complete("daemon", "collect", track_, op_started_at_,
+                      engine_.now() - op_started_at_);
+    tracer_->async_instant("sample", "lifecycle", op_sample_.id, track_, engine_.now(),
+                           "collect", last_collect_cpu_us_);
+  }
+  pending_batch_.push_back(op_sample_);
+  if (static_cast<std::int32_t>(pending_batch_.size()) >= config_.batch_size) {
+    begin_forward_local();
+  } else {
+    busy_ = false;
+    try_start();
+  }
 }
 
 void ParadynDaemon::begin_forward_local() {
@@ -172,81 +168,81 @@ void ParadynDaemon::begin_forward_local() {
 
 void ParadynDaemon::start_merge(Batch batch) {
   busy_ = true;
-  const SimTime t0 = engine_.now();
+  op_started_at_ = engine_.now();
+  op_batch_ = std::move(batch);
   cpu_.submit(CpuRequest{merge_cpu_(rng_), ProcessClass::ParadynDaemon,
-                         [this, batch = std::move(batch), t0] {
-                           ++batches_merged_;
-                           if (tracer_ != nullptr) {
-                             tracer_->complete("daemon", "merge", track_, t0, engine_.now() - t0,
-                                               "samples",
-                                               static_cast<double>(batch.sample_count()));
-                           }
-                           // Fold the child's samples into the next local
-                           // forwarding unit; keep the earliest forwarding
-                           // start so monitoring latency accumulates across
-                           // tree hops (equation (16)).
-                           const bool was_empty = merged_pending_.empty();
-                           if (was_empty ||
-                               batch.forward_started_at < merged_pending_earliest_) {
-                             merged_pending_earliest_ = batch.forward_started_at;
-                           }
-                           merged_pending_.insert(merged_pending_.end(), batch.samples.begin(),
-                                                  batch.samples.end());
-                           if (was_empty && !flush_timer_.pending() && !flush_due_) {
-                             flush_timer_ = engine_.schedule_after(
-                                 config_.sampling_period_us, [this] { on_flush_due(); });
-                           }
-                           busy_ = false;
-                           try_start();
-                         }});
+                         [this] { on_merge_done(); }});
+}
+
+void ParadynDaemon::on_merge_done() {
+  ++batches_merged_;
+  if (tracer_ != nullptr) {
+    tracer_->complete("daemon", "merge", track_, op_started_at_, engine_.now() - op_started_at_,
+                      "samples", static_cast<double>(op_batch_.sample_count()));
+  }
+  // Fold the child's samples into the next local forwarding unit; keep the
+  // earliest forwarding start so monitoring latency accumulates across tree
+  // hops (equation (16)).
+  const bool was_empty = merged_pending_.empty();
+  if (was_empty || op_batch_.forward_started_at < merged_pending_earliest_) {
+    merged_pending_earliest_ = op_batch_.forward_started_at;
+  }
+  merged_pending_.insert(merged_pending_.end(), op_batch_.samples.begin(),
+                         op_batch_.samples.end());
+  op_batch_.samples = {};
+  if (was_empty && !flush_timer_.pending() && !flush_due_) {
+    flush_timer_ =
+        engine_.schedule_after(config_.sampling_period_us, [this] { on_flush_due(); });
+  }
+  busy_ = false;
+  try_start();
 }
 
 void ParadynDaemon::forward_batch(Batch batch) {
   busy_ = true;
-  const SimTime t0 = engine_.now();
+  op_started_at_ = engine_.now();
+  op_batch_ = std::move(batch);
   if (tracer_ != nullptr) {
     // Hop boundary for the profiler: each rider leaves the daemon stage.
-    for (const Sample& s : batch.samples) {
-      tracer_->async_instant("sample", "lifecycle", s.id, track_, t0, "fwd",
-                             static_cast<double>(batch.sample_count()));
+    for (const Sample& s : op_batch_.samples) {
+      tracer_->async_instant("sample", "lifecycle", s.id, track_, op_started_at_, "fwd",
+                             static_cast<double>(op_batch_.sample_count()));
     }
   }
-  cpu_.submit(CpuRequest{
-      forward_cpu_(rng_), ProcessClass::ParadynDaemon,
-      [this, batch = std::move(batch), t0]() mutable {
-        // The paper assumes a merged/batched unit occupies the network like
-        // a single sample; net_per_extra_sample_us generalizes that.
-        // net_penalty_ is exactly 1.0 outside cascade windows, so the
-        // multiply is bit-neutral for cascade-free runs.
-        const double occupancy =
-            (net_occupancy_(rng_) +
-             config_.pd.net_per_extra_sample_us * static_cast<double>(batch.sample_count() - 1)) *
-            net_penalty_;
-        // One forward is in flight at a time (busy_), so the member carries
-        // the occupancy to the completion callback for the profiler marker.
-        last_net_occupancy_us_ = occupancy;
-        network_.submit(NetRequest{occupancy, ProcessClass::ParadynDaemon, node_,
-                                   [this, batch = std::move(batch), t0] {
-                                     ++batches_forwarded_;
-                                     if (tracer_ != nullptr) {
-                                       // Spans CPU(forward) + blocking send.
-                                       tracer_->complete(
-                                           "daemon", "forward", track_, t0, engine_.now() - t0,
-                                           "samples", static_cast<double>(batch.sample_count()));
-                                       // Hop boundary: the batch cleared the
-                                       // network; arg is the batch occupancy
-                                       // the sample rode on.
-                                       for (const Sample& s : batch.samples) {
-                                         tracer_->async_instant("sample", "lifecycle", s.id,
-                                                                track_, engine_.now(), "net",
-                                                                last_net_occupancy_us_);
-                                       }
-                                     }
-                                     deliver(batch);
-                                     busy_ = false;
-                                     try_start();
-                                   }});
-      }});
+  cpu_.submit(CpuRequest{forward_cpu_(rng_), ProcessClass::ParadynDaemon,
+                         [this] { on_forward_cpu_done(); }});
+}
+
+void ParadynDaemon::on_forward_cpu_done() {
+  // The paper assumes a merged/batched unit occupies the network like a
+  // single sample; net_per_extra_sample_us generalizes that.  net_penalty_
+  // is exactly 1.0 outside cascade windows, so the multiply is bit-neutral
+  // for cascade-free runs.
+  last_net_occupancy_us_ =
+      (net_occupancy_(rng_) + config_.pd.net_per_extra_sample_us *
+                                  static_cast<double>(op_batch_.sample_count() - 1)) *
+      net_penalty_;
+  network_.submit(NetRequest{last_net_occupancy_us_, ProcessClass::ParadynDaemon, node_,
+                             [this] { on_forward_done(); }});
+}
+
+void ParadynDaemon::on_forward_done() {
+  ++batches_forwarded_;
+  if (tracer_ != nullptr) {
+    // Spans CPU(forward) + blocking send.
+    tracer_->complete("daemon", "forward", track_, op_started_at_,
+                      engine_.now() - op_started_at_, "samples",
+                      static_cast<double>(op_batch_.sample_count()));
+    // Hop boundary: the batch cleared the network; arg is the batch
+    // occupancy the sample rode on.
+    for (const Sample& s : op_batch_.samples) {
+      tracer_->async_instant("sample", "lifecycle", s.id, track_, engine_.now(), "net",
+                             last_net_occupancy_us_);
+    }
+  }
+  deliver(std::move(op_batch_));
+  busy_ = false;
+  try_start();
 }
 
 void ParadynDaemon::on_flush_due() {
@@ -254,13 +250,13 @@ void ParadynDaemon::on_flush_due() {
   try_start();
 }
 
-void ParadynDaemon::deliver(const Batch& batch) {
+void ParadynDaemon::deliver(Batch batch) {
   if (forward_sink_) {
     // The router stamps the delivery time (now + uplink latency) and
     // injects the batch at a window boundary.
-    forward_sink_(batch);
+    forward_sink_(std::move(batch));
   } else if (parent_ != nullptr) {
-    parent_->receive_from_child(batch);
+    parent_->receive_from_child(std::move(batch));
   } else {
     main_->receive(batch);
   }

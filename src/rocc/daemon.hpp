@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "rocc/metrics.hpp"
 #include "rocc/network.hpp"
 #include "rocc/pipe.hpp"
+#include "rocc/ring.hpp"
 
 namespace paradyn::rocc {
 
@@ -51,8 +51,9 @@ class ParadynDaemon {
   /// (which turns them into timestamped ShardSet messages).  Overrides both
   /// destinations — the router owns delivery timing.  Without a sink the
   /// destination receives the batch inside the event that cleared the
-  /// network.
-  void set_forward_sink(std::function<void(const Batch&)> sink) {
+  /// network.  The sink takes the batch by value: the daemon moves it out
+  /// and keeps nothing of it.
+  void set_forward_sink(std::function<void(Batch)> sink) {
     forward_sink_ = std::move(sink);
   }
 
@@ -111,12 +112,16 @@ class ParadynDaemon {
   /// one sampling period for the local batch to fill.
   void on_flush_due();
   void start_collect(const Sample& sample);
+  void on_collect_done();
   void start_merge(Batch batch);
+  void on_merge_done();
   /// Forward the current local batch (CF: single sample) to the destination.
   void begin_forward_local();
   /// CPU(forward) then network occupancy then delivery.
   void forward_batch(Batch batch);
-  void deliver(const Batch& batch);
+  void on_forward_cpu_done();
+  void on_forward_done();
+  void deliver(Batch batch);
 
   des::Engine& engine_;
   const SystemConfig& config_;
@@ -133,7 +138,7 @@ class ParadynDaemon {
 
   std::vector<Pipe*> pipes_;
   std::size_t next_pipe_ = 0;
-  std::deque<Batch> merge_queue_;
+  Ring<Batch> merge_queue_;
   std::vector<Sample> pending_batch_;
   /// Samples merged from children, waiting to ride the next local forward.
   std::vector<Sample> merged_pending_;
@@ -146,7 +151,7 @@ class ParadynDaemon {
 
   MainParadyn* main_ = nullptr;
   ParadynDaemon* parent_ = nullptr;
-  std::function<void(const Batch&)> forward_sink_;
+  std::function<void(Batch)> forward_sink_;
 
   std::uint64_t samples_collected_ = 0;
   std::uint64_t batches_forwarded_ = 0;
@@ -154,9 +159,14 @@ class ParadynDaemon {
 
   obs::Tracer* tracer_ = nullptr;
   std::int32_t track_ = 0;
-  /// Scratch for profiler hop markers: the service time drawn for the
-  /// in-flight collect / forward (busy_ serializes both, so one slot each
-  /// suffices and the 64-byte inline callback captures stay unchanged).
+  /// The one in-flight collect, merge or forward (busy_ serializes them):
+  /// its start time, its sample or batch, and the service times drawn for
+  /// the profiler's hop markers.  Completions capture only `this`.  A
+  /// crash or restart leaves these alone; the in-flight operation
+  /// completes.  deliver() moves the batch out.
+  SimTime op_started_at_ = 0.0;
+  Sample op_sample_;
+  Batch op_batch_;
   SimTime last_collect_cpu_us_ = 0.0;
   double last_net_occupancy_us_ = 0.0;
 };

@@ -48,17 +48,19 @@ void MainParadyn::consume_next() {
   if (busy_ || pending_ == 0) return;
   busy_ = true;
   --pending_;
-  const SimTime t0 = engine_.now();
+  consume_started_at_ = engine_.now();
   host_cpu_.submit(
-      CpuRequest{main_cpu_(rng_), ProcessClass::MainParadyn, [this, t0] {
-                   if (tracer_ != nullptr) {
-                     tracer_->complete("main", "consume", track_, t0, engine_.now() - t0);
-                     tracer_->counter("main.backlog", engine_.now(),
-                                      static_cast<double>(pending_));
-                   }
-                   busy_ = false;
-                   consume_next();
-                 }});
+      CpuRequest{main_cpu_(rng_), ProcessClass::MainParadyn, [this] { on_consume_done(); }});
+}
+
+void MainParadyn::on_consume_done() {
+  if (tracer_ != nullptr) {
+    tracer_->complete("main", "consume", track_, consume_started_at_,
+                      engine_.now() - consume_started_at_);
+    tracer_->counter("main.backlog", engine_.now(), static_cast<double>(pending_));
+  }
+  busy_ = false;
+  consume_next();
 }
 
 }  // namespace paradyn::rocc

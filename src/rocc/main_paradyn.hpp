@@ -51,6 +51,7 @@ class MainParadyn {
 
  private:
   void consume_next();
+  void on_consume_done();
 
   des::Engine& engine_;
   const SystemConfig& config_;
@@ -64,6 +65,9 @@ class MainParadyn {
   std::function<void(const Sample&)> sample_sink_;
   std::size_t pending_ = 0;
   bool busy_ = false;
+  /// Start of the one in-flight consume (busy_ serializes them), so the
+  /// completion captures only `this`.
+  SimTime consume_started_at_ = 0.0;
   obs::Tracer* tracer_ = nullptr;
   std::int32_t track_ = 0;
 };

@@ -60,8 +60,7 @@ void NetworkResource::start_next() {
     return;
   }
   server_busy_ = true;
-  NetRequest req = std::move(queue_.front());
-  queue_.pop_front();
+  NetRequest req = queue_.pop_front();
   if (tracer_ != nullptr) {
     tracer_->complete("net", to_cstr(req.pclass), track_, engine_.now(), req.duration, "queued",
                       static_cast<double>(queue_.size()));

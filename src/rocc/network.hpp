@@ -11,11 +11,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "des/engine.hpp"
 #include "obs/trace.hpp"
+#include "rocc/ring.hpp"
 #include "rocc/types.hpp"
 
 namespace paradyn::rocc {
@@ -100,7 +100,7 @@ class NetworkResource {
   des::Engine& engine_;
   NetworkContention contention_;
   bool server_busy_ = false;
-  std::deque<NetRequest> queue_;
+  Ring<NetRequest> queue_;
   /// Shared server: completion callback of the request in service (at most
   /// one); the completion event captures only {this}.
   SmallCallback in_service_;

@@ -26,8 +26,7 @@ bool Pipe::try_put(const Sample& sample) {
 
 std::optional<Sample> Pipe::try_get() {
   if (buffer_.empty()) return std::nullopt;
-  Sample s = buffer_.front();
-  buffer_.pop_front();
+  Sample s = buffer_.pop_front();
   if (on_space_) {
     auto cb = std::exchange(on_space_, nullptr);
     cb();

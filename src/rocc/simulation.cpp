@@ -158,11 +158,13 @@ void Simulation::build() {
       const std::size_t src = daemon_shard_[d];
       const std::size_t dst = parent != nullptr ? daemon_shard_[(d - 1) / 2] : 0;
       MainParadyn* main = main_.get();
-      daemons_[d]->set_forward_sink([this, d, src, dst, parent, main](const Batch& batch) {
+      daemons_[d]->set_forward_sink([this, d, src, dst, parent, main](Batch batch) {
         if (parent != nullptr) {
-          send(src, dst, d, [parent, batch] { parent->receive_from_child(batch); });
+          send(src, dst, d, [parent, batch = std::move(batch)]() mutable {
+            parent->receive_from_child(std::move(batch));
+          });
         } else {
-          send(src, dst, d, [main, batch] { main->receive(batch); });
+          send(src, dst, d, [main, batch = std::move(batch)] { main->receive(batch); });
         }
       });
     }

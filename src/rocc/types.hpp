@@ -16,10 +16,10 @@ using trace::ProcessClass;
 /// Completion/notification callback used throughout the resource classes
 /// (CpuRequest, NetRequest, pipe wakeups).  Allocation-free: the capture is
 /// stored inline and bounded at compile time, so submitting a request never
-/// heap-allocates a control block the way std::function did.  Sized for the
-/// largest hot-path capture (a daemon forwarding closure: this + Batch + a
-/// timestamp).
-inline constexpr std::size_t kSmallCallbackCapacity = 64;
+/// heap-allocates a control block the way std::function did.  Entities keep
+/// the state of their in-flight operation in members, so a continuation
+/// captures `this` and at most one more word.
+inline constexpr std::size_t kSmallCallbackCapacity = 16;
 using SmallCallback = des::InlineFunction<kSmallCallbackCapacity>;
 
 /// Target architecture class (Section 4): network of workstations, shared

@@ -199,8 +199,8 @@ TEST(InlineFunction, CapacityAccountingMatchesEventQueueSlot) {
   // The rocc SmallCallback must fit inside an EventQueue callback slot so
   // zero-duration requests can move the user callback straight into the
   // engine (cpu.cpp / network.cpp rely on this).
-  static_assert(sizeof(InlineFunction<64>) <= EventQueue::kCallbackCapacity);
-  InlineFunction<EventQueue::kCallbackCapacity> big = InlineFunction<64>([] {});
+  static_assert(sizeof(InlineFunction<16>) <= EventQueue::kCallbackCapacity);
+  InlineFunction<EventQueue::kCallbackCapacity> big = InlineFunction<16>([] {});
   EXPECT_TRUE(big);
 }
 

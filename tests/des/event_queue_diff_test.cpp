@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -27,11 +28,13 @@ struct Popped {
 /// full pop sequences (time + per-push tag).
 class LockstepDriver {
  public:
-  void push(SimTime t) {
+  /// Push one event at `t` into both queues; returns its tag.
+  std::uint64_t push(SimTime t) {
     const std::uint64_t tag = next_tag_++;
     handles_.emplace_back(calendar_.push(t, [this, t, tag] { calendar_out_.push_back({t, tag}); }),
                           heap_.push(t, [this, t, tag] { heap_out_.push_back({t, tag}); }));
     live_.push_back(handles_.size() - 1);
+    return tag;
   }
 
   /// Cancel the k-th (mod live) not-yet-cancelled pushed event in both
@@ -73,7 +76,12 @@ class LockstepDriver {
   }
 
   [[nodiscard]] SimTime last_pop_time() const noexcept { return last_pop_time_; }
+  /// Tag of the last popped event (only after a successful pop).
+  [[nodiscard]] std::uint64_t last_pop_tag() const { return calendar_out_.back().tag; }
   [[nodiscard]] std::size_t popped() const noexcept { return calendar_out_.size(); }
+  /// Pushed events not yet passed to cancel(); cancel(live() - 1 - j)
+  /// cancels the j-th most recent of them.
+  [[nodiscard]] std::size_t live() const noexcept { return live_.size(); }
 
  private:
   EventQueue calendar_;
@@ -125,6 +133,66 @@ TEST(EventQueueDiff, SameTimestampBursts) {
   }
   d.drain();
   d.compare();
+}
+
+/// The ROCC sampling pattern: n timers share one period, so they fire on
+/// the same instant and each re-arms one period later — a burst of n
+/// same-instant pushes into one bucket.  With `jitter` > 0, timer i runs
+/// i * jitter behind timer 0 instead.
+void synchronized_timers(std::size_t n, SimTime jitter) {
+  constexpr SimTime kPeriod = 500.0;
+  constexpr SimTime kFirstWindowEnd = 8192.0;  // kNumBuckets one-microsecond buckets
+  LockstepDriver d;
+  RngStream rng(n, jitter > 0.0 ? 2 : 1);
+  // Pacers a microsecond apart size the first window's buckets at 1 us, so
+  // it spans [0, 8192): the synchronized bursts at 500, 1000, ... re-arm
+  // into that window until the advance at 8500.  The jittered burst is
+  // centred on the window's end instead, so the window advances halfway
+  // through the first burst.
+  for (int i = 0; i < 32; ++i) (void)d.push(static_cast<SimTime>(i));
+  const SimTime first =
+      jitter > 0.0 ? kFirstWindowEnd - static_cast<SimTime>(n / 2) * jitter : kPeriod;
+  std::unordered_set<std::uint64_t> timers;
+  for (std::size_t i = 0; i < n; ++i) {
+    timers.insert(d.push(first + static_cast<SimTime>(i) * jitter));
+  }
+  SimTime burst_start = -kPeriod;
+  std::size_t bursts = 0;
+  for (std::size_t k = 0; k < 21 * n + 64; ++k) {
+    d.pop_one();
+    if (::testing::Test::HasFatalFailure()) return;
+    const SimTime t = d.last_pop_time();
+    if (timers.erase(d.last_pop_tag()) == 0) continue;  // pacers and late records fire once
+    if (t - burst_start >= kPeriod / 2) {
+      burst_start = t;
+      // Every fourth burst, a later record already sits in the bucket the
+      // burst re-arms into: the re-arms sort before it and walk the bucket.
+      if (bursts++ % 4 == 1) (void)d.push(t + kPeriod + 1e-3);
+    }
+    timers.insert(d.push(t + kPeriod));
+    // Cancels inside the burst: a timer still due at this instant or a
+    // re-arm already in the next burst's bucket.
+    if (rng.next_double() < 0.01) {
+      d.cancel(d.live() - 1 -
+               static_cast<std::size_t>(rng.next_double() * static_cast<double>(n)));
+    }
+  }
+  d.drain();
+  d.compare();
+}
+
+TEST(EventQueueDiff, SynchronizedTimerBursts) {
+  for (const std::size_t n : {64u, 512u, 4096u}) {
+    SCOPED_TRACE(n);
+    synchronized_timers(n, 0.0);
+  }
+}
+
+TEST(EventQueueDiff, NearlySynchronizedBurstAcrossAWindowAdvance) {
+  for (const std::size_t n : {64u, 512u, 4096u}) {
+    SCOPED_TRACE(n);
+    synchronized_timers(n, 1e-3);
+  }
 }
 
 TEST(EventQueueDiff, CancelRescheduleLoops) {

@@ -155,6 +155,58 @@ TEST(EventQueue, PushBeforeWindowStartStillPopsFirst) {
   EXPECT_EQ(order.back(), -1);
 }
 
+TEST(EventQueue, PopUntilRecordAtTheLimit) {
+  // Exclusive leaves a record at exactly the limit for the next window;
+  // inclusive pops it.
+  EventQueue q;
+  (void)q.push(10.0, [] {});
+  EXPECT_FALSE(q.pop_until(10.0, false).has_value());
+  EXPECT_EQ(q.size(), 1u);
+  auto fired = q.pop_until(10.0, true);
+  ASSERT_TRUE(fired.has_value());
+  EXPECT_DOUBLE_EQ(fired->time, 10.0);
+  q.fire(*fired);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, PopUntilSkipsACancelledHead) {
+  EventQueue q;
+  bool cancelled_ran = false;
+  auto head = q.push(1.0, [&] { cancelled_ran = true; });
+  (void)q.push(2.0, [] {});
+  (void)q.push(3.0, [] {});
+  q.cancel(head);
+  auto fired = q.pop_until(2.0, true);
+  ASSERT_TRUE(fired.has_value());
+  EXPECT_DOUBLE_EQ(fired->time, 2.0);
+  q.fire(*fired);
+  EXPECT_FALSE(q.pop_until(2.5, true).has_value());
+  EXPECT_FALSE(cancelled_ran);
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueue, PopUntilBelowTheHeadLeavesTheQueueUnchanged) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) (void)q.push(100.0 + i, [&order, i] { order.push_back(i); });
+  EXPECT_FALSE(q.pop_until(50.0, true).has_value());
+  EXPECT_FALSE(q.pop_until(100.0, false).has_value());
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_DOUBLE_EQ(*q.peek_time(), 100.0);
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, PopUntilOnAnEmptyQueue) {
+  EventQueue q;
+  EXPECT_FALSE(q.pop_until(1e9, true).has_value());
+  EXPECT_FALSE(q.pop_until(1e9, false).has_value());
+  auto h = q.push(1.0, [] {});
+  q.cancel(h);
+  EXPECT_FALSE(q.pop_until(1e9, true).has_value());
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueue, SlabPoolPlateausUnderChurn) {
   // Steady-state schedule-one-pop-one must recycle a bounded set of slots,
   // not grow the pool per event.

@@ -87,9 +87,10 @@ TEST(NetworkResource, SubmitFromCompletionCallback) {
   des::Engine e;
   NetworkResource net(e, NetworkContention::SharedSingleServer);
   des::SimTime second_done = -1.0;
-  net.submit({10.0, ProcessClass::ParadynDaemon, -1, [&] {
-                net.submit({20.0, ProcessClass::ParadynDaemon, -1, [&] { second_done = e.now(); }});
-              }});
+  auto first_done = [&] {
+    net.submit({20.0, ProcessClass::ParadynDaemon, -1, [&] { second_done = e.now(); }});
+  };
+  net.submit({10.0, ProcessClass::ParadynDaemon, -1, [&first_done] { first_done(); }});
   (void)e.run();
   EXPECT_DOUBLE_EQ(second_done, 30.0);
 }

@@ -62,9 +62,9 @@ TEST(Pipe, CallbackMayReRegisterItself) {
   int fired = 0;
   std::function<void()> again = [&] {
     ++fired;
-    p.notify_on_data(again);
+    p.notify_on_data([&again] { again(); });
   };
-  p.notify_on_data(again);
+  p.notify_on_data([&again] { again(); });
   EXPECT_TRUE(p.try_put(make_sample(1.0)));
   EXPECT_TRUE(p.try_put(make_sample(2.0)));
   EXPECT_EQ(fired, 2);
@@ -76,9 +76,9 @@ TEST(Pipe, CallbackMayConsumeTheSample) {
   int got = 0;
   std::function<void()> drain = [&] {
     while (p.try_get()) ++got;
-    p.notify_on_data(drain);
+    p.notify_on_data([&drain] { drain(); });
   };
-  p.notify_on_data(drain);
+  p.notify_on_data([&drain] { drain(); });
   EXPECT_TRUE(p.try_put(make_sample(1.0)));
   EXPECT_TRUE(p.try_put(make_sample(2.0)));
   EXPECT_EQ(got, 2);
