@@ -7,6 +7,7 @@
 // and quantifies the blast radius of a sick daemon under CF vs BF.
 #include <algorithm>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "experiments/table.hpp"
@@ -30,7 +31,8 @@ int main() {
       c.pipe_capacity = 16;
       c.record_latency_series = true;
       if (stall > 0.0) {
-        c.fault_daemon_stall = {0, 1e6, stall * 1'000.0};
+        c.faults = rocc::FaultPlan::parse("daemon_stall:daemon=0,start=1s,dur=" +
+                                          std::to_string(static_cast<int>(stall)) + "ms");
       }
       const auto r = rocc::run_simulation(c);
       const auto p = static_cast<std::size_t>(policy);

@@ -299,8 +299,7 @@ BENCHMARK(BM_SampleExponential);
 // honest pre-PR-5 cost: a virtual Distribution::sample call doing Box-Muller
 // or inverse-CDF math.
 void BM_VariatesZiggurat(benchmark::State& state, const char* family) {
-  const auto sampler = stats::FrozenSampler::compile(variate_family(family),
-                                                     stats::SamplerBackend::Ziggurat);
+  const auto sampler = stats::FrozenSampler::compile(variate_family(family));
   for (auto _ : state) {
     benchmark::DoNotOptimize(workload_variates_frozen(sampler, 1'024));
   }
@@ -460,8 +459,7 @@ int emit_bench_json(const std::string& path) {
                   median_mops(kReps, [] { return workload_normal_reference(kDraws); }));
   for (const char* family : {"exponential", "lognormal", "weibull", "empirical"}) {
     const auto dist = variate_family(family);
-    const auto sampler =
-        stats::FrozenSampler::compile(dist, stats::SamplerBackend::Ziggurat);
+    const auto sampler = stats::FrozenSampler::compile(dist);
     record_variates(
         family,
         median_mops(kReps, [&] { return workload_variates_frozen(sampler, kDraws); }),

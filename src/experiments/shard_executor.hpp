@@ -2,7 +2,7 @@
 //
 // des::ShardSet runs each synchronized window by invoking `body(s)` for
 // every shard; the default is a serial loop.  This adapter fans the bodies
-// out over a ThreadPool — shard 0 runs inline on the caller (one shard
+// out over a ThreadPool — lane 0 runs inline on the caller (one lane
 // always gets the calling thread; no point parking it), the rest are
 // submitted and joined via futures, whose get() establishes the
 // happens-before edge the ShardSet determinism contract requires.  Results
@@ -20,31 +20,15 @@
 
 namespace paradyn::experiments {
 
-/// Build a ShardSet executor on top of `pool`.  The pool must outlive every
-/// run using the executor.  Worker exceptions propagate to the caller
-/// through the futures.
-[[nodiscard]] inline des::ShardSet::Executor shard_pool_executor(ThreadPool& pool) {
-  return [&pool](std::size_t count, const std::function<void(std::size_t)>& body) {
-    if (count <= 1) {
-      if (count == 1) body(0);
-      return;
-    }
-    std::vector<std::future<void>> joins;
-    joins.reserve(count - 1);
-    for (std::size_t s = 1; s < count; ++s) {
-      joins.push_back(pool.submit([&body, s] { body(s); }));
-    }
-    body(0);
-    for (auto& join : joins) join.get();
-  };
-}
-
-/// Lane-bounded variant: at most `lanes` threads touch a window (the caller
-/// plus lanes-1 pool workers), each running shards `lane, lane+w, lane+2w,
-/// ...` in index order.  roccsweep uses this to clamp per-job shard workers
-/// when --jobs x --shards would oversubscribe the machine.  Shards still
-/// share no mutable state inside a window, so results stay bit-identical to
-/// the serial loop for any lane count.
+/// Build a ShardSet executor on top of `pool`: at most `lanes` threads
+/// touch a window (the caller plus lanes-1 pool workers), each running
+/// shards `lane, lane+w, lane+2w, ...` in index order.  Lanes equal to the
+/// shard count give every shard its own thread; the tools pass fewer to
+/// clamp per-job shard workers when --jobs x --shards would oversubscribe
+/// the machine.  Shards share no mutable state inside a window, so results
+/// stay bit-identical to the serial loop for any lane count.  The pool must
+/// outlive every run using the executor.  Worker exceptions propagate to
+/// the caller through the futures.
 [[nodiscard]] inline des::ShardSet::Executor shard_pool_executor(ThreadPool& pool,
                                                                 std::size_t lanes) {
   return [&pool, lanes](std::size_t count, const std::function<void(std::size_t)>& body) {

@@ -1,6 +1,6 @@
 // Streaming critical-path profiler and W3-style bottleneck attribution.
 //
-// Consumes a Chrome trace incrementally — either ParsedEvents from
+// Consumes a Chrome trace incrementally — either EventViews from
 // trace_read::stream_chrome_trace or native TraceEvents straight out of a
 // TraceRecorder (the `roccsim --profile` inline path) — and reduces it to:
 //

@@ -445,33 +445,9 @@ class TraceReader {
 
 }  // namespace
 
-ParsedEvent EventView::to_parsed() const {
-  ParsedEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.ph = ph;
-  e.ts = ts;
-  e.dur = dur;
-  e.pid = pid;
-  e.tid = tid;
-  e.id = id;
-  for (const NumArg& a : num_args) e.num_args[std::string(a.key)] = a.value;
-  for (const StrArg& a : str_args) e.str_args[std::string(a.key)] = std::string(a.value);
-  return e;
-}
-
 TraceStreamInfo stream_chrome_trace(std::istream& is,
                                     const std::function<void(const EventView&)>& sink) {
   return TraceReader(is).run(sink);
-}
-
-ParsedTrace read_chrome_trace(std::istream& is) {
-  ParsedTrace trace;
-  const TraceStreamInfo info = stream_chrome_trace(
-      is, [&](const EventView& ev) { trace.events.push_back(ev.to_parsed()); });
-  trace.recorded = info.recorded;
-  trace.dropped = info.dropped;
-  return trace;
 }
 
 TraceSummary summarize_trace(std::istream& is) {

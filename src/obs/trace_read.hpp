@@ -10,27 +10,12 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace paradyn::obs {
-
-/// One event as read back from JSON.
-struct ParsedEvent {
-  std::string name;
-  std::string cat;
-  std::string ph;    ///< Chrome phase letter ("X", "i", "C", "b", "n", "e", "M", ...).
-  double ts = 0.0;   ///< Microseconds.
-  double dur = 0.0;  ///< Complete events only.
-  std::int64_t pid = 0;
-  std::int64_t tid = 0;
-  std::string id;    ///< Async id (as written, e.g. "0x2a"); empty if absent.
-  std::map<std::string, double> num_args;
-  std::map<std::string, std::string> str_args;
-};
 
 struct NumArg {
   std::string_view key;
@@ -41,36 +26,22 @@ struct StrArg {
   std::string_view value;
 };
 
-/// One event as the streaming parser decoded it, with the fields of
-/// ParsedEvent.  The views point into the parser's read window and are
-/// valid only during the sink call.  Arguments keep document order; a key
-/// that repeats keeps its last value, as in ParsedEvent's maps.
+/// One event as the streaming parser decoded it.  The views point into the
+/// parser's read window and are valid only during the sink call.
+/// Arguments keep document order; a key that repeats is listed once, with
+/// its last value.
 struct EventView {
   std::string_view name;
   std::string_view cat;
-  std::string_view ph;
-  double ts = 0.0;
-  double dur = 0.0;
+  std::string_view ph;  ///< Chrome phase letter ("X", "i", "C", "b", "n", "e", "M", ...).
+  double ts = 0.0;      ///< Microseconds.
+  double dur = 0.0;     ///< Complete events only.
   std::int64_t pid = 0;
   std::int64_t tid = 0;
-  std::string_view id;
+  std::string_view id;  ///< Async id (as written, e.g. "0x2a"); empty if absent.
   std::span<const NumArg> num_args;
   std::span<const StrArg> str_args;
-
-  /// An owning copy.
-  [[nodiscard]] ParsedEvent to_parsed() const;
 };
-
-struct ParsedTrace {
-  std::vector<ParsedEvent> events;
-  /// From the recorder's "otherData" block (0 when absent).
-  std::uint64_t recorded = 0;
-  std::uint64_t dropped = 0;
-};
-
-/// Parse a trace file.  Throws std::runtime_error with a byte offset on
-/// malformed input.
-[[nodiscard]] ParsedTrace read_chrome_trace(std::istream& is);
 
 /// Totals reported by the streaming parser once the document is consumed.
 struct TraceStreamInfo {

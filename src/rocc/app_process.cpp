@@ -14,11 +14,10 @@ ApplicationProcess::ApplicationProcess(des::Engine& engine, const SystemConfig& 
     : engine_(engine),
       config_(config),
       model_(std::move(model)),
-      cpu_burst_(stats::FrozenSampler::compile(model_.cpu_burst, config.sampler_backend())),
-      net_burst_(stats::FrozenSampler::compile(model_.net_burst, config.sampler_backend())),
+      cpu_burst_(stats::FrozenSampler::compile(model_.cpu_burst)),
+      net_burst_(stats::FrozenSampler::compile(model_.net_burst)),
       io_block_duration_(model_.io_block_duration
-                             ? stats::FrozenSampler::compile(model_.io_block_duration,
-                                                             config.sampler_backend())
+                             ? stats::FrozenSampler::compile(model_.io_block_duration)
                              : stats::FrozenSampler{}),
       cpu_(cpu),
       network_(network),

@@ -21,6 +21,7 @@
 #include "rocc/metrics.hpp"
 #include "rocc/network.hpp"
 #include "rocc/pipe.hpp"
+#include "stats/sampler.hpp"
 
 namespace paradyn::rocc {
 

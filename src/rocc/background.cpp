@@ -7,8 +7,7 @@ namespace paradyn::rocc {
 OpenArrivalStream::OpenArrivalStream(des::Engine& engine, stats::DistributionPtr interarrival,
                                      stats::DistributionPtr length, ProcessClass pclass,
                                      CpuResource* cpu, NetworkResource* network,
-                                     des::RngStream rng, stats::SamplerBackend backend,
-                                     std::int32_t node)
+                                     des::RngStream rng, std::int32_t node)
     : engine_(engine), pclass_(pclass), cpu_(cpu), network_(network), rng_(rng), node_(node) {
   if ((cpu_ == nullptr) == (network_ == nullptr)) {
     throw std::invalid_argument("OpenArrivalStream: exactly one target resource required");
@@ -16,8 +15,8 @@ OpenArrivalStream::OpenArrivalStream(des::Engine& engine, stats::DistributionPtr
   if (!interarrival || !length) {
     throw std::invalid_argument("OpenArrivalStream: distributions required");
   }
-  interarrival_ = stats::FrozenSampler::compile(interarrival, backend);
-  length_ = stats::FrozenSampler::compile(length, backend);
+  interarrival_ = stats::FrozenSampler::compile(interarrival);
+  length_ = stats::FrozenSampler::compile(length);
 }
 
 void OpenArrivalStream::start() {

@@ -8,6 +8,7 @@
 #include "rocc/config.hpp"
 #include "rocc/cpu.hpp"
 #include "rocc/network.hpp"
+#include "stats/sampler.hpp"
 
 namespace paradyn::rocc {
 
@@ -17,13 +18,11 @@ namespace paradyn::rocc {
 class OpenArrivalStream {
  public:
   /// Exactly one of `cpu` / `network` must be non-null.  Both distributions
-  /// are frozen into inline samplers compiled for `backend`.  `node` tags
-  /// network requests for the optional per-node busy accounting.
+  /// are frozen into inline samplers.  `node` tags network requests for the
+  /// optional per-node busy accounting.
   OpenArrivalStream(des::Engine& engine, stats::DistributionPtr interarrival,
                     stats::DistributionPtr length, ProcessClass pclass, CpuResource* cpu,
-                    NetworkResource* network, des::RngStream rng,
-                    stats::SamplerBackend backend = stats::SamplerBackend::Ziggurat,
-                    std::int32_t node = -1);
+                    NetworkResource* network, des::RngStream rng, std::int32_t node = -1);
 
   OpenArrivalStream(const OpenArrivalStream&) = delete;
   OpenArrivalStream& operator=(const OpenArrivalStream&) = delete;

@@ -77,40 +77,11 @@ void SystemConfig::validate() const {
     }
     if (!main_cpu) throw std::invalid_argument("SystemConfig: main_cpu distribution missing");
   }
-  if (fault_daemon_stall.duration_us < 0.0 || fault_daemon_stall.start_us < 0.0) {
-    throw std::invalid_argument("SystemConfig: daemon stall times must be >= 0");
-  }
-  if (fault_daemon_stall.duration_us > 0.0) {
-    // Fail at configuration time, not at Simulation construction: the
-    // daemon count is statically derivable from the architecture.
-    if (fault_daemon_stall.daemon_index < 0 ||
-        fault_daemon_stall.daemon_index >= daemon_count()) {
-      throw std::invalid_argument("SystemConfig: daemon stall index out of range");
-    }
-    if (fault_daemon_stall.start_us >= duration_us) {
-      throw std::invalid_argument("SystemConfig: daemon stall starts after sim end");
-    }
-  }
   if (!faults.empty()) {
     faults.validate(daemon_count(), nodes, duration_us, pipe_capacity);
   }
-  if (adaptive_throttle.enabled) {
-    if (!(adaptive_throttle.perturbation_budget_pct > 0.0)) {
-      throw std::invalid_argument("SystemConfig: throttle perturbation budget must be > 0");
-    }
-    if (!(adaptive_throttle.adjust_interval_us > 0.0)) {
-      throw std::invalid_argument("SystemConfig: throttle adjust interval must be > 0");
-    }
-    if (!(adaptive_throttle.max_slowdown >= 1.0)) {
-      throw std::invalid_argument("SystemConfig: throttle max_slowdown must be >= 1");
-    }
-    if (!(adaptive_throttle.grow > 1.0) || !(adaptive_throttle.shrink > 0.0) ||
-        adaptive_throttle.shrink >= 1.0) {
-      throw std::invalid_argument("SystemConfig: throttle steps need grow > 1, shrink in (0,1)");
-    }
-  }
-  if (pd.net_per_extra_sample_us < 0.0) {
-    throw std::invalid_argument("SystemConfig: net_per_extra_sample_us must be >= 0");
+  if (adaptive_throttle.enabled && !(adaptive_throttle.perturbation_budget_pct > 0.0)) {
+    throw std::invalid_argument("SystemConfig: throttle perturbation budget must be > 0");
   }
   if (background.enabled) {
     if (!background.pvmd_cpu_length || !background.pvmd_net_length ||
@@ -177,7 +148,6 @@ SystemConfig SystemConfig::paper_defaults() {
   c.pd.forward_cpu = exponential(178.0);
   c.pd.net_occupancy = exponential(71.0);
   c.pd.merge_cpu = exponential(89.0);
-  c.pd.net_per_extra_sample_us = 0.0;
 
   // Background load (Table 2).
   c.background.enabled = true;
@@ -222,15 +192,16 @@ SystemConfig SystemConfig::smp(std::int32_t cpus, std::int32_t app_processes,
 
 std::string SystemConfig::summary() const {
   char buf[320];
+  // "rng=ziggurat" names the one variate engine; it stays in the stamp so
+  // stamps from earlier releases compare byte for byte.
   std::snprintf(
       buf, sizeof(buf),
       "%s nodes=%d cpus/node=%d apps/node=%d daemons=%d period=%gus batch=%d (%s) topo=%s "
-      "net=%s dur=%gus warmup=%gus instr=%s rng=%s",
+      "net=%s dur=%gus warmup=%gus instr=%s rng=ziggurat",
       to_string(arch), nodes, cpus_per_node, app_processes_per_node, daemons, sampling_period_us,
       batch_size, to_string(policy()), to_string(topology),
       contention == NetworkContention::SharedSingleServer ? "shared" : "contention-free",
-      duration_us, warmup_us, instrumentation_enabled ? "on" : "off",
-      stats::to_string(sampler_backend()));
+      duration_us, warmup_us, instrumentation_enabled ? "on" : "off");
   std::string out = buf;
   if (uplink_latency_us > 0.0) {
     // Omitted at 0 so historical stamps stay byte-identical.  The shard

@@ -10,7 +10,6 @@
 #include "rocc/faults.hpp"
 #include "rocc/types.hpp"
 #include "stats/distributions.hpp"
-#include "stats/sampler.hpp"
 
 namespace paradyn::rocc {
 
@@ -49,25 +48,18 @@ struct AdaptiveSamplingConfig {
 
 /// Closed-loop per-daemon sampling throttle (--adaptive-sampling): the
 /// paper's *measured* perturbation metric turned into a control input.
-/// Every adjust_interval the controller extrapolates each daemon domain's
-/// perturbation (daemon busy time plus application pipe-blocked time, as a
-/// fraction of the domain's CPU capacity) one interval ahead; domains whose
-/// *predicted* perturbation exceeds the budget get their sampling period
-/// stretched, and recover multiplicatively once back under half budget.
+/// Every adjustment interval the controller extrapolates each daemon
+/// domain's perturbation (daemon busy time plus application pipe-blocked
+/// time, as a fraction of the domain's CPU capacity) one interval ahead;
+/// domains whose *predicted* perturbation exceeds the budget get their
+/// sampling period stretched, and recover multiplicatively once back under
+/// half budget.  The interval and steps are fixed (rocc/cost_model.cpp).
 /// Orthogonal to AdaptiveSamplingConfig, which regulates one global period
 /// against direct IS CPU cost only.
 struct AdaptiveThrottleConfig {
   bool enabled = false;
   /// Predicted-perturbation budget, percent of the domain's CPU capacity.
   double perturbation_budget_pct = 5.0;
-  /// How often the controller re-evaluates (also the prediction horizon).
-  SimTime adjust_interval_us = 250'000.0;
-  /// Per-domain sampling-period multiplier bounds: [1, max_slowdown].
-  double max_slowdown = 16.0;
-  /// Multiplicative steps: factor *= grow when over budget, *= shrink
-  /// (floored at 1) when under half budget.
-  double grow = 2.0;
-  double shrink = 0.5;
 };
 
 /// How instrumentation data is produced (Section 2.3.1): periodic sampling
@@ -88,10 +80,6 @@ struct PdCostModel {
   stats::DistributionPtr forward_cpu;   ///< CPU per forwarding operation.
   stats::DistributionPtr net_occupancy; ///< Network per forwarding operation.
   stats::DistributionPtr merge_cpu;     ///< CPU per received batch (tree only).
-  /// Extra network occupancy per sample beyond the first in a batch
-  /// (payload size effect); 0 reproduces the paper's assumption that a
-  /// merged/batched unit costs the same as a single sample.
-  double net_per_extra_sample_us = 0.0;
 };
 
 /// Background load: the PVM daemon and "other user/system processes" of
@@ -174,21 +162,9 @@ struct SystemConfig {
   /// time-series analysis.
   bool record_latency_series = false;
 
-  /// Fault injection: stall one Paradyn daemon for a window of simulated
-  /// time.  A stalled daemon stops draining pipes and forwarding — the
-  /// pipes back up, the instrumented applications block, and the system
-  /// must recover when the daemon resumes.  Disabled when duration is 0.
-  struct DaemonStall {
-    std::int32_t daemon_index = 0;
-    SimTime start_us = 0.0;
-    SimTime duration_us = 0.0;
-  };
-  DaemonStall fault_daemon_stall;
-
-  /// General fault plan (--fault): typed, scheduled perturbations compiled
-  /// into calendar-queue events at simulation setup.  Subsumes
-  /// fault_daemon_stall, which is kept as the legacy single-stall shorthand
-  /// and folded into the effective plan by Simulation.
+  /// Fault plan (--fault): typed, scheduled perturbations — daemon stalls
+  /// and crashes, link slowdowns, sample drops, pipe backpressure —
+  /// compiled into calendar-queue events at simulation setup.
   FaultPlan faults;
 
   /// Simulated duration and RNG seed.
@@ -209,18 +185,6 @@ struct SystemConfig {
   /// cross-shard lookahead and the window width.  0 (one shard only) hands
   /// each batch over inside the event that cleared the network.
   SimTime uplink_latency_us = 0.0;
-
-  /// Use the pre-PR-5 reference variate backend (Box-Muller normal,
-  /// inverse-CDF exponential/Weibull) instead of the ziggurat fast path.
-  /// Reference mode bit-reproduces historical RNG streams; the default
-  /// ziggurat backend is statistically equivalent (KS-tested) but draws a
-  /// different sequence.  Plumbed from the tools as --reference-rng.
-  bool reference_rng = false;
-
-  /// The variate backend every model entity compiles its samplers with.
-  [[nodiscard]] stats::SamplerBackend sampler_backend() const noexcept {
-    return reference_rng ? stats::SamplerBackend::Reference : stats::SamplerBackend::Ziggurat;
-  }
 
   /// Warm-up (transient-deletion) period: the model runs for this long,
   /// all accounting is reset, and metrics cover only the remaining

@@ -6,6 +6,17 @@
 #include "rocc/app_process.hpp"
 
 namespace paradyn::rocc {
+namespace {
+
+// PerDaemonThrottle's fixed control law: re-evaluate (and predict) every
+// 250 ms; per-domain period multiplier in [1, 16]; factor *= 2 when over
+// budget, *= 0.5 (floored at 1) when under half budget.
+constexpr SimTime kThrottleIntervalUs = 250'000.0;
+constexpr double kThrottleMaxSlowdown = 16.0;
+constexpr double kThrottleGrow = 2.0;
+constexpr double kThrottleShrink = 0.5;
+
+}  // namespace
 
 SamplingController::SamplingController(des::Engine& engine,
                                        const AdaptiveSamplingConfig& config,
@@ -76,18 +87,9 @@ void SamplingController::on_adjust() {
 }
 
 PerDaemonThrottle::PerDaemonThrottle(des::Engine& engine, const AdaptiveThrottleConfig& config)
-    : engine_(engine), config_(config) {
-  if (!(config_.perturbation_budget_pct > 0.0)) {
+    : engine_(engine), budget_pct_(config.perturbation_budget_pct) {
+  if (!(budget_pct_ > 0.0)) {
     throw std::invalid_argument("PerDaemonThrottle: perturbation budget must be > 0");
-  }
-  if (!(config_.adjust_interval_us > 0.0)) {
-    throw std::invalid_argument("PerDaemonThrottle: adjust interval must be > 0");
-  }
-  if (!(config_.max_slowdown >= 1.0)) {
-    throw std::invalid_argument("PerDaemonThrottle: max_slowdown must be >= 1");
-  }
-  if (!(config_.grow > 1.0) || !(config_.shrink > 0.0) || !(config_.shrink < 1.0)) {
-    throw std::invalid_argument("PerDaemonThrottle: grow must be > 1 and shrink in (0,1)");
   }
 }
 
@@ -124,7 +126,7 @@ void PerDaemonThrottle::start() {
       d.last_blocked_us += app->pipe_blocked_time_us(engine_.now());
     }
   }
-  engine_.schedule_after(config_.adjust_interval_us, [this] { on_adjust(); });
+  engine_.schedule_after(kThrottleIntervalUs, [this] { on_adjust(); });
 }
 
 void PerDaemonThrottle::on_adjust() {
@@ -149,22 +151,22 @@ void PerDaemonThrottle::on_adjust() {
     // budget rather than after.
     const double predicted = pct + (pct - d.current_pct);
     d.current_pct = pct;
-    if (predicted > config_.perturbation_budget_pct) {
-      const double next = std::min(d.factor * config_.grow, config_.max_slowdown);
+    if (predicted > budget_pct_) {
+      const double next = std::min(d.factor * kThrottleGrow, kThrottleMaxSlowdown);
       if (next != d.factor) {
         d.factor = next;
         ++adjustments_;
         max_factor_ = std::max(max_factor_, d.factor);
       }
-    } else if (predicted < 0.5 * config_.perturbation_budget_pct && d.factor > 1.0) {
-      const double next = std::max(d.factor * config_.shrink, 1.0);
+    } else if (predicted < 0.5 * budget_pct_ && d.factor > 1.0) {
+      const double next = std::max(d.factor * kThrottleShrink, 1.0);
       if (next != d.factor) {
         d.factor = next;
         ++adjustments_;
       }
     }
   }
-  engine_.schedule_after(config_.adjust_interval_us, [this] { on_adjust(); });
+  engine_.schedule_after(kThrottleIntervalUs, [this] { on_adjust(); });
 }
 
 }  // namespace paradyn::rocc

@@ -67,8 +67,9 @@ class ApplicationProcess;
 /// by which the IS perturbs the paper's workload.  The measured fraction is
 /// linearly extrapolated one interval ahead; a domain whose *predicted*
 /// perturbation exceeds the budget gets its sampling period stretched
-/// (factor *= grow, capped at max_slowdown), and recovers multiplicatively
-/// once the prediction falls under half the budget.
+/// (factor doubles, capped at 16), and halves back toward 1 once the
+/// prediction falls under half the budget; the prediction horizon and
+/// adjustment interval are 250 ms.
 class PerDaemonThrottle {
  public:
   PerDaemonThrottle(des::Engine& engine, const AdaptiveThrottleConfig& config);
@@ -115,7 +116,7 @@ class PerDaemonThrottle {
   void on_adjust();
 
   des::Engine& engine_;
-  AdaptiveThrottleConfig config_;
+  double budget_pct_;  ///< Predicted-perturbation budget, percent.
   std::vector<Domain> domains_;
   SimTime last_adjust_at_ = 0.0;
   double max_factor_ = 1.0;

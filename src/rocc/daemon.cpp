@@ -16,11 +16,10 @@ ParadynDaemon::ParadynDaemon(des::Engine& engine, const SystemConfig& config, Cp
       cpu_(cpu),
       network_(network),
       metrics_(metrics),
-      collect_cpu_(stats::FrozenSampler::compile(config.pd.collect_cpu, config.sampler_backend())),
-      forward_cpu_(stats::FrozenSampler::compile(config.pd.forward_cpu, config.sampler_backend())),
-      net_occupancy_(
-          stats::FrozenSampler::compile(config.pd.net_occupancy, config.sampler_backend())),
-      merge_cpu_(stats::FrozenSampler::compile(config.pd.merge_cpu, config.sampler_backend())),
+      collect_cpu_(stats::FrozenSampler::compile(config.pd.collect_cpu)),
+      forward_cpu_(stats::FrozenSampler::compile(config.pd.forward_cpu)),
+      net_occupancy_(stats::FrozenSampler::compile(config.pd.net_occupancy)),
+      merge_cpu_(stats::FrozenSampler::compile(config.pd.merge_cpu)),
       rng_(rng),
       node_(node) {}
 
@@ -215,13 +214,9 @@ void ParadynDaemon::forward_batch(Batch batch) {
 
 void ParadynDaemon::on_forward_cpu_done() {
   // The paper assumes a merged/batched unit occupies the network like a
-  // single sample; net_per_extra_sample_us generalizes that.  net_penalty_
-  // is exactly 1.0 outside cascade windows, so the multiply is bit-neutral
-  // for cascade-free runs.
-  last_net_occupancy_us_ =
-      (net_occupancy_(rng_) + config_.pd.net_per_extra_sample_us *
-                                  static_cast<double>(op_batch_.sample_count() - 1)) *
-      net_penalty_;
+  // single sample.  net_penalty_ is exactly 1.0 outside cascade windows, so
+  // the multiply is bit-neutral for cascade-free runs.
+  last_net_occupancy_us_ = net_occupancy_(rng_) * net_penalty_;
   network_.submit(NetRequest{last_net_occupancy_us_, ProcessClass::ParadynDaemon, node_,
                              [this] { on_forward_done(); }});
 }

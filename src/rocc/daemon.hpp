@@ -24,6 +24,7 @@
 #include "rocc/network.hpp"
 #include "rocc/pipe.hpp"
 #include "rocc/ring.hpp"
+#include "stats/sampler.hpp"
 
 namespace paradyn::rocc {
 

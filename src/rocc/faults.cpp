@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "stats/sampler.hpp"
 #include "util/spec_grammar.hpp"
 #include "util/suggest.hpp"
 
@@ -353,15 +354,15 @@ bool FaultPlan::any_stochastic() const noexcept {
   return false;
 }
 
-void FaultPlan::resolve(des::Pcg32& rng, stats::SamplerBackend backend) {
+void FaultPlan::resolve(des::Pcg32& rng) {
   for (FaultSpec& f : faults) {
     if (f.start_dist != nullptr) {
-      const auto sampler = stats::FrozenSampler::compile(f.start_dist, backend);
+      const auto sampler = stats::FrozenSampler::compile(f.start_dist);
       f.start_us = std::max(0.0, sampler(rng));
       f.start_dist = nullptr;
     }
     if (f.duration_dist != nullptr) {
-      const auto sampler = stats::FrozenSampler::compile(f.duration_dist, backend);
+      const auto sampler = stats::FrozenSampler::compile(f.duration_dist);
       f.duration_us = std::max(1.0, sampler(rng));
       f.duration_dist = nullptr;
     }

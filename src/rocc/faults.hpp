@@ -60,7 +60,6 @@
 #include "des/random.hpp"
 #include "rocc/types.hpp"
 #include "stats/distributions.hpp"
-#include "stats/sampler.hpp"
 
 namespace paradyn::rocc {
 
@@ -147,7 +146,7 @@ struct FaultPlan {
   /// duration) and replace the placeholders with concrete clamped values:
   /// start >= 0, duration >= 1 us.  A drawn start at/past the run length
   /// leaves a window that never fires (outcome stays `injected = false`).
-  void resolve(des::Pcg32& rng, stats::SamplerBackend backend);
+  void resolve(des::Pcg32& rng);
 
   /// Injection schedule boundaries (start and end of every window) in
   /// declaration order — what Simulation compiles into events, and what the

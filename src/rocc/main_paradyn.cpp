@@ -8,7 +8,7 @@ MainParadyn::MainParadyn(des::Engine& engine, const SystemConfig& config, CpuRes
       config_(config),
       host_cpu_(host_cpu),
       metrics_(metrics),
-      main_cpu_(stats::FrozenSampler::compile(config.main_cpu, config.sampler_backend())),
+      main_cpu_(stats::FrozenSampler::compile(config.main_cpu)),
       rng_(rng) {}
 
 void MainParadyn::receive(const Batch& batch) {

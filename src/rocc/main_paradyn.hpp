@@ -16,6 +16,7 @@
 #include "rocc/config.hpp"
 #include "rocc/cpu.hpp"
 #include "rocc/metrics.hpp"
+#include "stats/sampler.hpp"
 
 namespace paradyn::rocc {
 

@@ -218,25 +218,20 @@ void Simulation::build() {
   // Background load (PVM daemon + other processes) on every node.
   if (config_.background.enabled) {
     const auto& bg = config_.background;
-    const stats::SamplerBackend backend = config_.sampler_backend();
     for (std::int32_t n = 0; n < nodes; ++n) {
       const auto node_tag = static_cast<std::uint64_t>(n);
       background_.push_back(std::make_unique<OpenArrivalStream>(
           node_engine(n), bg.pvmd_interarrival, bg.pvmd_cpu_length, ProcessClass::PvmDaemon,
-          node_cpus_[n].get(), nullptr, des::RngStream(config_.seed, node_tag, kTagPvmdCpu),
-          backend, n));
+          node_cpus_[n].get(), nullptr, des::RngStream(config_.seed, node_tag, kTagPvmdCpu), n));
       background_.push_back(std::make_unique<OpenArrivalStream>(
           node_engine(n), bg.pvmd_interarrival, bg.pvmd_net_length, ProcessClass::PvmDaemon,
-          nullptr, &node_network(n), des::RngStream(config_.seed, node_tag, kTagPvmdNet),
-          backend, n));
+          nullptr, &node_network(n), des::RngStream(config_.seed, node_tag, kTagPvmdNet), n));
       background_.push_back(std::make_unique<OpenArrivalStream>(
           node_engine(n), bg.other_cpu_interarrival, bg.other_cpu_length, ProcessClass::Other,
-          node_cpus_[n].get(), nullptr, des::RngStream(config_.seed, node_tag, kTagOtherCpu),
-          backend, n));
+          node_cpus_[n].get(), nullptr, des::RngStream(config_.seed, node_tag, kTagOtherCpu), n));
       background_.push_back(std::make_unique<OpenArrivalStream>(
           node_engine(n), bg.other_net_interarrival, bg.other_net_length, ProcessClass::Other,
-          nullptr, &node_network(n), des::RngStream(config_.seed, node_tag, kTagOtherNet),
-          backend, n));
+          nullptr, &node_network(n), des::RngStream(config_.seed, node_tag, kTagOtherNet), n));
     }
   }
 
@@ -277,10 +272,10 @@ void Simulation::build() {
   // gate, stochastic windows, cascade Bernoulli) is derived only when the
   // matching feature appears in the plan, so fault-free runs — and runs
   // without that feature — touch no extra randomness.
-  plan_ = compose_fault_plan();
+  plan_ = config_.faults;
   if (plan_.any_stochastic()) {
     des::RngStream window_rng(config_.seed, 0, kFaultWindowRngTag);
-    plan_.resolve(window_rng, config_.sampler_backend());
+    plan_.resolve(window_rng);
   }
   const bool any_drop =
       std::any_of(plan_.faults.begin(), plan_.faults.end(),
@@ -313,20 +308,6 @@ std::size_t Simulation::cpu_shard(std::size_t n) const {
   return n < static_cast<std::size_t>(config_.nodes)
              ? partition_.shard_of(static_cast<std::int32_t>(n))
              : 0;
-}
-
-FaultPlan Simulation::compose_fault_plan() const {
-  FaultPlan plan = config_.faults;
-  const auto& stall = config_.fault_daemon_stall;
-  if (stall.duration_us > 0.0) {
-    FaultSpec f;
-    f.type = FaultType::DaemonStall;
-    f.target = stall.daemon_index;
-    f.start_us = stall.start_us;
-    f.duration_us = stall.duration_us;
-    plan.faults.push_back(f);
-  }
-  return plan;
 }
 
 void Simulation::send(std::size_t from, std::size_t to, std::uint64_t sender_key,

@@ -70,9 +70,8 @@ class Simulation {
   /// instrumentation is disabled).  Call before run().
   [[nodiscard]] MainParadyn* main_process() noexcept { return main_.get(); }
 
-  /// The fault plan this run will inject: config.faults plus the legacy
-  /// fault_daemon_stall shorthand folded in as a DaemonStall spec, with
-  /// stochastic windows already resolved to concrete values (drawn once at
+  /// The fault plan this run will inject: config.faults with stochastic
+  /// windows already resolved to concrete values (drawn once at
   /// construction from the dedicated kFaultWindowRngTag stream).  Empty
   /// when no faults are configured (or instrumentation is disabled).
   [[nodiscard]] const FaultPlan& effective_fault_plan() const noexcept { return plan_; }
@@ -130,8 +129,6 @@ class Simulation {
 
  private:
   void build();
-  /// config.faults + the legacy stall shorthand, before resolution.
-  [[nodiscard]] FaultPlan compose_fault_plan() const;
   void schedule_metrics_tick();
   /// Compile the plan (and the resolved cascade hits) into shard-local
   /// timed events.

@@ -19,10 +19,10 @@
 // precomputed reciprocals — no division on the draw path).
 //
 // Same distribution as the quantile path, but a *different* draw stream
-// (one u64 here vs. the quantile path's one u64 consumed as a double) —
-// so the Ziggurat backend uses this table and `--reference-rng` keeps the
-// historical quantile arithmetic.  Statistical equivalence is gated by
-// the KS harness in tests/stats/stat_equiv_test.cpp.
+// (one u64 here vs. the quantile path's one u64 consumed as a double).
+// FrozenSampler compiles every Empirical to this table; statistical
+// equivalence with Empirical::sample() is gated by the KS harness in
+// tests/stats/stat_equiv_test.cpp.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,9 @@
 // occupancy requests.  Every distribution here supports sampling (by
 // inverse-CDF or Box-Muller on our own RNG, for cross-platform determinism),
 // pdf/cdf/quantile evaluation, and log-likelihood — everything needed by the
-// fitting code and the simulator.
+// fitting code and the simulator.  The simulator itself draws through
+// stats::FrozenSampler (ziggurat, alias table); sample() is the reference
+// path the tests compare it against.
 //
 // NOTE on lognormal parameters: the paper writes "lognormal(a, b) means a
 // lognormal random variable with mean a and variance b", but the values

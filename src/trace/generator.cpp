@@ -4,6 +4,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "stats/sampler.hpp"
+
 namespace paradyn::trace {
 namespace {
 
@@ -92,16 +94,13 @@ std::vector<TraceRecord> generate_trace(const Sp2TraceModel& model, std::int32_t
 
       const std::int32_t pid = next_pid++;
       des::RngStream rng(seed, static_cast<std::uint64_t>(node) * 131 + pi, 17);
-      const auto freeze = [&](const stats::DistributionPtr& dist) {
-        return stats::FrozenSampler::compile(dist, model.backend);
-      };
 
       if (pm.alternating) {
         if (!pm.cpu_length || !pm.net_length) {
           throw std::invalid_argument("generate_trace: alternating process needs both lengths");
         }
-        const stats::FrozenSampler cpu_length = freeze(pm.cpu_length);
-        const stats::FrozenSampler net_length = freeze(pm.net_length);
+        const auto cpu_length = stats::FrozenSampler::compile(pm.cpu_length);
+        const auto net_length = stats::FrozenSampler::compile(pm.net_length);
         double t = 0.0;
         while (t < model.duration_us) {
           const double cpu = cpu_length(rng);
@@ -114,8 +113,8 @@ std::vector<TraceRecord> generate_trace(const Sp2TraceModel& model, std::int32_t
         }
       } else {
         if (pm.cpu_length && pm.cpu_interarrival) {
-          const stats::FrozenSampler length = freeze(pm.cpu_length);
-          const stats::FrozenSampler interarrival = freeze(pm.cpu_interarrival);
+          const auto length = stats::FrozenSampler::compile(pm.cpu_length);
+          const auto interarrival = stats::FrozenSampler::compile(pm.cpu_interarrival);
           double t = interarrival(rng);
           while (t < model.duration_us) {
             records.push_back({t, node, pid, pm.pclass, ResourceKind::Cpu, length(rng)});
@@ -123,8 +122,8 @@ std::vector<TraceRecord> generate_trace(const Sp2TraceModel& model, std::int32_t
           }
         }
         if (pm.net_length && pm.net_interarrival) {
-          const stats::FrozenSampler length = freeze(pm.net_length);
-          const stats::FrozenSampler interarrival = freeze(pm.net_interarrival);
+          const auto length = stats::FrozenSampler::compile(pm.net_length);
+          const auto interarrival = stats::FrozenSampler::compile(pm.net_interarrival);
           double t = interarrival(rng);
           while (t < model.duration_us) {
             records.push_back({t, node, pid, pm.pclass, ResourceKind::Network, length(rng)});

@@ -12,7 +12,6 @@
 
 #include "des/random.hpp"
 #include "stats/distributions.hpp"
-#include "stats/sampler.hpp"
 #include "trace/record.hpp"
 
 namespace paradyn::trace {
@@ -38,9 +37,6 @@ struct ProcessTraceModel {
 struct Sp2TraceModel {
   std::vector<ProcessTraceModel> processes;
   double duration_us = 10e6;  ///< Trace length.
-  /// Variate backend for generation.  Reference reproduces pre-ziggurat
-  /// streams bit for bit (see stats/sampler.hpp).
-  stats::SamplerBackend backend = stats::SamplerBackend::Ziggurat;
 
   /// The paper's SP-2 / NAS pvmbt parameterization (Tables 1-2): an
   /// alternating application process plus Paradyn daemon, PVM daemon, other

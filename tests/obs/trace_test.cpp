@@ -11,6 +11,7 @@
 #include "obs/trace_read.hpp"
 #include "rocc/config.hpp"
 #include "rocc/simulation.hpp"
+#include "support/parsed_trace.hpp"
 
 namespace paradyn::obs {
 namespace {

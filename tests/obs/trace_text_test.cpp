@@ -21,6 +21,7 @@
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_read.hpp"
+#include "support/parsed_trace.hpp"
 
 namespace paradyn::obs {
 namespace {
@@ -90,7 +91,7 @@ std::vector<ParsedEvent> parse_all(const std::string& json, TraceStreamInfo* inf
   std::vector<ParsedEvent> out;
   std::istringstream is(json);
   const TraceStreamInfo got =
-      stream_chrome_trace(is, [&](const EventView& ev) { out.push_back(ev.to_parsed()); });
+      stream_chrome_trace(is, [&](const EventView& ev) { out.push_back(to_parsed(ev)); });
   if (info != nullptr) *info = got;
   return out;
 }

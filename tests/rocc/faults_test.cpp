@@ -85,12 +85,16 @@ TEST(FaultPlanValidate, WindowAndTargetChecks) {
   plan.faults = {f};
   EXPECT_NO_THROW(plan.validate(2, 2, 2e6, 16));
 
-  // Start at/after sim end can never fire.
+  // Start at/after sim end can never fire; a negative start is malformed.
   plan.faults[0].start_us = 2e6;
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
-  // Degenerate window.
+  plan.faults[0].start_us = -1.0;
+  EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
+  // Degenerate or negative window.
   plan.faults[0].start_us = 0.0;
   plan.faults[0].duration_us = 0.0;
+  EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
+  plan.faults[0].duration_us = -1.0;
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
   // Daemon target out of range; and no daemons at all when
   // instrumentation is disabled.
@@ -154,7 +158,7 @@ TEST(FaultPlan, ResolveDrawsAndClampsStochasticWindows) {
   EXPECT_NO_THROW(plan.validate(1, 1, 2e6, 16));
 
   des::Pcg32 rng = des::RngStream(7, 0, kFaultWindowRngTag);
-  plan.resolve(rng, stats::SamplerBackend::Ziggurat);
+  plan.resolve(rng);
   EXPECT_FALSE(plan.any_stochastic());
   EXPECT_GE(plan.faults[0].start_us, 0.0);
   EXPECT_GE(plan.faults[0].duration_us, 1.0);  // clamped to a non-degenerate window
@@ -167,7 +171,7 @@ TEST(FaultPlan, ResolveDrawsAndClampsStochasticWindows) {
       "daemon_stall:daemon=0,start=exp:100ms,dur=exp:50ms;"
       "daemon_crash:daemon=0,start=1s,dur=200ms");
   des::Pcg32 rng2 = des::RngStream(7, 0, kFaultWindowRngTag);
-  again.resolve(rng2, stats::SamplerBackend::Ziggurat);
+  again.resolve(rng2);
   EXPECT_DOUBLE_EQ(again.faults[0].start_us, plan.faults[0].start_us);
   EXPECT_DOUBLE_EQ(again.faults[0].duration_us, plan.faults[0].duration_us);
 }
@@ -422,7 +426,7 @@ TEST(FaultPlanValidate, ZeroLengthWindowRejected) {
   // A zero *drawn* duration is clamped at resolve time instead.
   auto st = FaultPlan::parse("daemon_stall:daemon=0,start=1s,dur=uniform:0:0.5");
   des::Pcg32 rng = des::RngStream(3, 0, kFaultWindowRngTag);
-  st.resolve(rng, stats::SamplerBackend::Ziggurat);
+  st.resolve(rng);
   EXPECT_GE(st.faults[0].duration_us, 1.0);
 }
 

@@ -326,27 +326,10 @@ TEST(PdesInvariance, SummaryExcludesShardCount) {
   EXPECT_EQ(at_zero.summary().find("uplink"), std::string::npos) << at_zero.summary();
 }
 
-TEST(PdesInvariance, PoolExecutorBitIdenticalToSerial) {
-  auto c = pdes_config(8);
-  c.faults = FaultPlan::parse(
-      "daemon_stall:daemon=1,start=200ms,dur=300ms;"
-      "link_slow:start=300ms,dur=400ms,factor=4");
-  c.shards = 4;
-
-  Simulation serial(c);
-  const SimulationResult a = serial.run();
-
-  experiments::ThreadPool pool(4);
-  Simulation pooled(c);
-  pooled.set_shard_executor(experiments::shard_pool_executor(pool));
-  const SimulationResult b = pooled.run();
-
-  expect_bit_identical(a, b);
-}
-
-// The lane-bounded executor (roccsweep's oversubscription clamp) strides
-// shards across a fixed number of threads; every lane count must reproduce
-// the serial results bit-exactly, including lanes > shard count.
+// The pool executor strides shards across a fixed number of lanes; every
+// lane count must reproduce the serial results bit-exactly: one lane, fewer
+// lanes than shards (the tools' oversubscription clamp), one lane per shard,
+// and more lanes than shards.
 TEST(PdesInvariance, LaneBoundedExecutorBitIdenticalToSerial) {
   auto c = pdes_config(8);
   c.faults = FaultPlan::parse(
@@ -358,7 +341,7 @@ TEST(PdesInvariance, LaneBoundedExecutorBitIdenticalToSerial) {
   const SimulationResult a = serial.run();
 
   experiments::ThreadPool pool(4);
-  for (const std::size_t lanes : {1u, 2u, 3u, 8u}) {
+  for (const std::size_t lanes : {1u, 2u, 3u, 4u, 8u}) {
     Simulation pooled(c);
     pooled.set_shard_executor(experiments::shard_pool_executor(pool, lanes));
     const SimulationResult b = pooled.run();

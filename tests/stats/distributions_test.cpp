@@ -158,6 +158,10 @@ struct DistCase {
   DistributionPtr dist;
 };
 
+// Print the case by name: gtest's default dumps the struct's bytes, heap
+// pointers included, into the test name, which then differs run to run.
+void PrintTo(const DistCase& c, std::ostream* os) { *os << c.name; }
+
 class DistributionProperty : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(DistributionProperty, CdfIsMonotoneNonDecreasing) {

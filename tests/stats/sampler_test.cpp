@@ -1,7 +1,7 @@
-// Unit tests of FrozenSampler: bit-exact reproduction of historical streams
-// under the Reference backend, distributional agreement of the Ziggurat
-// backend, and rejection of unknown Distribution subclasses (the retired
-// virtual fallback).
+// Unit tests of FrozenSampler: distributional agreement with the compiled
+// Distribution (whose virtual sample() is the reference path), and
+// rejection of unknown Distribution subclasses (the retired virtual
+// fallback).
 #include "stats/sampler.hpp"
 
 #include <gtest/gtest.h>
@@ -41,26 +41,12 @@ TEST(FrozenSampler, DefaultConstructedDrawsZeroWithoutConsumingRandomness) {
   EXPECT_EQ(rng.next_u64(), des::RngStream(before).next_u64());
 }
 
-// The Reference backend exists so --reference-rng replays pre-ziggurat
-// experiments exactly: each draw must bit-match the virtual sample().
-TEST(FrozenSampler, ReferenceBackendBitMatchesVirtualSample) {
-  for (const auto& dist : known_families()) {
-    const auto sampler = FrozenSampler::compile(dist, SamplerBackend::Reference);
-    des::RngStream rng_frozen(5, 17);
-    des::RngStream rng_virtual(5, 17);
-    for (int i = 0; i < 1'000; ++i) {
-      ASSERT_EQ(sampler(rng_frozen), dist->sample(rng_virtual))
-          << dist->describe() << " draw " << i;
-    }
-  }
-}
-
-// The Ziggurat backend draws a different sequence but must still follow
-// the compiled distribution.
+// The ziggurat draws a different sequence than the virtual sample() but
+// must still follow the compiled distribution.
 TEST(FrozenSampler, ZigguratBackendPassesKsAgainstDistributionCdf) {
   for (const auto& dist : known_families()) {
     if (dist->name() == "deterministic") continue;  // cdf is a step function
-    const auto sampler = FrozenSampler::compile(dist, SamplerBackend::Ziggurat);
+    const auto sampler = FrozenSampler::compile(dist);
     des::RngStream rng(29, 3);
     std::vector<double> xs(100'000);
     for (double& x : xs) x = sampler(rng);
@@ -69,26 +55,27 @@ TEST(FrozenSampler, ZigguratBackendPassesKsAgainstDistributionCdf) {
   }
 }
 
+// Both paths, the frozen sampler and the reference virtual sample().
 TEST(FrozenSampler, BothBackendsAgreeWithAnalyticMoments) {
   constexpr std::size_t kDraws = 200'000;
   for (const auto& dist : known_families()) {
-    for (const auto backend : {SamplerBackend::Ziggurat, SamplerBackend::Reference}) {
-      const auto sampler = FrozenSampler::compile(dist, backend);
+    const auto sampler = FrozenSampler::compile(dist);
+    for (const bool frozen : {true, false}) {
       des::RngStream rng(31, 7);
       double sum = 0.0;
-      for (std::size_t i = 0; i < kDraws; ++i) sum += sampler(rng);
+      for (std::size_t i = 0; i < kDraws; ++i) sum += frozen ? sampler(rng) : dist->sample(rng);
       const double mean = sum / static_cast<double>(kDraws);
       // 5 sigma of the sample-mean estimator.
       const double tol =
           5.0 * std::sqrt(dist->variance() / static_cast<double>(kDraws)) + 1e-12;
-      EXPECT_NEAR(mean, dist->mean(), tol) << dist->describe() << " " << to_string(backend);
+      EXPECT_NEAR(mean, dist->mean(), tol)
+          << dist->describe() << (frozen ? " frozen" : " virtual");
     }
   }
 }
 
 TEST(FrozenSampler, UniformStaysInRange) {
-  const auto sampler =
-      FrozenSampler::compile(std::make_shared<Uniform>(10.0, 50.0), SamplerBackend::Ziggurat);
+  const auto sampler = FrozenSampler::compile(std::make_shared<Uniform>(10.0, 50.0));
   des::RngStream rng(3, 3);
   for (int i = 0; i < 10'000; ++i) {
     const double x = sampler(rng);
@@ -97,29 +84,14 @@ TEST(FrozenSampler, UniformStaysInRange) {
   }
 }
 
-// Empirical under the Reference backend keeps the historical inline
-// inverse-CDF and must bit-match the virtual Distribution::sample() stream
-// — the --reference-rng oracle.  (The Ziggurat backend switched to the
-// Walker alias table, a different stream; see the tests below and the
-// stat_equiv suite.)
-TEST(FrozenSampler, EmpiricalReferenceBackendBitMatchesVirtualSample) {
-  const std::vector<double> data{1.0, 2.0, 4.0, 8.0, 16.0};
-  const DistributionPtr dist = std::make_shared<Empirical>(data);
-  const auto sampler = FrozenSampler::compile(dist, SamplerBackend::Reference);
-  des::RngStream rng_frozen(9, 9);
-  des::RngStream rng_virtual(9, 9);
-  for (int i = 0; i < 1'000; ++i) {
-    ASSERT_EQ(sampler(rng_frozen), dist->sample(rng_virtual)) << " draw " << i;
-  }
-}
-
-// The Ziggurat backend's alias table is the same mixture of CDF segments
-// as the quantile path: values stay inside the sample's hull and the mean
-// agrees with the distribution (full KS gate lives in stat_equiv).
+// The frozen Empirical's alias table is the same mixture of CDF segments
+// as the virtual sample()'s quantile path: values stay inside the sample's
+// hull and the mean agrees with the distribution (full KS gate lives in
+// stat_equiv).
 TEST(FrozenSampler, EmpiricalZigguratBackendAliasAgreesWithMoments) {
   const std::vector<double> data{1.0, 2.0, 2.0, 4.0, 8.0, 16.0, 16.0, 31.0};
   const DistributionPtr dist = std::make_shared<Empirical>(data);
-  const auto sampler = FrozenSampler::compile(dist, SamplerBackend::Ziggurat);
+  const auto sampler = FrozenSampler::compile(dist);
   des::RngStream rng(9, 9);
   constexpr std::size_t kDraws = 200'000;
   double sum = 0.0;
@@ -169,10 +141,7 @@ TEST(FrozenSampler, UnknownSubclassIsRejected) {
     [[nodiscard]] double quantile(double) const override { return 0.0; }
     [[nodiscard]] double sample(des::Pcg32&) const override { return 0.0; }
   };
-  for (const auto backend : {SamplerBackend::Ziggurat, SamplerBackend::Reference}) {
-    EXPECT_THROW((void)FrozenSampler::compile(std::make_shared<Mystery>(), backend),
-                 std::invalid_argument);
-  }
+  EXPECT_THROW((void)FrozenSampler::compile(std::make_shared<Mystery>()), std::invalid_argument);
 }
 
 }  // namespace

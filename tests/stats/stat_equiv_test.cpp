@@ -1,7 +1,9 @@
-// Statistical-equivalence acceptance tests for the ziggurat engine
-// (ISSUE 5): at n = 1e6 per family, a one-sample KS test against the
-// analytic CDF must not reject at the 1% level, and the first two sample
-// moments must agree with the analytic moments within 5 standard errors.
+// Statistical-equivalence acceptance tests for the ziggurat engine: at
+// n = 1e6 per family, a one-sample KS test against the analytic CDF must
+// not reject at the 1% level, and the first two sample moments must agree
+// with the analytic moments within 5 standard errors.  Each family is drawn
+// twice: through FrozenSampler (the simulator's path) and through the
+// virtual Distribution::sample() (the reference path).
 //
 // These run under the `stat_equiv` ctest label in the Release-mode CI job
 // (they draw tens of millions of variates, too slow for the sanitizer
@@ -9,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "des/random.hpp"
@@ -26,6 +30,19 @@ constexpr std::size_t kDraws = 1'000'000;
 constexpr double kAlpha = 0.01;
 
 double standard_normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+/// The two ways to draw from `dist`: the frozen ziggurat / alias-table
+/// sampler, and the reference virtual sample().
+struct Path {
+  const char* name;
+  std::function<double(des::Pcg32&)> draw;
+};
+
+std::vector<Path> both_paths(const DistributionPtr& dist) {
+  const auto sampler = FrozenSampler::compile(dist);
+  return {{"ziggurat", [sampler](des::Pcg32& rng) { return sampler(rng); }},
+          {"reference", [dist](des::Pcg32& rng) { return dist->sample(rng); }}};
+}
 
 void expect_ks_accepts(const std::vector<double>& xs, const CdfFn& cdf, const char* what) {
   const auto result = ks_test(xs, cdf);
@@ -66,7 +83,7 @@ TEST(StatEquiv, ZigguratExponentialMatchesAnalyticCdf) {
   expect_moments(xs, 1.0, 1.0, "ziggurat exponential");
 }
 
-/// Every continuous family, both backends, against its own CDF.
+/// Every continuous family, both paths, against its own CDF.
 TEST(StatEquiv, FrozenSamplerMatchesDistributionCdfUnderBothBackends) {
   const std::vector<DistributionPtr> families = {
       std::make_shared<Exponential>(223.0),
@@ -75,12 +92,12 @@ TEST(StatEquiv, FrozenSamplerMatchesDistributionCdfUnderBothBackends) {
       std::make_shared<Uniform>(10.0, 50.0),
   };
   for (const auto& dist : families) {
-    for (const auto backend : {SamplerBackend::Ziggurat, SamplerBackend::Reference}) {
-      const auto sampler = FrozenSampler::compile(dist, backend);
-      des::RngStream rng(103, backend == SamplerBackend::Ziggurat ? 1u : 2u);
+    std::uint64_t stream = 1;
+    for (const Path& path : both_paths(dist)) {
+      des::RngStream rng(103, stream++);
       std::vector<double> xs(kDraws);
-      for (double& x : xs) x = sampler(rng);
-      const std::string what = dist->describe() + " / " + to_string(backend);
+      for (double& x : xs) x = path.draw(rng);
+      const std::string what = dist->describe() + " / " + path.name;
       expect_ks_accepts(xs, [&dist](double x) { return dist->cdf(x); }, what.c_str());
       expect_moments(xs, dist->mean(), dist->variance(), what.c_str());
     }
@@ -88,9 +105,9 @@ TEST(StatEquiv, FrozenSamplerMatchesDistributionCdfUnderBothBackends) {
 }
 
 /// Empirical via the Walker alias table: the O(1) sampler replaced the
-/// inline quantile search on the Ziggurat backend, changing the consumed
-/// stream, so the new path re-proves itself against the interpolated
-/// empirical CDF — the distribution BOTH paths sample.
+/// inline quantile search, changing the consumed stream, so it re-proves
+/// itself against the interpolated empirical CDF — the distribution both
+/// it and the virtual sample()'s quantile path draw from.
 /// Distinct order statistics keep the CDF continuous (a KS requirement).
 TEST(StatEquiv, EmpiricalAliasTableMatchesInterpolatedCdf) {
   std::vector<double> data;
@@ -117,32 +134,29 @@ TEST(StatEquiv, EmpiricalAliasTableMatchesInterpolatedCdf) {
   mix_second /= static_cast<double>(data.size() - 1);
   const double mix_var = mix_second - mix_mean * mix_mean;
 
-  for (const auto backend : {SamplerBackend::Ziggurat, SamplerBackend::Reference}) {
-    const auto sampler = FrozenSampler::compile(dist, backend);
-    des::RngStream rng(211, backend == SamplerBackend::Ziggurat ? 2u : 3u);
+  std::uint64_t stream = 2;
+  for (const Path& path : both_paths(dist)) {
+    des::RngStream rng(211, stream++);
     std::vector<double> xs(kDraws);
-    const std::string what =
-        std::string("empirical / ") + to_string(backend) +
-        (backend == SamplerBackend::Ziggurat ? " (alias table)" : " (quantile)");
-    for (double& x : xs) x = sampler(rng);
+    const std::string what = std::string("empirical / ") + path.name;
+    for (double& x : xs) x = path.draw(rng);
     expect_ks_accepts(xs, [&dist](double x) { return dist->cdf(x); }, what.c_str());
     expect_moments(xs, mix_mean, mix_var, what.c_str());
   }
 }
 
-/// The two backends must agree with each other distributionally: pooled
-/// two-backend comparison via each backend against the shared model CDF is
-/// covered above; here the sample means must be within joint noise.
+/// The two paths must agree with each other distributionally: each path
+/// against the shared model CDF is covered above; here the sample means
+/// must be within joint noise.
 TEST(StatEquiv, BackendsAgreeOnSampleMean) {
-  const auto dist =
+  const DistributionPtr dist =
       std::make_shared<Lognormal>(Lognormal::from_mean_stddev(2213.0, 3034.0));
   double means[2] = {0.0, 0.0};
   int slot = 0;
-  for (const auto backend : {SamplerBackend::Ziggurat, SamplerBackend::Reference}) {
-    const auto sampler = FrozenSampler::compile(dist, backend);
+  for (const Path& path : both_paths(dist)) {
     des::RngStream rng(107, 5);
     double sum = 0.0;
-    for (std::size_t i = 0; i < kDraws; ++i) sum += sampler(rng);
+    for (std::size_t i = 0; i < kDraws; ++i) sum += path.draw(rng);
     means[slot++] = sum / static_cast<double>(kDraws);
   }
   const double se = std::sqrt(2.0 * dist->variance() / static_cast<double>(kDraws));

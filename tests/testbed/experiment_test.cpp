@@ -22,7 +22,7 @@ TestbedConfig quick(const std::string& workload, int batch) {
 TEST(CpuTimer, MeasuresSpinning) {
   const double before = thread_cpu_seconds();
   volatile double sink = 0.0;
-  for (int i = 0; i < 2'000'000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 2'000'000; ++i) sink = sink + i * 0.5;
   const double after = thread_cpu_seconds();
   EXPECT_GT(after, before);
   const long long a = monotonic_ns();

@@ -67,7 +67,9 @@ TEST(Generator, MainParadynOnlyOnNodeZero) {
   const auto model = Sp2TraceModel::paper_pvmbt(5e6);
   const auto records = generate_trace(model, 4, 13);
   for (const auto& r : records) {
-    if (r.pclass == ProcessClass::MainParadyn) EXPECT_EQ(r.node, 0);
+    if (r.pclass == ProcessClass::MainParadyn) {
+      EXPECT_EQ(r.node, 0);
+    }
   }
 }
 

@@ -73,8 +73,6 @@ void print_help() {
       "  --adaptive-sampling [X] closed-loop per-daemon sampling throttle; optional X\n"
       "                          = predicted-perturbation budget in %% (default 5)\n"
       "  --seed N                RNG seed; default 1\n"
-      "  --reference-rng         draw variates with the pre-ziggurat reference\n"
-      "                          backend (bit-reproduces pre-PR-5 streams)\n"
       "  --reps N                replications with 90% CIs; default 1\n"
       "  --jobs N                worker threads for the replications; default: all\n"
       "                          hardware threads, 1 = serial (results identical)\n"
@@ -163,11 +161,10 @@ int main(int argc, char** argv) {
     const tools::CliArgs args(
         argc, argv,
         {"arch", "nodes", "apps", "daemons", "sampling-ms", "batch", "topology", "barrier-ms",
-         "pipe", "seconds", "warmup", "shards", "uplink-ms", "seed", "reference-rng", "reps",
-         "jobs", "uninstrumented", "dedicated-main",
-         "adaptive-budget", "fault", "repair", "adaptive-sampling", "trace", "trace-events",
-         "metrics",
-         "metrics-tick-ms", "progress", "report-json", "profile", "metrics-json", "help"});
+         "pipe", "seconds", "warmup", "shards", "uplink-ms", "seed", "reps", "jobs",
+         "uninstrumented", "dedicated-main", "adaptive-budget", "fault", "repair",
+         "adaptive-sampling", "trace", "trace-events", "metrics", "metrics-tick-ms", "progress",
+         "report-json", "profile", "metrics-json", "help"});
     if (args.get_bool("help")) {
       print_help();
       return 0;
@@ -218,7 +215,6 @@ int main(int argc, char** argv) {
       }
     }
     cfg.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-    cfg.reference_rng = args.get_bool("reference-rng");
     cfg.instrumentation_enabled = !args.get_bool("uninstrumented");
     cfg.main_on_dedicated_host = args.get_bool("dedicated-main");
     cfg.validate();

@@ -52,7 +52,6 @@ void print_help() {
       "                     needs --uplink-ms > 0 and rejects SMP and barriers\n"
       "  --uplink-ms X      daemon uplink latency in ms — part of the model, and\n"
       "                     the cross-shard lookahead; default 0\n"
-      "  --reference-rng    pre-ziggurat variate backend (pre-PR-5 streams)\n"
       "  --jobs N           worker threads per replication set; default: all\n"
       "                     hardware threads, 1 = serial (results identical).\n"
       "                     Shard workers are clamped per job so --jobs x --shards\n"
@@ -342,8 +341,8 @@ int main(int argc, char** argv) {
     const tools::CliArgs args(
         argc, argv,
         {"axis", "values", "arch", "nodes", "apps", "daemons", "sampling-ms", "batch",
-         "topology", "seconds", "reps", "seed", "shards", "uplink-ms", "reference-rng", "jobs",
-         "progress", "report-json", "fault-grid", "repair-grid", "help"});
+         "topology", "seconds", "reps", "seed", "shards", "uplink-ms", "jobs", "progress",
+         "report-json", "fault-grid", "repair-grid", "help"});
     const bool grid_mode = args.get_bool("fault-grid");
     const bool repair_grid_mode = args.get_bool("repair-grid");
     if (args.get_bool("help") ||
@@ -384,7 +383,6 @@ int main(int argc, char** argv) {
     base.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
     base.shards = static_cast<std::int32_t>(args.get_long("shards", 0));
     base.uplink_latency_us = args.get_double("uplink-ms", 0.0) * 1'000.0;
-    base.reference_rng = args.get_bool("reference-rng");
 
     if (args.get_bool("progress")) experiments::set_progress_stream(&std::cerr);
     const std::string report_file = args.get_string("report-json", "");

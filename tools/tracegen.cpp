@@ -23,7 +23,6 @@ void print_help() {
       "  --seconds X      generate X seconds of trace (default 10)\n"
       "  --nodes N        nodes to trace (default 1)\n"
       "  --seed N         RNG seed (default 1)\n"
-      "  --reference-rng  pre-ziggurat variate backend (pre-PR-5 streams)\n"
       "  --out FILE       write the generated trace as CSV\n"
       "  --in FILE        read a trace CSV instead of generating\n"
       "  --stats          print Table 1-style occupancy statistics\n"
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
   try {
     const tools::CliArgs args(
         argc, argv,
-        {"seconds", "nodes", "seed", "reference-rng", "out", "in", "stats", "fit", "help"});
+        {"seconds", "nodes", "seed", "out", "in", "stats", "fit", "help"});
     if (args.get_bool("help")) {
       print_help();
       return 0;
@@ -53,9 +52,8 @@ int main(int argc, char** argv) {
       const double seconds = args.get_double("seconds", 10.0);
       const auto nodes = static_cast<std::int32_t>(args.get_long("nodes", 1));
       const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-      trace::Sp2TraceModel model = trace::Sp2TraceModel::paper_pvmbt(seconds * 1e6);
-      if (args.get_bool("reference-rng")) model.backend = stats::SamplerBackend::Reference;
-      records = trace::generate_trace(model, nodes, seed);
+      records = trace::generate_trace(trace::Sp2TraceModel::paper_pvmbt(seconds * 1e6), nodes,
+                                      seed);
       std::printf("generated %zu records (%.1f s, %d node(s), seed %llu)\n", records.size(),
                   seconds, nodes, static_cast<unsigned long long>(seed));
     }
