@@ -1,8 +1,11 @@
 #include "testbed/channel.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
@@ -10,10 +13,10 @@
 
 namespace paradyn::testbed {
 
-SampleChannel::SampleChannel() {
+SampleChannel::SampleChannel(Framing framing) : framing_(framing) {
   int fds[2];
-  if (::pipe(fds) != 0) {
-    throw std::system_error(errno, std::generic_category(), "pipe");
+  if (::pipe2(fds, framing == Framing::kPacket ? O_DIRECT : 0) != 0) {
+    throw std::system_error(errno, std::generic_category(), "pipe2");
   }
   read_fd_ = fds[0];
   write_fd_ = fds[1];
@@ -22,7 +25,16 @@ SampleChannel::SampleChannel() {
 SampleChannel::SampleChannel(SampleChannel&& other) noexcept
     : read_fd_(std::exchange(other.read_fd_, -1)),
       write_fd_(std::exchange(other.write_fd_, -1)),
+      framing_(other.framing_),
       rx_partial_(std::move(other.rx_partial_)) {}
+
+std::size_t SampleChannel::min_packet_read() {
+  // pipe(2) promises that PIPE_BUF bytes hold any packet, but Linux fills
+  // one page per packet, so take the page where it is larger.
+  static const std::size_t bytes =
+      std::max<std::size_t>(PIPE_BUF, static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)));
+  return (bytes + sizeof(WireSample) - 1) / sizeof(WireSample);
+}
 
 SampleChannel::~SampleChannel() {
   close_write();
@@ -87,6 +99,10 @@ std::optional<WireSample> SampleChannel::read_sample() {
 }
 
 std::vector<WireSample> SampleChannel::read_some(std::size_t max) {
+  if (framing_ == Framing::kPacket && max < min_packet_read()) {
+    throw std::invalid_argument(
+        "SampleChannel::read_some: a packet read must hold a whole packet");
+  }
   if (max == 0) return {};
   std::vector<WireSample> out;
   std::vector<unsigned char> buffer(rx_partial_);

@@ -108,10 +108,15 @@ void daemon_main(const TestbedConfig& cfg, std::vector<SampleChannel*> from_apps
 }
 
 /// Collector thread ("main Paradyn"): receive from all daemons, timestamp,
-/// aggregate.
+/// aggregate.  The daemon channels carry packets, so each read_some below
+/// receives one forward: the CF/BF difference shows up as the number of
+/// receives, whichever CPU the kernel wakes this thread on.
 void collector_main(std::vector<SampleChannel*> from_daemons, double& cpu_out,
-                    std::uint64_t& received_out, stats::SummaryStats& latency_out) {
+                    std::uint64_t& received_out, std::uint64_t& reads_out,
+                    stats::SummaryStats& latency_out) {
+  const std::size_t read_max = SampleChannel::min_packet_read();
   std::uint64_t received = 0;
+  std::uint64_t reads = 0;
   stats::SummaryStats latency;
   double aggregate = 0.0;
 
@@ -131,12 +136,13 @@ void collector_main(std::vector<SampleChannel*> from_daemons, double& cpu_out,
     }
     for (std::size_t i = 0; i < from_daemons.size(); ++i) {
       if (!open[i] || (fds[i].revents & (POLLIN | POLLHUP)) == 0) continue;
-      const auto samples = from_daemons[i]->read_some(256);
+      const auto samples = from_daemons[i]->read_some(read_max);
       if (samples.empty()) {
         open[i] = false;
         --open_count;
         continue;
       }
+      ++reads;
       const long long now = monotonic_ns();
       for (const auto& s : samples) {
         latency.add(static_cast<double>(now - s.generated_ns) / 1e6);
@@ -147,6 +153,7 @@ void collector_main(std::vector<SampleChannel*> from_daemons, double& cpu_out,
   }
   (void)aggregate;
   received_out = received;
+  reads_out = reads;
   latency_out = latency;
   cpu_out = thread_cpu_seconds();
 }
@@ -199,7 +206,8 @@ TestbedResult run_testbed(const TestbedConfig& config) {
   std::vector<std::unique_ptr<SampleChannel>> daemon_channels;
   std::vector<SampleChannel*> collector_inputs;
   for (std::size_t d = 0; d < num_daemons; ++d) {
-    daemon_channels.push_back(std::make_unique<SampleChannel>());
+    daemon_channels.push_back(
+        std::make_unique<SampleChannel>(SampleChannel::Framing::kPacket));
     collector_inputs.push_back(daemon_channels.back().get());
   }
 
@@ -224,7 +232,8 @@ TestbedResult run_testbed(const TestbedConfig& config) {
                          std::ref(daemon_syscalls[d]));
   }
   std::thread collector(collector_main, collector_inputs, std::ref(result.collector_cpu_sec),
-                        std::ref(result.samples_received), std::ref(result.latency_ms));
+                        std::ref(result.samples_received), std::ref(result.collector_reads),
+                        std::ref(result.latency_ms));
 
   std::this_thread::sleep_for(std::chrono::duration<double>(config.duration_sec));
   stop.store(true, std::memory_order_relaxed);

@@ -7,10 +7,14 @@
 // The application thread runs a NAS-like kernel (bt or is) and, every
 // sampling period, writes `metrics_per_sample` instrumentation samples into
 // its pipe (Paradyn samples one value per enabled metric-focus pair).  The
-// daemon drains the pipes and forwards to the collector under CF (one
-// write(2) per sample) or BF (one write(2) per batch).  Per-thread CPU
-// times are measured with CLOCK_THREAD_CPUTIME_ID, standing in for the
-// paper's AIX trace analysis.
+// daemon drains the pipes in bulk and forwards to the collector under CF
+// (one write(2) per sample) or BF (one write(2) per batch).  The daemon ->
+// collector pipe is in packet mode, so it carries one message per forward
+// and the collector receives each with its own read(2): the main process's
+// cost follows the number of forwards, as in the paper, and not the CPU the
+// kernel happens to wake the collector on.  Per-thread CPU times are
+// measured with CLOCK_THREAD_CPUTIME_ID, standing in for the paper's AIX
+// trace analysis.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +45,7 @@ struct TestbedResult {
   std::uint64_t samples_sent = 0;
   std::uint64_t samples_received = 0;
   std::uint64_t forward_syscalls = 0;  ///< write(2) calls daemon -> collector.
+  std::uint64_t collector_reads = 0;   ///< Non-empty reads; one per forward that fits a packet.
   std::uint64_t app_chunks = 0;        ///< Workload progress (perturbation check).
   stats::SummaryStats latency_ms;      ///< Generation -> collector receipt.
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -99,6 +101,64 @@ TEST(SampleChannel, MoveTransfersOwnership) {
   const auto got = b.read_sample();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->app_id, 5);
+}
+
+TEST(SampleChannel, PacketReadReturnsOneWrite) {
+  // Three writes queued before the first read: a byte stream would hand
+  // all six samples to one read, a packet channel hands back one write each.
+  SampleChannel ch(SampleChannel::Framing::kPacket);
+  const std::vector<WireSample> pair{make(0, 0.0), make(1, 1.0)};
+  const std::vector<WireSample> triple{make(3, 3.0), make(4, 4.0), make(5, 5.0)};
+  ch.write_batch(pair);
+  ch.write_sample(make(2, 2.0));
+  ch.write_batch(triple);
+  ch.close_write();
+  const std::size_t max = SampleChannel::min_packet_read();
+  const auto first = ch.read_some(max);
+  const auto second = ch.read_some(max);
+  const auto third = ch.read_some(max);
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 1u);
+  ASSERT_EQ(third.size(), 3u);
+  EXPECT_EQ(first[1].app_id, 1);
+  EXPECT_EQ(second[0].app_id, 2);
+  EXPECT_EQ(third[2].app_id, 5);
+  EXPECT_TRUE(ch.read_some(max).empty());  // EOF
+}
+
+TEST(SampleChannel, PacketBatchOverPipeBufArrivesWhole) {
+  // 200 samples (4,800 bytes) exceed one packet: the kernel splits the
+  // write, and the carry-over rejoins the record cut between packets.
+  SampleChannel ch(SampleChannel::Framing::kPacket);
+  std::vector<WireSample> batch;
+  for (int i = 0; i < 200; ++i) batch.push_back(make(i, i * 0.25));
+  ch.write_batch(batch);
+  ch.close_write();
+  std::vector<WireSample> got;
+  while (true) {
+    const auto samples = ch.read_some(SampleChannel::min_packet_read());
+    if (samples.empty()) break;
+    got.insert(got.end(), samples.begin(), samples.end());
+  }
+  ASSERT_EQ(got.size(), batch.size());
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)].app_id, i);
+    EXPECT_DOUBLE_EQ(got[static_cast<std::size_t>(i)].value, i * 0.25);
+  }
+}
+
+TEST(SampleChannel, ShortPacketReadThrows) {
+  // A read(2) shorter than the packet discards the packet's rest.
+  SampleChannel ch(SampleChannel::Framing::kPacket);
+  ch.write_sample(make(1, 1.0));
+  EXPECT_THROW((void)ch.read_some(100), std::invalid_argument);
+  EXPECT_THROW((void)ch.read_some(SampleChannel::min_packet_read() - 1),
+               std::invalid_argument);
+  EXPECT_GE(SampleChannel::min_packet_read() * sizeof(WireSample),
+            static_cast<std::size_t>(PIPE_BUF));
+  const auto got = ch.read_some(SampleChannel::min_packet_read());
+  ASSERT_EQ(got.size(), 1u);  // the refused read consumed nothing
+  EXPECT_EQ(got[0].app_id, 1);
 }
 
 TEST(SampleChannel, CloseIsIdempotent) {

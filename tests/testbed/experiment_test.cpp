@@ -79,6 +79,19 @@ TEST(Testbed, BfAmortizesForwardSyscalls) {
   EXPECT_NEAR(static_cast<double>(r.forward_syscalls), static_cast<double>(expected), 2.0);
 }
 
+TEST(Testbed, CollectorReadsOncePerForward) {
+  // The daemon -> collector channel carries messages, so the collector's
+  // receive count follows the forward count under both policies, however
+  // the kernel schedules the threads.  No clock enters the assertion.
+  for (const int batch : {1, 32}) {
+    SCOPED_TRACE(batch);
+    const auto r = run_testbed(quick("bt", batch));
+    EXPECT_GT(r.forward_syscalls, 0u);
+    EXPECT_EQ(r.collector_reads, r.forward_syscalls);
+    EXPECT_EQ(r.samples_received, r.samples_sent);
+  }
+}
+
 TEST(Testbed, BfReducesDaemonAndCollectorCpu) {
   // The paper's measured result (Figure 30): >60% Pd overhead reduction
   // and ~80% main-process reduction.  Thread CPU clocks are noisy at this
