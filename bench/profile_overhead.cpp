@@ -13,6 +13,9 @@
 //                             representative trace (parse + reduce), the
 //                             `roccprof FILE` path.  Coarse collapse guard
 //                             only; the throughput is also reported.
+//   trace_export_wall_seconds wall time of write_chrome_json of the same
+//                             trace into a string stream, the `--trace
+//                             FILE` export.  Coarse collapse guard only.
 //
 // Both are emitted through --bench-json for tools/bench_compare.
 #include <algorithm>
@@ -123,24 +126,28 @@ int main(int argc, char** argv) {
   const double off_overhead_pct =
       0.5 * (lower_quartile(overheads_plain_first) + lower_quartile(overheads_off_first));
 
-  // The roccprof path: record a representative trace once, then time the
-  // streaming parse + reduction over its JSON form.
+  // The export and roccprof paths: record a representative trace once,
+  // then time its export to JSON and the streaming parse + reduction of
+  // that JSON, best of kRounds each.
   obs::TraceRecorder recorder(1u << 20);
   obs::Tracer tracer = recorder.create_tracer();
   rocc::Simulation traced(cfg);
   traced.set_tracer(&tracer);
   (void)traced.run();
+  constexpr int kRounds = 9;
   std::string json;
-  {
+  double export_sec = 1e30;
+  for (int i = 0; i < kRounds; ++i) {
     std::ostringstream os;
+    const bench::WallTimer t;
     recorder.write_chrome_json(os);
+    export_sec = std::min(export_sec, t.seconds());
     json = os.str();
   }
 
   double analyze_sec = 1e30;
   std::uint64_t analyzed_events = 0;
-  constexpr int kAnalyzeRounds = 9;
-  for (int i = 0; i < kAnalyzeRounds; ++i) {
+  for (int i = 0; i < kRounds; ++i) {
     std::istringstream is(json);
     const bench::WallTimer t;
     const auto report = obs::profile_trace_stream(is);
@@ -155,6 +162,8 @@ int main(int argc, char** argv) {
   std::printf("  %-28s %12.0f ev/s\n", "plain (no tracer)", plain_eps);
   std::printf("  %-28s %12.0f ev/s\n", "profiling off, armed", off_eps);
   std::printf("  %-28s %12.3f %%\n", "profile_off_overhead_pct", off_overhead_pct);
+  std::printf("  %-28s %12.3f s  (%.1f MB)\n", "trace_export_wall_seconds", export_sec,
+              static_cast<double>(json.size()) / 1e6);
   std::printf("  %-28s %12.3f s  (%zu events, %.1f M ev/s)\n", "roccprof_wall_seconds",
               analyze_sec, static_cast<std::size_t>(analyzed_events), analyze_meps);
 
@@ -163,6 +172,7 @@ int main(int argc, char** argv) {
                                            {"profile_plain_eps", plain_eps},
                                            {"profile_off_eps", off_eps},
                                            {"profile_off_overhead_pct", off_overhead_pct},
+                                           {"trace_export_wall_seconds", export_sec},
                                            {"roccprof_wall_seconds", analyze_sec},
                                            {"profile_analyze_meps", analyze_meps},
                                        });

@@ -1,5 +1,6 @@
 // Open-addressing hash map keyed by a pair of 64-bit words: the profiler's
-// open sample-lifecycle chains, looked up once or more per trace event.
+// open sample-lifecycle chains and per-track accumulators, looked up once
+// or more per trace event.
 #pragma once
 
 #include <cstddef>

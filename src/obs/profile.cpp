@@ -128,21 +128,61 @@ void Profiler::touch_ts(double ts) {
   have_ts_ = true;
 }
 
+template <class T>
+T& Profiler::WindowSeries<T>::operator[](std::size_t idx) {
+  if (idx < dense_.size()) return dense_[idx];
+  // A trace's clock advances window by window, so its windows join the
+  // dense run, as do those of a ring that kept only a late stretch of a
+  // long run (up to 1.8 simulated hours at 100 ms windows).  A window
+  // further out, a lone far timestamp, costs one map entry.
+  constexpr std::size_t kDenseReach = std::size_t{1} << 16;
+  if (idx - dense_.size() >= kDenseReach) return far_[idx];
+  dense_.resize(idx + 1);
+  while (!far_.empty() && far_.begin()->first <= idx) {
+    dense_[far_.begin()->first] = std::move(far_.begin()->second);
+    far_.erase(far_.begin());
+  }
+  return dense_[idx];
+}
+
+template <class T>
+std::size_t Profiler::WindowSeries<T>::end() const noexcept {
+  return far_.empty() ? dense_.size() : far_.rbegin()->first + 1;
+}
+
+template <class T>
+template <class Fn>
+void Profiler::WindowSeries<T>::for_each(Fn&& fn) const {
+  for (std::size_t i = 0; i < dense_.size(); ++i) fn(i, dense_[i]);
+  for (const auto& [i, value] : far_) fn(i, value);
+}
+
 Profiler::Window& Profiler::window_at(double ts) {
   double idx_f = ts / options_.window_us;
   if (!(idx_f >= 0.0)) idx_f = 0.0;  // negative / NaN timestamps -> window 0
   // Absurd timestamps from malformed traces land in the last window.
   const std::size_t idx =
       idx_f < static_cast<double>(kMaxWindows) ? static_cast<std::size_t>(idx_f) : kMaxWindows - 1;
-  if (idx >= windows_.size()) windows_.resize(idx + 1);
   return windows_[idx];
+}
+
+Profiler::ResourceAccum& Profiler::resource(std::int64_t pid, std::int32_t track) {
+  const auto [index, added] =
+      resource_index_.emplace(static_cast<std::uint64_t>(pid), static_cast<std::uint32_t>(track),
+                              static_cast<std::uint32_t>(resources_.size()));
+  if (added) {
+    ResourceAccum& res = resources_.emplace_back();
+    res.pid = pid;
+    res.track = track;
+    res.coalesce_gap_us = options_.coalesce_gap_us;
+  }
+  return resources_[*index];
 }
 
 void Profiler::observe_span(std::int64_t pid, std::int32_t track, bool cpu, double ts,
                             double dur) {
   if (dur < 0.0 || !std::isfinite(dur)) dur = 0.0;
-  ResourceAccum& res = resources_[{pid, track}];
-  if (res.spans == 0) res.coalesce_gap_us = options_.coalesce_gap_us;
+  ResourceAccum& res = resource(pid, track);
   ++res.spans;
   merge_busy_interval(res.intervals, ts, ts + dur, res.coalesce_gap_us);
   // Bounded memory on any input: if the timeline fragments past the cap,
@@ -160,7 +200,6 @@ void Profiler::observe_span(std::int64_t pid, std::int32_t track, bool cpu, doub
   // the span overlaps, up to the window cap (the hypothesis pass never
   // looks past it).
   if (cpu && dur > 0.0) {
-    auto& busy = cpu_busy_[{pid, track}];
     const double w = options_.window_us;
     double s = std::max(ts, 0.0);
     const double e = std::max(ts + dur, s);
@@ -168,8 +207,7 @@ void Profiler::observe_span(std::int64_t pid, std::int32_t track, bool cpu, doub
       const auto idx = static_cast<std::size_t>(s / w);
       const double win_end = (static_cast<double>(idx) + 1.0) * w;
       const double chunk = std::min(e, win_end) - s;
-      if (idx >= busy.size()) busy.resize(idx + 1, 0.0);
-      busy[idx] += chunk;
+      res.cpu_busy[idx] += chunk;
       if (win_end <= s) break;  // paranoia against FP non-progress
       s = win_end;
     }
@@ -348,15 +386,23 @@ ProfileReport Profiler::finalize() {
     }
   }
 
+  // Resources in (pid, track) order, as reports and ties expect.
+  std::vector<const ResourceAccum*> by_key;
+  by_key.reserve(resources_.size());
+  for (const ResourceAccum& r : resources_) by_key.push_back(&r);
+  std::sort(by_key.begin(), by_key.end(), [](const ResourceAccum* a, const ResourceAccum* b) {
+    return std::pair{a->pid, a->track} < std::pair{b->pid, b->track};
+  });
+
   const double span_us = report.ts_max_us - report.ts_min_us;
-  for (const auto& [key, accum] : resources_) {
+  for (const ResourceAccum* accum : by_key) {
     ResourceStats rs;
-    rs.pid = key.first;
-    rs.track = key.second;
-    rs.label = report.track_label(key.first, key.second);
-    rs.spans = accum.spans;
-    rs.intervals = accum.intervals.size();
-    for (const auto& [s, e] : accum.intervals) {
+    rs.pid = accum->pid;
+    rs.track = accum->track;
+    rs.label = report.track_label(accum->pid, accum->track);
+    rs.spans = accum->spans;
+    rs.intervals = accum->intervals.size();
+    for (const auto& [s, e] : accum->intervals) {
       const double len = e - s;
       rs.busy_us += len;
       rs.max_interval_us = std::max(rs.max_interval_us, len);
@@ -370,38 +416,29 @@ ProfileReport Profiler::finalize() {
 
   // ---- W3 hypothesis pass over the fixed windows ----
   const double w_us = options_.window_us;
-  const std::size_t n_windows = windows_.size();
+  const std::size_t n_windows = windows_.end();
 
-  // held_value(w) returns the tested metric, or a negative value when the
-  // hypothesis does not hold in window w.
-  const auto evaluate = [&](std::string name, std::string target, int hop,
-                            const std::function<double(std::size_t)>& held_value) {
+  // visit(held) calls held(w, metric) for each window w where the
+  // hypothesis holds, in increasing window order; every other window, with
+  // data or without, does not hold it and ends the first held run.
+  const auto evaluate = [&](std::string name, std::string target, int hop, const auto& visit) {
     HypothesisFinding f;
     f.name = std::move(name);
     f.target = std::move(target);
     f.hop = hop;
-    bool in_first_run = false;
-    bool first_run_done = false;
-    for (std::size_t w = 0; w < n_windows; ++w) {
-      const double v = held_value(w);
-      if (v < 0.0) {
-        if (in_first_run) {
-          in_first_run = false;
-          first_run_done = true;
-        }
-        continue;
-      }
+    std::size_t first_run_end = 0;  // one past the last window of the first held run
+    visit([&](std::size_t w, double v) {
       ++f.windows_held;
       f.peak = std::max(f.peak, v);
       if (!f.held) {
         f.held = true;
-        in_first_run = true;
         f.first_held_start_us = static_cast<double>(w) * w_us;
-        f.first_held_end_us = (static_cast<double>(w) + 1.0) * w_us;
-      } else if (in_first_run && !first_run_done) {
-        f.first_held_end_us = (static_cast<double>(w) + 1.0) * w_us;
+        first_run_end = w + 1;
+      } else if (w == first_run_end) {
+        first_run_end = w + 1;
       }
-    }
+    });
+    if (f.held) f.first_held_end_us = static_cast<double>(first_run_end) * w_us;
     report.hypotheses.push_back(std::move(f));
   };
 
@@ -413,46 +450,55 @@ ProfileReport Profiler::finalize() {
   // so actual blocking — not wait share, which is large in any
   // daemon-response-dominated config — is the discriminating signature of
   // pipe backpressure.
-  const auto hop_excessive = [&](int hop, bool require_block) {
-    return [this, hop, require_block](std::size_t w) -> double {
-      const Window& win = windows_[w];
-      if (require_block && win.pipe_full == 0) return -1.0;
-      double total = 0.0;
-      for (int h = 0; h < kHopCount; ++h) {
-        total += win.hop_queue_us[h] + win.hop_service_us[h];
-      }
-      if (total <= 0.0 || win.hop_count[hop] == 0) return -1.0;
-      const double share = win.hop_queue_us[hop] / total;
-      const double mean = win.hop_queue_us[hop] / static_cast<double>(win.hop_count[hop]);
-      if (!require_block && share <= options_.hop_share_threshold) return -1.0;
-      if (mean > options_.hop_wait_min_us) return share;
-      return -1.0;
+  const auto hop_excessive = [this](int hop, bool require_block) {
+    return [this, hop, require_block](const auto& held) {
+      windows_.for_each([&](std::size_t w, const Window& win) {
+        if (require_block && win.pipe_full == 0) return;
+        double total = 0.0;
+        for (int h = 0; h < kHopCount; ++h) {
+          total += win.hop_queue_us[h] + win.hop_service_us[h];
+        }
+        if (total <= 0.0 || win.hop_count[hop] == 0) return;
+        const double share = win.hop_queue_us[hop] / total;
+        const double mean = win.hop_queue_us[hop] / static_cast<double>(win.hop_count[hop]);
+        if (!require_block && share <= options_.hop_share_threshold) return;
+        if (mean > options_.hop_wait_min_us) held(w, share);
+      });
     };
   };
 
-  evaluate("ExcessiveCPU", "", -1, [this](std::size_t w) -> double {
-    double peak = -1.0;
-    for (const auto& [key, busy] : cpu_busy_) {
-      if (w >= busy.size()) continue;
-      const double frac = busy[w] / options_.window_us;
-      if (frac > options_.cpu_busy_threshold && frac > peak) peak = frac;
+  // ExcessiveCPU holds in a window where some CPU track's busy fraction
+  // tops the threshold; its metric is the highest such fraction.  Sorted
+  // by (window, fraction), each window's last entry carries its peak.
+  std::vector<std::pair<std::size_t, double>> cpu_over;
+  for (const ResourceAccum* accum : by_key) {
+    accum->cpu_busy.for_each([&](std::size_t w, double busy) {
+      const double frac = busy / options_.window_us;
+      if (w < n_windows && frac > options_.cpu_busy_threshold) cpu_over.emplace_back(w, frac);
+    });
+  }
+  std::sort(cpu_over.begin(), cpu_over.end());
+  evaluate("ExcessiveCPU", "", -1, [&](const auto& held) {
+    for (std::size_t i = 0; i < cpu_over.size(); ++i) {
+      if (i + 1 == cpu_over.size() || cpu_over[i + 1].first != cpu_over[i].first) {
+        held(cpu_over[i].first, cpu_over[i].second);
+      }
     }
-    return peak;
   });
   // The where-axis for ExcessiveCPU: the CPU track with the highest busy
-  // fraction in any held window (deterministic: map order, strict greater).
+  // fraction in any held window (deterministic: key order, strict greater).
   {
     HypothesisFinding& cpu = report.hypotheses.back();
     if (cpu.held) {
       double best = -1.0;
-      for (const auto& [key, busy] : cpu_busy_) {
-        for (const double b : busy) {
-          const double frac = b / options_.window_us;
+      for (const ResourceAccum* accum : by_key) {
+        accum->cpu_busy.for_each([&](std::size_t, double busy) {
+          const double frac = busy / options_.window_us;
           if (frac > options_.cpu_busy_threshold && frac > best) {
             best = frac;
-            cpu.target = report.track_label(key.first, key.second);
+            cpu.target = report.track_label(accum->pid, accum->track);
           }
-        }
+        });
       }
     } else {
       cpu.target = "cpu";
@@ -464,16 +510,16 @@ ProfileReport Profiler::finalize() {
   evaluate("ExcessiveNetworkDelay", "network hop", static_cast<int>(Hop::Network),
            hop_excessive(static_cast<int>(Hop::Network), /*require_block=*/false));
   // StarvedDaemon: samples kept entering the pipes but no daemon drained
-  // anything for a whole window — the stall signature.  The final partial
-  // window is excluded: the trace simply ends there with chains mid-flight,
-  // which is not a stall.
-  evaluate("StarvedDaemon", "daemons", /*hop=*/-1,
-           [this](std::size_t w) -> double {
-             if (w + 1 >= windows_.size()) return -1.0;
-             const Window& win = windows_[w];
-             if (win.enq > 0 && win.deq == 0) return static_cast<double>(win.enq);
-             return -1.0;
-           });
+  // anything for a whole window — the stall signature.  The final window
+  // holding data is excluded: the trace simply ends there with chains
+  // mid-flight, which is not a stall.
+  evaluate("StarvedDaemon", "daemons", /*hop=*/-1, [&](const auto& held) {
+    windows_.for_each([&](std::size_t w, const Window& win) {
+      if (w + 1 < n_windows && win.enq > 0 && win.deq == 0) {
+        held(w, static_cast<double>(win.enq));
+      }
+    });
+  });
 
   return report;
 }

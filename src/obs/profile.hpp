@@ -150,10 +150,35 @@ class Profiler {
   [[nodiscard]] ProfileReport finalize();
 
  private:
+  /// Per-window values by W3 window index.  Windows from 0 up to 65,536
+  /// past the last one seen live in a dense vector; a window further out
+  /// (a stray timestamp) becomes one entry of an ordered map instead of
+  /// stretching the vector to its index, so memory follows the windows
+  /// that receive data.  A window that received nothing reads as default
+  /// values.
+  template <class T>
+  class WindowSeries {
+   public:
+    T& operator[](std::size_t idx);
+    /// One past the highest window that received data; 0 when none did.
+    [[nodiscard]] std::size_t end() const noexcept;
+    /// fn(idx, value) for every stored window, in index order.
+    template <class Fn>
+    void for_each(Fn&& fn) const;
+
+   private:
+    std::vector<T> dense_;
+    std::map<std::size_t, T> far_;  ///< Keys >= dense_.size().
+  };
+
   struct ResourceAccum {
+    std::int64_t pid = 0;
+    std::int32_t track = 0;
     std::uint64_t spans = 0;
     double coalesce_gap_us = 0.0;         ///< Doubles when intervals overflow.
     std::vector<BusyInterval> intervals;  ///< Sorted by start, disjoint.
+    /// CPU tracks: busy microseconds per window (ExcessiveCPU's where-axis).
+    WindowSeries<double> cpu_busy;
   };
   struct Window {
     double hop_queue_us[kHopCount] = {};
@@ -165,6 +190,7 @@ class Profiler {
     std::uint64_t chains = 0;     ///< Chains completing in the window.
   };
 
+  ResourceAccum& resource(std::int64_t pid, std::int32_t track);
   void observe_span(std::int64_t pid, std::int32_t track, bool cpu, double ts, double dur);
   void chain_begin(std::int64_t pid, std::uint64_t id, std::int32_t track, double ts);
   /// `mark` is a lifecycle progress mark code (see mark_code in the .cpp).
@@ -189,11 +215,12 @@ class Profiler {
   HopStats hops_[kHopCount];
   TopPaths top_paths_;
   FoldedAccum folded_;
-  std::map<std::pair<std::int64_t, std::int32_t>, ResourceAccum> resources_;
+  /// Per-(pid, track) accumulators in first-seen order, found through
+  /// resource_index_ with one hashed lookup per span.
+  std::vector<ResourceAccum> resources_;
+  PairMap<std::uint32_t> resource_index_;
   std::map<std::pair<std::int64_t, std::int32_t>, std::string> labels_;
-  std::vector<Window> windows_;
-  /// Per-CPU-track busy microseconds per window (ExcessiveCPU's where-axis).
-  std::map<std::pair<std::int64_t, std::int32_t>, std::vector<double>> cpu_busy_;
+  WindowSeries<Window> windows_;
 };
 
 /// Stream a trace file through a Profiler (the `roccprof FILE` path).

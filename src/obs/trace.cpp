@@ -1,9 +1,10 @@
 #include "obs/trace.hpp"
 
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <ostream>
-#include <string_view>
 #include <utility>
 
 namespace paradyn::obs {
@@ -29,69 +30,131 @@ char phase_code(Phase p) noexcept {
   return 'i';
 }
 
-/// Formats JSON text into a block buffer and hands it to the stream in
-/// large writes; nothing is allocated per event once the block exists.
+/// |v| * 1000 rounded to an integer, half to even, from the exact binary
+/// value m * 2^k: "%.3f" rounds that way, in glibc and in std::to_chars.
+/// m * 1000 is below 2^63, so it is exact in 64 bits; false when the
+/// shifted product is not (|v| above ~1.8e16).
+bool thousandths(double v, std::uint64_t& out) noexcept {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const auto biased = static_cast<int>(bits >> 52 & 0x7ff);
+  std::uint64_t m = bits & ((std::uint64_t{1} << 52) - 1);
+  int k = -1074;  // subnormal
+  if (biased != 0) {
+    m |= std::uint64_t{1} << 52;
+    k = biased - 1075;
+  }
+  const std::uint64_t x = m * 1000;
+  if (k >= 0) {
+    if (k >= 64 || x > (~std::uint64_t{0} >> k)) return false;
+    out = x << k;
+    return true;
+  }
+  const int shift = -k;
+  if (shift >= 64) {
+    out = 0;  // x / 2^shift < 2^63 / 2^64: below one half
+    return true;
+  }
+  const std::uint64_t q = x >> shift;
+  const std::uint64_t rest = x & ((std::uint64_t{1} << shift) - 1);
+  const std::uint64_t half = std::uint64_t{1} << (shift - 1);
+  out = q + static_cast<std::uint64_t>(rest > half || (rest == half && (q & 1) != 0));
+  return true;
+}
+
+/// Formats JSON text into a block buffer through a raw cursor and hands
+/// full blocks to the stream; nothing is allocated per event once the
+/// block exists.  One reserve() per event makes room for its fixed text,
+/// integers and fast-path numbers; strings and long numbers reserve their
+/// own length.
 class JsonOut {
  public:
-  explicit JsonOut(std::ostream& os) : os_(os) { buf_.reserve(kBlock + kSlack); }
+  explicit JsonOut(std::ostream& os) : os_(os), buf_(kBlock) { p_ = buf_.data(); }
 
-  void text(std::string_view s) { buf_.append(s); }
-  void ch(char c) { buf_.push_back(c); }
+  /// Room for `n` bytes plus the rest of an event (kEventRoom).
+  void reserve(std::size_t n = 0) {
+    if (static_cast<std::size_t>(buf_.data() + buf_.size() - p_) < n + kEventRoom) {
+      make_room(n + kEventRoom);
+    }
+  }
+
+  /// A string literal's characters.
+  template <std::size_t N>
+  void text(const char (&s)[N]) {
+    std::memcpy(p_, s, N - 1);
+    p_ += N - 1;
+  }
+  void ch(char c) { *p_++ = c; }
 
   /// A C string as JSON string content.
   void escaped(const char* s) {
+    reserve(6 * std::strlen(s));
     for (; *s != '\0'; ++s) {
       const auto c = static_cast<unsigned char>(*s);
       if (c == '"' || c == '\\') {
-        buf_.push_back('\\');
-        buf_.push_back(*s);
+        *p_++ = '\\';
+        *p_++ = *s;
       } else if (c < 0x20) {
-        buf_.append("\\u00");
-        buf_.push_back(kHexDigits[c >> 4]);
-        buf_.push_back(kHexDigits[c & 0xf]);
+        text("\\u00");
+        *p_++ = kHexDigits[c >> 4];
+        *p_++ = kHexDigits[c & 0xf];
       } else {
-        buf_.push_back(*s);
+        *p_++ = *s;
       }
     }
   }
 
   /// Three decimals, as "%.3f"; JSON has no NaN/Inf, so those clamp to 0.
+  /// The floating-point std::to_chars writes only the magnitudes
+  /// thousandths() cannot hold.
   void number(double v) {
     if (!std::isfinite(v)) {
-      buf_.push_back('0');
+      *p_++ = '0';
       return;
     }
-    format(v, std::chars_format::fixed, 3);
+    std::uint64_t n = 0;
+    if (!thousandths(v, n)) {
+      reserve(kNumberChars);
+      p_ = std::to_chars(p_, p_ + kNumberChars, v, std::chars_format::fixed, 3).ptr;
+      return;
+    }
+    if (std::signbit(v)) *p_++ = '-';
+    p_ = std::to_chars(p_, p_ + 20, n / 1000).ptr;
+    const auto frac = static_cast<unsigned>(n % 1000);
+    p_[0] = '.';
+    p_[1] = static_cast<char>('0' + frac / 100);
+    p_[2] = static_cast<char>('0' + frac / 10 % 10);
+    p_[3] = static_cast<char>('0' + frac % 10);
+    p_ += 4;
   }
-  void integer(std::int64_t v) { format(v); }
-  void count(std::uint64_t v) { format(v); }
-  void hex(std::uint64_t v) { format(v, 16); }
+  void integer(std::int64_t v) { p_ = std::to_chars(p_, p_ + 20, v).ptr; }
+  void count(std::uint64_t v) { p_ = std::to_chars(p_, p_ + 20, v).ptr; }
+  void hex(std::uint64_t v) { p_ = std::to_chars(p_, p_ + 16, v, 16).ptr; }
 
-  /// Hands the block over once it is full.
-  void maybe_flush() {
-    if (buf_.size() >= kBlock) flush();
-  }
   void flush() {
-    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-    buf_.clear();
+    os_.write(buf_.data(), p_ - buf_.data());
+    p_ = buf_.data();
   }
 
  private:
-  /// What std::to_chars writes for `args`; it spells numbers as printf.
-  template <class... Args>
-  void format(Args... args) {
-    char tmp[kNumberChars];
-    buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, args...).ptr);
+  /// Hands the block over, and grows it if `need` still does not fit.
+  void make_room(std::size_t need) {
+    flush();
+    if (buf_.size() < need) {
+      buf_.resize(need);
+      p_ = buf_.data();
+    }
   }
 
   static constexpr const char* kHexDigits = "0123456789abcdef";
   /// Longest "%.3f" of a double: sign, 309 integer digits, ".000".
   static constexpr std::size_t kNumberChars = 320;
+  /// Upper bound of one event's text besides its strings and long numbers.
+  static constexpr std::size_t kEventRoom = 512;
   static constexpr std::size_t kBlock = std::size_t{1} << 16;
-  static constexpr std::size_t kSlack = 4096;  ///< Room for the event that crosses kBlock.
 
   std::ostream& os_;
-  std::string buf_;
+  std::vector<char> buf_;
+  char* p_ = nullptr;
 };
 
 void write_event(JsonOut& out, const TraceEvent& e, std::int32_t pid) {
@@ -208,10 +271,11 @@ std::vector<std::string> TraceRecorder::process_names() const {
 void TraceRecorder::write_chrome_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mutex_);
   JsonOut out(os);
+  out.reserve();
   out.text("{\"traceEvents\":[\n");
   bool first = true;
   const auto separate = [&] {
-    out.maybe_flush();
+    out.reserve();
     if (!first) out.text(",\n");
     first = false;
   };
@@ -251,6 +315,7 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
     total_recorded += s.recorded;
     total_dropped += s.dropped;
   }
+  out.reserve();
   out.text("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"recorded\":");
   out.count(total_recorded);
   out.text(",\"dropped\":");

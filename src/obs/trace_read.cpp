@@ -1,6 +1,8 @@
 #include "obs/trace_read.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -41,10 +43,83 @@ std::uint64_t to_uint64(double d) noexcept {
   return d >= 0.0 && d < 18446744073709551616.0 ? static_cast<std::uint64_t>(d) : 0;
 }
 
-/// Characters std::strtod may consume (decimal, hex, inf and nan forms).
-bool strtod_char(char c) noexcept {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '.' || c == '+' || c == '-' ||
-         c == '(' || c == ')' || c == '_';
+bool ascii_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+
+/// Characters std::strtod may consume (decimal, hex, inf and nan forms),
+/// by byte value.
+constexpr auto kStrtodChars = [] {
+  std::array<bool, 256> t{};
+  for (int c = 0; c < 256; ++c) {
+    t[static_cast<std::size_t>(c)] = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+                                     (c >= 'A' && c <= 'Z') || c == '.' || c == '+' ||
+                                     c == '-' || c == '(' || c == ')' || c == '_';
+  }
+  return t;
+}();
+
+bool strtod_char(char c) noexcept { return kStrtodChars[static_cast<unsigned char>(c)]; }
+
+/// The first '"' or '\\' in [q, end), or end.  Eight bytes per step where
+/// they fit: a byte equal to c is a zero byte of w ^ (c * 0x01..01), and the
+/// lowest byte the zero-byte test flags is exact (a false flag needs a
+/// borrow from a true zero below it).
+const char* quote_or_escape(const char* q, const char* end) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    constexpr std::uint64_t kOnes = 0x0101010101010101;
+    constexpr std::uint64_t kHighs = 0x8080808080808080;
+    for (; end - q >= 8; q += 8) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, q, 8);
+      const std::uint64_t quote = w ^ (kOnes * '"');
+      const std::uint64_t escape = w ^ (kOnes * '\\');
+      const std::uint64_t hit =
+          (((quote - kOnes) & ~quote) | ((escape - kOnes) & ~escape)) & kHighs;
+      if (hit != 0) return q + std::countr_zero(hit) / 8;
+    }
+  }
+  while (q < end && *q != '"' && *q != '\\') ++q;
+  return q;
+}
+
+/// 10^0 .. 10^22, every one exact in a double.
+constexpr auto kPowersOfTen = [] {
+  std::array<double, 23> t{};
+  double p = 1.0;
+  for (double& x : t) {
+    x = p;
+    p *= 10.0;
+  }
+  return t;
+}();
+
+/// Clinger's fast path: the literal [-]digits[.digits] at `p`, with a
+/// mantissa m below 10^15 and k <= 22 decimals, is m / 10^k, one correctly
+/// rounded division of two exact doubles, so it equals what std::strtod
+/// returns.  It must end before `end` at a character strtod cannot consume
+/// either.  Returns the end of the literal, or nullptr when the path does
+/// not apply.
+const char* fast_decimal(const char* p, const char* end, double& out) noexcept {
+  constexpr std::uint64_t kMantissaLimit = 1'000'000'000'000'000;
+  const bool negative = p < end && *p == '-';
+  if (negative) ++p;
+  const char* const digits = p;
+  std::uint64_t m = 0;
+  for (; p < end && ascii_digit(*p); ++p) {
+    m = m * 10 + static_cast<std::uint64_t>(*p - '0');
+    if (m >= kMantissaLimit) return nullptr;
+  }
+  if (p == digits) return nullptr;
+  std::size_t decimals = 0;
+  if (p < end && *p == '.') {
+    for (++p; p < end && ascii_digit(*p); ++p, ++decimals) {
+      m = m * 10 + static_cast<std::uint64_t>(*p - '0');
+      if (m >= kMantissaLimit) return nullptr;
+    }
+  }
+  if (p == end || strtod_char(*p) || decimals >= kPowersOfTen.size()) return nullptr;
+  const double v = static_cast<double>(m) / kPowersOfTen[decimals];
+  out = negative ? -v : v;
+  return p;
 }
 
 /// Streaming trace parser.  The input is read into a window that always
@@ -179,11 +254,19 @@ class TraceReader {
   }
 
   void expect(char c) {
+    if (p_ < end_ && *p_ == c) {  // the exporter writes no space inside events
+      ++p_;
+      return;
+    }
     if (peek() != c) fail(std::string("expected '") + c + "'");
     ++p_;
   }
 
   [[nodiscard]] bool consume_if(char c) {
+    if (p_ < end_ && *p_ == c) {
+      ++p_;
+      return true;
+    }
     skip_ws();
     if (p_ == end_) {
       if (!eof_) throw NeedMore{};
@@ -199,8 +282,7 @@ class TraceReader {
   [[nodiscard]] std::string_view string() {
     expect('"');
     const char* start = p_;
-    const char* q = start;
-    while (q < end_ && *q != '"' && *q != '\\') ++q;
+    const char* q = quote_or_escape(start, end_);
     if (q < end_ && *q == '"') {
       p_ = q + 1;
       return {start, static_cast<std::size_t>(q - start)};
@@ -260,12 +342,17 @@ class TraceReader {
   /// A number, as std::strtod reads it.
   [[nodiscard]] double number() {
     skip_ws();
-    // std::from_chars reads strtod's decimal forms with the same rounding.
-    // Its result stands when it ends where strtod would: inside the window,
-    // at a character strtod cannot consume either.  A leading '+', hex
-    // ("0x"), a literal cut by the window's end, out-of-range values, inf
-    // and nan (whose NaN payload may differ) go to strtod.
     double v = 0.0;
+    if (const char* end = fast_decimal(p_, end_, v)) {
+      p_ = end;
+      return v;
+    }
+    // Beyond the fast path, std::from_chars reads strtod's decimal forms
+    // with the same rounding.  Its result stands when it ends where strtod
+    // would: inside the window, at a character strtod cannot consume
+    // either.  A leading '+', hex ("0x"), a literal cut by the window's
+    // end, out-of-range values, inf and nan (whose NaN payload may differ)
+    // go to strtod.
     const auto [end, ec] = std::from_chars(p_, end_, v);
     if (ec == std::errc{} && end != end_ && !strtod_char(*end) && std::isfinite(v)) {
       p_ = end;
@@ -384,6 +471,27 @@ class TraceReader {
     expect('}');
   }
 
+  enum class Key { kOther, kName, kCat, kPh, kTs, kDur, kPid, kTid, kId, kArgs };
+
+  /// The EventView field an event member names: one branch on the key's
+  /// length and first character, then one compare.
+  static Key event_key(std::string_view k) noexcept {
+    if (k.empty()) return Key::kOther;
+    const auto is = [k](std::string_view name, Key key) { return k == name ? key : Key::kOther; };
+    switch (k.size() << 8 | static_cast<unsigned char>(k[0])) {
+      case 2 << 8 | 'p': return is("ph", Key::kPh);
+      case 2 << 8 | 't': return is("ts", Key::kTs);
+      case 2 << 8 | 'i': return is("id", Key::kId);
+      case 3 << 8 | 'c': return is("cat", Key::kCat);
+      case 3 << 8 | 'd': return is("dur", Key::kDur);
+      case 3 << 8 | 'p': return is("pid", Key::kPid);
+      case 3 << 8 | 't': return is("tid", Key::kTid);
+      case 4 << 8 | 'n': return is("name", Key::kName);
+      case 4 << 8 | 'a': return is("args", Key::kArgs);
+      default: return Key::kOther;
+    }
+  }
+
   void event(EventView& ev) {
     ev = EventView{};
     reset_scratch();
@@ -392,16 +500,18 @@ class TraceReader {
       do {
         const std::string_view key = string();
         expect(':');
-        if (key == "name") ev.name = string();
-        else if (key == "cat") ev.cat = string();
-        else if (key == "ph") ev.ph = string();
-        else if (key == "ts") ev.ts = number();
-        else if (key == "dur") ev.dur = number();
-        else if (key == "pid") ev.pid = to_int64(number());
-        else if (key == "tid") ev.tid = to_int64(number());
-        else if (key == "id") ev.id = peek() == '"' ? string() : numeric_id();
-        else if (key == "args") args();
-        else skip_value(0);
+        switch (event_key(key)) {
+          case Key::kName: ev.name = string(); break;
+          case Key::kCat: ev.cat = string(); break;
+          case Key::kPh: ev.ph = string(); break;
+          case Key::kTs: ev.ts = number(); break;
+          case Key::kDur: ev.dur = number(); break;
+          case Key::kPid: ev.pid = to_int64(number()); break;
+          case Key::kTid: ev.tid = to_int64(number()); break;
+          case Key::kId: ev.id = peek() == '"' ? string() : numeric_id(); break;
+          case Key::kArgs: args(); break;
+          case Key::kOther: skip_value(0); break;
+        }
       } while (consume_if(','));
       expect('}');
     }

@@ -140,6 +140,43 @@ TEST(TraceAllocations, NoAllocationPerEvent) {
   EXPECT_LE(large.exported, 4u);  // one block buffer
 }
 
+TEST(TraceAllocations, StrayTimestampCostsOneWindow) {
+  // One lifecycle mark at 10^12 us lands in the last of the profiler's 4M
+  // W3 windows.  It must cost that window, not a vector of every window up
+  // to it (608 MB of them), and the hypotheses must not move.
+  TraceRecorder recorder(12 * 2'000 + 16);
+  record(recorder, 2'000);
+  std::stringstream json;
+  recorder.write_chrome_json(json);
+  std::string text = json.str();
+  const ProfileReport clean = [&] {
+    std::istringstream is(text);
+    return profile_trace_stream(is);
+  }();
+  const std::string stray =
+      R"({"name":"lifecycle","cat":"sample","ph":"n","ts":1000000000000.000,"pid":0,)"
+      R"("tid":1,"id":"0xffffff","args":{"enq":1.000}},)"
+      "\n";
+  text.insert(text.find('\n') + 1, stray);
+  std::istringstream is(text);
+  g_largest = 0;
+  const ProfileReport report = profile_trace_stream(is);
+  EXPECT_LT(g_largest.load(), std::size_t{1} << 20);  // under 7k dense windows
+  EXPECT_EQ(report.events, clean.events + 1);
+  ASSERT_EQ(report.hypotheses.size(), clean.hypotheses.size());
+  for (std::size_t i = 0; i < clean.hypotheses.size(); ++i) {
+    const HypothesisFinding& a = clean.hypotheses[i];
+    const HypothesisFinding& b = report.hypotheses[i];
+    EXPECT_EQ(b.name, a.name);
+    EXPECT_EQ(b.target, a.target) << a.name;
+    EXPECT_EQ(b.held, a.held) << a.name;
+    EXPECT_EQ(b.first_held_start_us, a.first_held_start_us) << a.name;
+    EXPECT_EQ(b.first_held_end_us, a.first_held_end_us) << a.name;
+    EXPECT_EQ(b.peak, a.peak) << a.name;
+    EXPECT_EQ(b.windows_held, a.windows_held) << a.name;
+  }
+}
+
 TEST(TraceAllocations, LargeMembersBesideTheEventsAreNotBuffered) {
   // 4 MB of numbers under a "metadata" member is skipped a token at a
   // time, so the read window stays near its 64 KiB refill size.

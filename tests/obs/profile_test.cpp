@@ -135,6 +135,56 @@ TEST(Profiler, OutOfOrderTimestampsAreClampedAndFlagged) {
   EXPECT_DOUBLE_EQ(total, 1000.0);  // latency survives as end - clamped gen
 }
 
+/// A chain whose network hop waits ~4.9 ms: enough for
+/// ExcessiveNetworkDelay in the window where that hop completes.
+void feed_network_bound_chain(Profiler& profiler, double ts, const char* id) {
+  const NumArg enq{"enq", 1.0}, deq{"deq", 0.0}, collect{"collect", 1.0}, fwd{"fwd", 1.0},
+      net{"net", 100.0};
+  profiler.feed(lifecycle("b", ts, id));
+  profiler.feed(mark(ts + 1.0, id, enq));
+  profiler.feed(mark(ts + 2.0, id, deq));
+  profiler.feed(mark(ts + 3.0, id, collect));
+  profiler.feed(mark(ts + 4.0, id, fwd));
+  profiler.feed(mark(ts + 5000.0, id, net));
+  profiler.feed(lifecycle("e", ts + 5001.0, id));
+}
+
+TEST(Profiler, WindowsFarApartHoldLikeAdjacentOnes) {
+  // A window far past the others holds hypotheses as any window does, a
+  // held run ends at the windows between, and the last window holding
+  // data is the final one StarvedDaemon skips, however far out it lies.
+  const NumArg enq{"enq", 1.0};
+  const auto run = [&](bool far_mark) {
+    Profiler profiler;
+    feed_network_bound_chain(profiler, 0.0, "0x1");
+    feed_network_bound_chain(profiler, 100'000.0, "0x2");
+    feed_network_bound_chain(profiler, 1e11, "0x3");  // window 10^6
+    // Samples enter the pipes in windows 2, 3 and 10^6 + 1, and nothing
+    // drains them there.
+    profiler.feed(mark(250'000.0, "0x9", enq));
+    profiler.feed(mark(350'000.0, "0x9", enq));
+    profiler.feed(mark(1e11 + 150'000.0, "0x9", enq));
+    if (far_mark) profiler.feed(mark(1e12, "0x9", enq));  // clamps to the last window
+    return profiler.finalize();
+  };
+  for (const bool far_mark : {false, true}) {
+    const ProfileReport report = run(far_mark);
+    const auto* net = find_hypothesis(report, "ExcessiveNetworkDelay");
+    ASSERT_NE(net, nullptr);
+    EXPECT_TRUE(net->held);
+    EXPECT_EQ(net->windows_held, 3u);
+    EXPECT_DOUBLE_EQ(net->first_held_start_us, 0.0);
+    EXPECT_DOUBLE_EQ(net->first_held_end_us, 200'000.0);
+    const auto* starved = find_hypothesis(report, "StarvedDaemon");
+    ASSERT_NE(starved, nullptr);
+    EXPECT_TRUE(starved->held);
+    EXPECT_DOUBLE_EQ(starved->first_held_start_us, 200'000.0);
+    EXPECT_DOUBLE_EQ(starved->first_held_end_us, 400'000.0);
+    // Window 10^6 + 1 is the final window unless the far mark lies past it.
+    EXPECT_EQ(starved->windows_held, far_mark ? 3u : 2u);
+  }
+}
+
 TEST(Profiler, TruncatedShardTailThrowsWithOffset) {
   // A trace cut mid-event (a crashed writer's shard tail) must fail loudly
   // with a byte offset, not silently produce a half-empty report.

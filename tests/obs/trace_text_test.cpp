@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -53,6 +55,106 @@ TEST(TraceExport, BytesMatchTheGoldenDocument) {
 ],"displayTimeUnit":"ms","otherData":{"recorded":7,"dropped":0}}
 )";
   EXPECT_EQ(os.str(), golden);
+}
+
+/// What "%.3f" prints for `v`, by the standard library; non-finite values
+/// export as 0.
+std::string fixed3_oracle(double v) {
+  if (!std::isfinite(v)) return "0";
+  char buf[400];
+  return {buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 3).ptr};
+}
+
+/// The numbers write_chrome_json prints for `values`, in order: four per
+/// complete span (ts, dur and two arguments), one recorder per batch.
+std::vector<std::string> exported_numbers(const std::vector<double>& values) {
+  std::vector<std::string> out;
+  out.reserve(values.size() + 3);
+  constexpr std::size_t kSpans = std::size_t{1} << 15;
+  const auto value = [&](std::size_t i) { return i < values.size() ? values[i] : 0.0; };
+  for (std::size_t first = 0; first < values.size(); first += 4 * kSpans) {
+    TraceRecorder recorder(kSpans);
+    Tracer t = recorder.create_tracer();
+    for (std::size_t i = first; i < std::min(values.size(), first + 4 * kSpans); i += 4) {
+      t.complete("c", "x", 0, value(i), value(i + 1), "a", value(i + 2), "b", value(i + 3));
+    }
+    std::ostringstream os;
+    recorder.write_chrome_json(os);
+    const std::string json = os.str();
+    std::size_t pos = 0;
+    for (;;) {
+      for (const std::string key : {R"("ts":)", R"("dur":)", R"("a":)", R"("b":)"}) {
+        pos = json.find(key, pos);
+        if (pos == std::string::npos) break;
+        pos += key.size();
+        const std::size_t end = json.find_first_of(",}", pos);
+        out.push_back(json.substr(pos, end - pos));
+        pos = end;
+      }
+      if (pos == std::string::npos) break;
+    }
+  }
+  out.resize(values.size());
+  return out;
+}
+
+void expect_exported_like_to_chars(const std::vector<double>& values) {
+  const std::vector<std::string> got = exported_numbers(values);
+  int mismatches = 0;
+  for (std::size_t i = 0; i < values.size() && mismatches < 10; ++i) {
+    const std::string want = fixed3_oracle(values[i]);
+    if (got[i] != want) {
+      ++mismatches;
+      ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(values[i])
+                    << std::dec << " exported as " << got[i] << ", to_chars gives " << want;
+    }
+  }
+}
+
+TEST(TraceExport, NumbersMatchToChars) {
+  std::vector<double> edges = {0.0, -0.0, -0.0004, 0.0004, 0.0005, -0.0005, 0.0015, 1e6 + 0.1875,
+                               -(1e6 + 0.1875), std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::denorm_min(),
+                               std::numeric_limits<double>::min(),
+                               std::numeric_limits<double>::max(),
+                               -std::numeric_limits<double>::max(), 1e300, -1e-300,
+                               std::nan(""), std::numeric_limits<double>::infinity()};
+  // Exact ties of the third decimal at several magnitudes: k/16 and k/2048
+  // land on ...5 in the fourth decimal for many k.
+  for (double scale : {1.0, 1e3, 1e6, 1e9, 1e12, 1e15}) {
+    for (int k = 0; k < 4096; ++k) {
+      edges.push_back(scale + k / 16.0);
+      edges.push_back(-(scale + k / 2048.0));
+      edges.push_back(scale * 2 + k / 2048.0);
+    }
+  }
+  // Subnormals.
+  for (int e = -1074; e <= -1022; ++e) edges.push_back(std::ldexp(1.0, e) * 1.5);
+  // Both sides of the integer path's end, |v| * 1000 < 2^64 (~1.8e16):
+  // the last doubles on it, the first past it, and a stretch beyond.
+  double below = 18446744073709551616.0 / 1000.0;
+  double above = below;
+  for (int i = 0; i < 64; ++i) {
+    for (const double v : {below, above}) {
+      edges.push_back(v);
+      edges.push_back(-v);
+    }
+    below = std::nextafter(below, 0.0);
+    above = std::nextafter(above, 1e300);
+  }
+  for (double v = 1e16; v < 1e17; v *= 1.001) edges.push_back(v);
+  expect_exported_like_to_chars(edges);
+
+  std::mt19937_64 rng(20);
+  std::vector<double> random(1'000'000);
+  // Random bit patterns: every sign, exponent and mantissa, so half land
+  // on the std::to_chars fallback and NaN and infinity appear too.
+  for (double& v : random) v = std::bit_cast<double>(rng());
+  expect_exported_like_to_chars(random);
+  // Random timestamps across a long run, in microseconds.
+  std::uniform_real_distribution<double> ts(0.0, 1e7);
+  for (double& v : random) v = ts(rng);
+  expect_exported_like_to_chars(random);
 }
 
 /// A recorder trace of `chains` sample lifecycles plus the spans around
@@ -122,7 +224,13 @@ TEST(TraceReader, NumbersReadLikeStrtod) {
       "0", "-0", "0.000", "-0.000", "1", "12.5", "0.062", "1000000.188", "4503599627370.496",
       "9007199254740993", "1e22", "1e23", "1.5E+3", "2e-5", "123456789012345678901", "00012",
       "1.", ".5", "+1.5", "0x10", "-0x1p3", "1e999", "-1e999", "1e-400", "4.9e-324",
-      "2.2250738585072011e-308", "inf", "-nan", "nan(12)"};
+      "2.2250738585072011e-308", "inf", "-nan", "nan(12)",
+      // Edges of the exact fast path (mantissa below 10^15, at most 22
+      // decimals, no exponent).
+      "123456789012345", "999999999999999", "-999999999999999", "1234567890123456",
+      "123456789012345.6", "12345678901234.5", "99999999999999.99", "0.0000000000000001",
+      "0.0000000000000000000001", "0.00000000000000000000001", "1.0000000000000000000000",
+      "0.1", "0.3", "5.", "-5.", "5.e3", "-.5"};
   // Each edge literal cut by the end of the first 64 KiB read window at
   // every position.
   const std::string head = R"([{"ph":"i","ts":)";
