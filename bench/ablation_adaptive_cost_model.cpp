@@ -23,11 +23,11 @@ int main() {
     auto c = rocc::SystemConfig::now(4);
     c.duration_us = 30e6;
     c.sampling_period_us = 4'000.0;
-    c.adaptive.enabled = adaptive;
-    c.adaptive.overhead_budget_pct = budget_pct;
-    c.adaptive.adjust_interval_us = 250'000.0;
-    c.adaptive.min_period_us = 500.0;
-    c.adaptive.max_period_us = 500'000.0;
+    c.regulator.scope = adaptive ? rocc::RegulatorScope::Global : rocc::RegulatorScope::Off;
+    c.regulator.budget_pct = budget_pct;
+    c.regulator.adjust_interval_us = 250'000.0;
+    c.regulator.min_period_us = 500.0;
+    c.regulator.max_period_us = 500'000.0;
     return rocc::run_simulation(c);
   };
 

@@ -48,14 +48,13 @@ double run_eps(const paradyn::rocc::SystemConfig& cfg) {
   return sec > 0.0 ? static_cast<double>(r.events_processed) / sec : 0.0;
 }
 
-/// The same run with profiling explicitly off: the tracer hook cleared and
-/// a Profiler constructed but never fed.  Any cost difference to the plain
+/// The same run with profiling off: no trace recorder attached and a
+/// Profiler constructed but never fed.  Any cost difference to the plain
 /// run is exactly the off-path overhead the envelope gates.
 double run_profile_off_eps(const paradyn::rocc::SystemConfig& cfg) {
   const paradyn::bench::WallTimer t;
   paradyn::obs::Profiler idle{paradyn::obs::ProfileOptions{}};
   paradyn::rocc::Simulation sim(cfg);
-  sim.set_tracer(nullptr);
   const auto r = sim.run();
   const double sec = t.seconds();
   return sec > 0.0 ? static_cast<double>(r.events_processed) / sec : 0.0;
@@ -130,9 +129,8 @@ int main(int argc, char** argv) {
   // then time its export to JSON and the streaming parse + reduction of
   // that JSON, best of kRounds each.
   obs::TraceRecorder recorder(1u << 20);
-  obs::Tracer tracer = recorder.create_tracer();
   rocc::Simulation traced(cfg);
-  traced.set_tracer(&tracer);
+  traced.set_trace_recorder(recorder);
   (void)traced.run();
   constexpr int kRounds = 9;
   std::string json;

@@ -468,22 +468,19 @@ ProfileReport Profiler::finalize() {
   };
 
   // ExcessiveCPU holds in a window where some CPU track's busy fraction
-  // tops the threshold; its metric is the highest such fraction.  Sorted
-  // by (window, fraction), each window's last entry carries its peak.
-  std::vector<std::pair<std::size_t, double>> cpu_over;
+  // tops the threshold; its metric is the highest such fraction.  Every
+  // window with CPU data counts, up to the cap observe_span applies.
+  WindowSeries<double> cpu_peak;
   for (const ResourceAccum* accum : by_key) {
     accum->cpu_busy.for_each([&](std::size_t w, double busy) {
       const double frac = busy / options_.window_us;
-      if (w < n_windows && frac > options_.cpu_busy_threshold) cpu_over.emplace_back(w, frac);
+      if (frac > options_.cpu_busy_threshold) cpu_peak[w] = std::max(cpu_peak[w], frac);
     });
   }
-  std::sort(cpu_over.begin(), cpu_over.end());
   evaluate("ExcessiveCPU", "", -1, [&](const auto& held) {
-    for (std::size_t i = 0; i < cpu_over.size(); ++i) {
-      if (i + 1 == cpu_over.size() || cpu_over[i + 1].first != cpu_over[i].first) {
-        held(cpu_over[i].first, cpu_over[i].second);
-      }
-    }
+    cpu_peak.for_each([&](std::size_t w, double peak) {
+      if (peak > options_.cpu_busy_threshold) held(w, peak);
+    });
   });
   // The where-axis for ExcessiveCPU: the CPU track with the highest busy
   // fraction in any held window (deterministic: key order, strict greater).

@@ -30,7 +30,7 @@
 namespace paradyn::obs {
 
 /// Track id used by des::Engine for its event-execution spans; model
-/// entities are assigned tracks >= 1 by rocc::Simulation::set_tracer.
+/// entities are assigned tracks >= 1 by rocc::Simulation::set_trace_recorder.
 inline constexpr std::int32_t kEngineTrack = 0;
 
 /// Chrome trace-event phases the recorder supports.  Complete covers spans

@@ -7,10 +7,9 @@ namespace paradyn::rocc {
 ApplicationProcess::ApplicationProcess(des::Engine& engine, const SystemConfig& config,
                                        AppModel model, CpuResource& cpu,
                                        NetworkResource& network, Pipe* pipe,
-                                       BarrierManager* barrier,
-                                       const SamplingController* controller,
-                                       MetricsCollector& metrics, des::RngStream rng,
-                                       std::int32_t node, std::int32_t index)
+                                       BarrierManager* barrier, MetricsCollector& metrics,
+                                       des::RngStream rng, std::int32_t node,
+                                       std::int32_t index)
     : engine_(engine),
       config_(config),
       model_(std::move(model)),
@@ -23,7 +22,7 @@ ApplicationProcess::ApplicationProcess(des::Engine& engine, const SystemConfig& 
       network_(network),
       pipe_(pipe),
       barrier_(barrier),
-      controller_(controller),
+      period_us_(&config.sampling_period_us),
       metrics_(metrics),
       rng_(rng),
       node_(node),
@@ -103,15 +102,8 @@ void ApplicationProcess::after_io_block() {
   begin_cycle();
 }
 
-SimTime ApplicationProcess::sampling_period() const {
-  SimTime period = controller_ != nullptr ? controller_->current_period_us()
-                                          : config_.sampling_period_us;
-  if (throttle_ != nullptr) period *= throttle_->factor(throttle_domain_);
-  return period;
-}
-
 void ApplicationProcess::schedule_next_sample() {
-  engine_.schedule_after(sampling_period(), [this] { on_sample_timer(); });
+  engine_.schedule_after(*period_us_, [this] { on_sample_timer(); });
 }
 
 void ApplicationProcess::on_sample_timer() {

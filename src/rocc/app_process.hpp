@@ -17,7 +17,6 @@
 #include "rocc/barrier.hpp"
 #include "rocc/config.hpp"
 #include "rocc/cpu.hpp"
-#include "rocc/cost_model.hpp"
 #include "rocc/metrics.hpp"
 #include "rocc/network.hpp"
 #include "rocc/pipe.hpp"
@@ -29,13 +28,11 @@ class ApplicationProcess {
  public:
   /// `pipe` may be null (uninstrumented run); `barrier` may be null (no
   /// barrier synchronization).  `model` is this process's resolved workload
-  /// (the global config's AppModel or a per-node override).  `controller`
-  /// (nullable) supplies the adaptive sampling period.
+  /// (the global config's AppModel or a per-node override).
   ApplicationProcess(des::Engine& engine, const SystemConfig& config, AppModel model,
                      CpuResource& cpu, NetworkResource& network, Pipe* pipe,
-                     BarrierManager* barrier, const SamplingController* controller,
-                     MetricsCollector& metrics, des::RngStream rng, std::int32_t node,
-                     std::int32_t index);
+                     BarrierManager* barrier, MetricsCollector& metrics, des::RngStream rng,
+                     std::int32_t node, std::int32_t index);
 
   ApplicationProcess(const ApplicationProcess&) = delete;
   ApplicationProcess& operator=(const ApplicationProcess&) = delete;
@@ -47,12 +44,10 @@ class ApplicationProcess {
   /// before reaching the pipe.  Call before start(); may be null.
   void set_fault_gate(FaultGate* gate) noexcept { fault_gate_ = gate; }
 
-  /// Adaptive throttle: the sampling period is multiplied by the factor of
-  /// `domain` (this process's daemon).  Call before start(); may be null.
-  void set_throttle(const PerDaemonThrottle* throttle, std::int32_t domain) noexcept {
-    throttle_ = throttle;
-    throttle_domain_ = domain;
-  }
+  /// Sampling regulation: arm every sampling timer with `*period_us`, a
+  /// SamplingRegulator domain's live period, instead of
+  /// config.sampling_period_us.  Call before start().
+  void set_sampling_period(const SimTime* period_us) noexcept { period_us_ = period_us; }
 
   /// Sample ids run first, first + stride, first + 2*stride, ...  The
   /// Simulation gives process k of n the ids k+1, k+1+n, k+1+2n, ...:
@@ -67,7 +62,7 @@ class ApplicationProcess {
   [[nodiscard]] std::int32_t index() const noexcept { return index_; }
   [[nodiscard]] bool blocked_on_pipe() const noexcept { return blocked_on_pipe_; }
   /// Cumulative simulated time spent blocked on a full pipe, including the
-  /// in-progress block (the throttle's perturbation input).
+  /// in-progress block (the per-daemon regulator's perturbation input).
   [[nodiscard]] SimTime pipe_blocked_time_us(SimTime now) const noexcept {
     return blocked_total_us_ + (blocked_on_pipe_ ? now - blocked_since_ : 0.0);
   }
@@ -93,9 +88,8 @@ class ApplicationProcess {
   /// Read the counters and deposit one sample (blocking on a full pipe).
   void emit_sample();
   void on_pipe_space();
-  /// Arm the next sampling timer using the (possibly adaptive) period.
+  /// Arm the next sampling timer using the (possibly regulated) period.
   void schedule_next_sample();
-  [[nodiscard]] SimTime sampling_period() const;
 
   /// True (and remembers how to resume) if the process is blocked on a full
   /// pipe and must not progress.
@@ -113,9 +107,8 @@ class ApplicationProcess {
   NetworkResource& network_;
   Pipe* pipe_;
   BarrierManager* barrier_;
-  const SamplingController* controller_;
-  const PerDaemonThrottle* throttle_ = nullptr;
-  std::int32_t throttle_domain_ = 0;
+  /// The sampling period, read each time a timer is armed.
+  const SimTime* period_us_;
   FaultGate* fault_gate_ = nullptr;
   std::uint64_t next_sample_id_ = 1;
   std::uint64_t sample_id_stride_ = 1;

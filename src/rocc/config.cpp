@@ -80,8 +80,16 @@ void SystemConfig::validate() const {
   if (!faults.empty()) {
     faults.validate(daemon_count(), nodes, duration_us, pipe_capacity);
   }
-  if (adaptive_throttle.enabled && !(adaptive_throttle.perturbation_budget_pct > 0.0)) {
-    throw std::invalid_argument("SystemConfig: throttle perturbation budget must be > 0");
+  if (regulator.scope != RegulatorScope::Off && !(regulator.budget_pct > 0.0)) {
+    throw std::invalid_argument("SystemConfig: regulator budget must be > 0");
+  }
+  if (regulator.scope == RegulatorScope::Global) {
+    if (!(regulator.adjust_interval_us > 0.0)) {
+      throw std::invalid_argument("SystemConfig: regulator adjust interval must be > 0");
+    }
+    if (!(regulator.min_period_us > 0.0) || !(regulator.max_period_us >= regulator.min_period_us)) {
+      throw std::invalid_argument("SystemConfig: bad regulator period bounds");
+    }
   }
   if (background.enabled) {
     if (!background.pvmd_cpu_length || !background.pvmd_net_length ||
@@ -123,11 +131,11 @@ void SystemConfig::validate() const {
           "SystemConfig: --shards >= 2 is incompatible with application barriers — a global "
           "barrier couples all nodes at zero latency");
     }
-    if (adaptive.enabled) {
+    if (regulator.scope == RegulatorScope::Global) {
       throw std::invalid_argument(
-          "SystemConfig: --shards >= 2 is incompatible with the global adaptive sampling "
-          "controller (it reads every CPU's accounting each interval); use --adaptive-throttle, "
-          "whose domains are node-local");
+          "SystemConfig: --shards >= 2 is incompatible with the global regulator scope "
+          "(--adaptive-budget reads every CPU's accounting each interval); use "
+          "--adaptive-sampling, whose domains are node-local");
     }
   }
 }

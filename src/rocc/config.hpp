@@ -28,38 +28,24 @@ struct AppModel {
   stats::DistributionPtr io_block_duration;
 };
 
-/// Adaptive cost model (Paradyn's dynamic cost model, reference [12]):
-/// regulate direct IS overhead against a budget by adapting the sampling
-/// period on-line.  See rocc/cost_model.hpp for the controller.
-struct AdaptiveSamplingConfig {
-  bool enabled = false;
-  /// Direct IS overhead budget, percent of total CPU capacity.
-  double overhead_budget_pct = 1.0;
-  /// How often the controller re-evaluates.
+/// Which perturbation the sampling regulator (rocc/cost_model.hpp) keeps
+/// under budget by stretching the sampling period on-line.  Global is
+/// Paradyn's dynamic cost model (reference [12], --adaptive-budget): one
+/// period for the whole IS against its direct CPU cost.  PerDaemon
+/// (--adaptive-sampling) gives each daemon its own period against its CPU
+/// plus its applications' pipe-blocked time.
+enum class RegulatorScope : std::uint8_t { Off, Global, PerDaemon };
+
+struct RegulatorConfig {
+  RegulatorScope scope = RegulatorScope::Off;
+  /// Perturbation budget, percent of the domain's CPU capacity (all CPUs
+  /// for Global, the host's for PerDaemon).
+  double budget_pct = 1.0;
+  /// Global scope only: tick interval and period bounds.  The per-daemon
+  /// law fixes its own (250 ms, [SP, 16 SP]).
   SimTime adjust_interval_us = 500'000.0;
-  /// Sampling-period bounds.
   SimTime min_period_us = 1'000.0;
   SimTime max_period_us = 1'000'000.0;
-  /// Multiplicative step: period *= grow when over budget; period *= shrink
-  /// when under half the budget.
-  double grow = 1.5;
-  double shrink = 0.75;
-};
-
-/// Closed-loop per-daemon sampling throttle (--adaptive-sampling): the
-/// paper's *measured* perturbation metric turned into a control input.
-/// Every adjustment interval the controller extrapolates each daemon
-/// domain's perturbation (daemon busy time plus application pipe-blocked
-/// time, as a fraction of the domain's CPU capacity) one interval ahead;
-/// domains whose *predicted* perturbation exceeds the budget get their
-/// sampling period stretched, and recover multiplicatively once back under
-/// half budget.  The interval and steps are fixed (rocc/cost_model.cpp).
-/// Orthogonal to AdaptiveSamplingConfig, which regulates one global period
-/// against direct IS CPU cost only.
-struct AdaptiveThrottleConfig {
-  bool enabled = false;
-  /// Predicted-perturbation budget, percent of the domain's CPU capacity.
-  double perturbation_budget_pct = 5.0;
 };
 
 /// How instrumentation data is produced (Section 2.3.1): periodic sampling
@@ -118,11 +104,8 @@ struct SystemConfig {
   /// Sampling (timer-driven) vs tracing (event-driven) data collection.
   InstrumentationMode instrumentation_mode = InstrumentationMode::Sampling;
 
-  /// Adaptive overhead regulation; sampling_period_us is the initial period.
-  AdaptiveSamplingConfig adaptive;
-
-  /// Per-daemon perturbation-driven sampling throttle.
-  AdaptiveThrottleConfig adaptive_throttle;
+  /// On-line sampling regulation; sampling_period_us is the initial period.
+  RegulatorConfig regulator;
 
   /// Batch size in samples; 1 == collect-and-forward.
   std::int32_t batch_size = 1;
@@ -176,7 +159,7 @@ struct SystemConfig {
   /// groups, each owning its own des::Engine, and results are bit-identical
   /// for every count (the differential suite gates 0, 1 and N).  Two or
   /// more shards need uplink_latency_us > 0 (the lookahead) and reject SMP,
-  /// barriers and the global adaptive cost model.
+  /// barriers and the global regulator scope.
   std::int32_t shards = 0;
 
   /// Minimum latency (microseconds) of a daemon's uplink delivery — batch

@@ -105,9 +105,8 @@ void Simulation::build() {
         config_.cpu_quantum_us));
   }
 
-  // Barriers and the global cost model couple every node at zero latency;
-  // config validation admits them only with one shard, so they live on
-  // shard 0.
+  // Barriers couple every node at zero latency; config validation admits
+  // them only with one shard, so they live on shard 0.
   const std::int32_t total_apps = nodes * config_.app_processes_per_node;
   if ((config_.barrier_period_us > 0.0 || config_.barrier_every_cycles > 0) && total_apps > 0) {
     barrier_ = std::make_unique<BarrierManager>(shards_->engine(0), total_apps);
@@ -170,19 +169,6 @@ void Simulation::build() {
     }
   }
 
-  // Adaptive cost model: the controller watches every CPU's IS occupancy
-  // and owns the live sampling period.
-  if (config_.instrumentation_enabled && config_.adaptive.enabled) {
-    std::vector<const CpuResource*> cpu_views;
-    cpu_views.reserve(node_cpus_.size());
-    for (const auto& cpu : node_cpus_) cpu_views.push_back(cpu.get());
-    const double capacity =
-        static_cast<double>(node_cpus_.size()) * static_cast<double>(config_.cpus_per_node);
-    controller_ = std::make_unique<SamplingController>(shards_->engine(0), config_.adaptive,
-                                                       config_.sampling_period_us,
-                                                       std::move(cpu_views), capacity);
-  }
-
   // Application processes and their pipes.
   for (std::int32_t n = 0; n < nodes; ++n) {
     for (std::int32_t a = 0; a < config_.app_processes_per_node; ++a) {
@@ -206,8 +192,7 @@ void Simulation::build() {
           override_it != config_.app_overrides.end() ? override_it->second : config_.app;
       apps_.push_back(std::make_unique<ApplicationProcess>(
           node_engine(n), config_, model, *node_cpus_[n], node_network(n), pipe, barrier_.get(),
-          controller_.get(), node_collector(n),
-          des::RngStream(config_.seed, app_entity_tag(n, a), kTagApp), n, a));
+          node_collector(n), des::RngStream(config_.seed, app_entity_tag(n, a), kTagApp), n, a));
       // Interleaved per-process ids: run-unique, independent of the
       // sharding, and never reset by warm-up deletion.
       apps_.back()->set_sample_ids(static_cast<std::uint64_t>(app_global) + 1,
@@ -235,36 +220,50 @@ void Simulation::build() {
     }
   }
 
-  // Per-daemon adaptive throttle: one domain per daemon (its host CPU plus
-  // the application processes whose pipes it drains).  Domains are
-  // node-local, so the throttle shards cleanly: one instance per shard,
-  // each ticking on its own engine with identical interval times.
-  if (config_.instrumentation_enabled && config_.adaptive_throttle.enabled &&
-      !daemons_.empty()) {
-    std::vector<std::int32_t> daemons_on_host(node_cpus_.size(), 0);
-    for (const auto& daemon : daemons_) {
-      ++daemons_on_host[static_cast<std::size_t>(daemon->node())];
-    }
-    throttles_.resize(shard_count);
-    daemon_throttle_domain_.resize(daemons_.size());
-    for (std::size_t d = 0; d < daemons_.size(); ++d) {
-      const auto host = static_cast<std::size_t>(daemons_[d]->node());
-      const std::size_t s = daemon_shard_[d];
-      if (!throttles_[s]) {
-        throttles_[s] =
-            std::make_unique<PerDaemonThrottle>(shards_->engine(s), config_.adaptive_throttle);
+  // Sampling regulator; the scope picks the domains.  Global: one domain of
+  // every CPU on shard 0 (validation admits it with one shard only), shared
+  // by every daemon.  Per daemon: one domain per daemon (its share of its
+  // host CPU plus the application processes whose pipes it drains).  Those
+  // domains are node-local, so that scope shards cleanly: one regulator per
+  // shard, each ticking on its own engine at identical times.
+  const RegulatorConfig& reg = config_.regulator;
+  if (config_.instrumentation_enabled && reg.scope != RegulatorScope::Off) {
+    const bool global = reg.scope == RegulatorScope::Global;
+    regulators_.resize(shard_count);
+    daemon_domain_.assign(daemons_.size(), 0);
+    const auto regulator_on = [&](std::size_t s) -> SamplingRegulator& {
+      if (!regulators_[s]) {
+        regulators_[s] = std::make_unique<SamplingRegulator>(shards_->engine(s), reg,
+                                                             config_.sampling_period_us);
       }
-      daemon_throttle_domain_[d] = throttles_[s]->add_domain(
-          node_cpus_[host].get(), 1.0 / static_cast<double>(daemons_on_host[host]),
-          static_cast<double>(config_.cpus_per_node));
+      return *regulators_[s];
+    };
+    if (global) {
+      std::vector<const CpuResource*> cpus;
+      for (const auto& cpu : node_cpus_) cpus.push_back(cpu.get());
+      regulator_on(0).add_domain(
+          std::move(cpus), 1.0,
+          static_cast<double>(node_cpus_.size()) * static_cast<double>(config_.cpus_per_node));
+    } else {
+      std::vector<std::int32_t> daemons_on_host(node_cpus_.size(), 0);
+      for (const auto& daemon : daemons_) {
+        ++daemons_on_host[static_cast<std::size_t>(daemon->node())];
+      }
+      for (std::size_t d = 0; d < daemons_.size(); ++d) {
+        const auto host = static_cast<std::size_t>(daemons_[d]->node());
+        daemon_domain_[d] = regulator_on(daemon_shard_[d])
+                                .add_domain({node_cpus_[host].get()},
+                                            1.0 / static_cast<double>(daemons_on_host[host]),
+                                            static_cast<double>(config_.cpus_per_node));
+      }
     }
     // Instrumented apps and pipes are created pairwise, so apps_[i]'s
     // daemon is pipe_daemon_[i].
     for (std::size_t i = 0; i < apps_.size(); ++i) {
       const std::size_t d = pipe_daemon_[i];
-      PerDaemonThrottle* throttle = throttles_[daemon_shard_[d]].get();
-      throttle->add_app(daemon_throttle_domain_[d], apps_[i].get());
-      apps_[i]->set_throttle(throttle, daemon_throttle_domain_[d]);
+      SamplingRegulator& regulator = *regulators_[daemon_shard_[d]];
+      if (!global) regulator.add_app(daemon_domain_[d], apps_[i].get());
+      apps_[i]->set_sampling_period(&regulator.period_us(daemon_domain_[d]));
     }
   }
 
@@ -588,73 +587,52 @@ bool Simulation::repair_reset_pipe(std::size_t fault_index) {
   return true;
 }
 
-void Simulation::set_tracer(obs::Tracer* tracer) {
-  if (partition_.shards > 1) {
-    throw std::logic_error(
-        "Simulation::set_tracer: a run with two or more shards has one tracer per shard — "
-        "attach via set_trace_recorder");
-  }
-  std::vector<obs::Tracer> tracers;
-  if (tracer != nullptr) tracers.push_back(*tracer);
-  attach_tracers(std::move(tracers));
-}
-
-void Simulation::set_trace_recorder(obs::TraceRecorder& recorder) {
-  std::vector<obs::Tracer> tracers;
+void Simulation::set_trace_recorder(obs::TraceRecorder& recorder,
+                                    const std::string& process_name) {
+  tracers_.clear();
   if (partition_.shards == 1) {
-    tracers.push_back(recorder.create_tracer("rocc"));
+    tracers_.push_back(recorder.create_tracer(process_name));
   } else {
     for (std::size_t s = 0; s < partition_.shards; ++s) {
-      tracers.push_back(recorder.create_tracer("shard " + std::to_string(s)));
+      tracers_.push_back(recorder.create_tracer("shard " + std::to_string(s)));
     }
   }
-  attach_tracers(std::move(tracers));
-}
 
-void Simulation::attach_tracers(std::vector<obs::Tracer> tracers) {
   // Fixed global track ids: 0 = engine, 1 = network, 2 = main, then one per
   // CPU resource, daemon, and application process, each registered on its
   // owner shard's tracer — a sharded trace lays out like a one-shard trace
   // split across shard processes.  Labels become Perfetto thread names.
   constexpr std::int32_t kNetworkTrack = 1;
   constexpr std::int32_t kMainTrack = 2;
-  tracers_ = std::move(tracers);
-  const bool on = !tracers_.empty();
-  const auto at = [this, on](std::size_t shard) { return on ? &tracers_[shard] : nullptr; };
-
   for (std::size_t s = 0; s < partition_.shards; ++s) {
-    shards_->engine(s).set_tracer(at(s));
-    networks_[s]->set_tracer(at(s), kNetworkTrack);
-    if (!on) continue;
+    shards_->engine(s).set_tracer(&tracers_[s]);
+    networks_[s]->set_tracer(&tracers_[s], kNetworkTrack);
     tracers_[s].set_track_name(obs::kEngineTrack, "engine");
     tracers_[s].set_track_name(kNetworkTrack, "network");
   }
   if (main_) {
-    main_->set_tracer(at(0), kMainTrack);
-    if (on) tracers_[0].set_track_name(kMainTrack, "main paradyn");
+    main_->set_tracer(&tracers_[0], kMainTrack);
+    tracers_[0].set_track_name(kMainTrack, "main paradyn");
   }
 
   std::int32_t track = 3;
   const bool dedicated_main = config_.instrumentation_enabled && config_.main_on_dedicated_host;
   for (std::size_t n = 0; n < node_cpus_.size(); ++n, ++track) {
     const std::size_t s = cpu_shard(n);
-    node_cpus_[n]->set_tracer(at(s), track);
-    if (!on) continue;
+    node_cpus_[n]->set_tracer(&tracers_[s], track);
     const bool is_main_host = dedicated_main && n + 1 == node_cpus_.size();
     tracers_[s].set_track_name(
         track, is_main_host ? std::string("cpu main-host") : "cpu node " + std::to_string(n));
   }
   for (std::size_t d = 0; d < daemons_.size(); ++d, ++track) {
     const std::size_t s = daemon_shard_[d];
-    daemons_[d]->set_tracer(at(s), track);
-    if (!on) continue;
+    daemons_[d]->set_tracer(&tracers_[s], track);
     tracers_[s].set_track_name(track, "daemon " + std::to_string(d) + " (node " +
                                           std::to_string(daemons_[d]->node()) + ")");
   }
   for (std::size_t a = 0; a < apps_.size(); ++a, ++track) {
     const std::size_t s = partition_.shard_of(apps_[a]->node());
-    apps_[a]->set_tracer(at(s), track);
-    if (!on) continue;
+    apps_[a]->set_tracer(&tracers_[s], track);
     tracers_[s].set_track_name(track, "app n" + std::to_string(apps_[a]->node()) + "." +
                                           std::to_string(apps_[a]->index()));
   }
@@ -695,9 +673,11 @@ void Simulation::enable_metrics(obs::MetricsRegistry& registry, SimTime tick_us)
                        [&metrics] { return static_cast<double>(metrics.samples_dropped); });
     registry.add_probe("net.slowdown", [&network] { return network.slowdown(); });
   }
-  if (!throttles_.empty()) {
-    const PerDaemonThrottle& throttle = *throttles_.front();
-    registry.add_probe("throttle.max_factor", [&throttle] { return throttle.max_factor(); });
+  if (config_.regulator.scope == RegulatorScope::PerDaemon && !regulators_.empty()) {
+    const SamplingRegulator& regulator = *regulators_.front();
+    const SimTime sp = config_.sampling_period_us;
+    registry.add_probe("throttle.max_factor",
+                       [&regulator, sp] { return regulator.peak_period_us() / sp; });
   }
 
   // Busy fraction of the whole CPU pool per process class: accumulated busy
@@ -757,9 +737,8 @@ SimulationResult Simulation::run() {
   for (auto& stream : background_) stream->start();
   for (auto& daemon : daemons_) daemon->start();
   for (auto& app : apps_) app->start();
-  if (controller_) controller_->start();
-  for (auto& throttle : throttles_) {
-    if (throttle) throttle->start();
+  for (auto& regulator : regulators_) {
+    if (regulator) regulator->start();
   }
   // First probe row at t = 0, then one every tick of simulated time.
   if (registry_ != nullptr) schedule_metrics_tick();
@@ -861,14 +840,14 @@ SimulationResult Simulation::collect() const {
     r.per_node.push_back(nb);
   }
 
-  // Replicated control events (fault edges, repair broadcasts, throttle
+  // Replicated control events (fault edges, repair broadcasts, regulator
   // tick chains) fire once per shard; report the model events plus a single
   // replica's worth so the count is shard-count-invariant.
   std::uint64_t control_total = 0;
   std::uint64_t control_zero = 0;
   for (std::size_t s = 0; s < partition_.shards; ++s) {
     std::uint64_t control = control_fired_[s];
-    if (s < throttles_.size() && throttles_[s]) control += throttles_[s]->ticks();
+    if (s < regulators_.size() && regulators_[s]) control += regulators_[s]->ticks();
     control_total += control;
     if (s == 0) control_zero = control;
   }
@@ -878,23 +857,24 @@ SimulationResult Simulation::collect() const {
     r.barrier_rounds = barrier_->rounds();
     r.barrier_wait_us = barrier_->total_wait_time();
   }
-  if (controller_) {
-    r.final_sampling_period_us = controller_->current_period_us();
-    r.cost_adjustments = controller_->adjustments();
-  }
   r.fault_outcomes = fault_outcomes_;
-  if (!throttles_.empty()) {
-    // Stitch the per-shard instances back into daemon order.
+  if (config_.regulator.scope == RegulatorScope::Global && !regulators_.empty()) {
+    const SamplingRegulator& global = *regulators_.front();
+    r.final_sampling_period_us = global.period_us(0);
+    r.cost_adjustments = global.log();
+  } else if (!regulators_.empty()) {
+    // Per daemon: stitch the per-shard domains back into daemon order.  The
+    // periods are SP * 2^k, so each factor is exact.
+    const SimTime sp = config_.sampling_period_us;
     r.throttle_factors.reserve(daemons_.size());
     for (std::size_t d = 0; d < daemons_.size(); ++d) {
-      const auto& inst = *throttles_[daemon_shard_[d]];
-      r.throttle_factors.push_back(
-          inst.factors()[static_cast<std::size_t>(daemon_throttle_domain_[d])]);
+      r.throttle_factors.push_back(regulators_[daemon_shard_[d]]->period_us(daemon_domain_[d]) /
+                                   sp);
     }
-    for (const auto& inst : throttles_) {
-      if (!inst) continue;
-      r.max_throttle_factor = std::max(r.max_throttle_factor, inst->max_factor());
-      r.throttle_adjustments += inst->adjustments();
+    for (const auto& regulator : regulators_) {
+      if (!regulator) continue;
+      r.max_throttle_factor = std::max(r.max_throttle_factor, regulator->peak_period_us() / sp);
+      r.throttle_adjustments += regulator->adjustments();
     }
   }
   return r;

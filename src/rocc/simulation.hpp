@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "des/engine.hpp"
@@ -98,21 +99,15 @@ class Simulation {
   /// not active or the clamp was already reset.
   bool repair_reset_pipe(std::size_t fault_index);
 
-  /// Attach one tracer to a one-shard run: engine spans, CPU/network
-  /// occupancy intervals, daemon/main activity, and sample lifecycles all
-  /// record into it on fixed tracks (0 = engine, 1 = network, 2 = main, then
-  /// CPUs, daemons, application processes — labeled via track metadata).
-  /// Call before run(); pass nullptr to detach.  The tracer's recorder must
-  /// outlive run().  Throws std::logic_error when the run has two or more
-  /// shards (use set_trace_recorder).
-  void set_tracer(obs::Tracer* tracer);
-
-  /// Tracing for any shard count: one tracer (= one recorder process) per
-  /// shard, named "rocc" for a one-shard run and "shard s" otherwise, with
-  /// every entity on its owner shard's tracer under the same global track
-  /// numbering as set_tracer.  Call before run(); the recorder must outlive
-  /// it.
-  void set_trace_recorder(obs::TraceRecorder& recorder);
+  /// Record the run into `recorder`: engine spans, CPU/network occupancy
+  /// intervals, daemon/main activity, and sample lifecycles, on fixed global
+  /// tracks (0 = engine, 1 = network, 2 = main, then CPUs, daemons,
+  /// application processes — labeled via track metadata).  One tracer (= one
+  /// recorder process) per shard, named `process_name` for a one-shard run
+  /// and "shard s" otherwise; each entity records on its owner shard's
+  /// tracer.  Call before run(); the recorder must outlive it.
+  void set_trace_recorder(obs::TraceRecorder& recorder,
+                          const std::string& process_name = "rocc");
 
   /// Executor for the window loop (see des::ShardSet): absent, shards run
   /// serially in index order; tools install a ThreadPool-backed executor
@@ -153,9 +148,6 @@ class Simulation {
   /// A fault/repair marker on `shard`'s engine track (no-op untraced).
   void trace_marker(std::size_t shard, const char* category, const char* name,
                     const char* arg_name, double arg);
-  /// Lay out the fixed tracks on `tracers` (one per shard, or none to
-  /// detach).
-  void attach_tracers(std::vector<obs::Tracer> tracers);
   /// Shard owning CPU group `n` (the dedicated main host rides on shard 0).
   [[nodiscard]] std::size_t cpu_shard(std::size_t n) const;
   [[nodiscard]] SimulationResult collect() const;
@@ -178,7 +170,6 @@ class Simulation {
   /// Per-shard network replicas with per-node busy accounting, so collect()
   /// rebuilds the global figure in canonical node order.
   std::vector<std::unique_ptr<NetworkResource>> networks_;
-  std::unique_ptr<SamplingController> controller_;
   std::unique_ptr<BarrierManager> barrier_;
   std::vector<std::unique_ptr<Pipe>> pipes_;
   /// Index of the daemon draining pipes_[i] (backpressure targeting).
@@ -188,10 +179,11 @@ class Simulation {
   std::vector<std::size_t> daemon_shard_;
   std::unique_ptr<MainParadyn> main_;
   std::vector<std::unique_ptr<OpenArrivalStream>> background_;
-  /// Per-shard adaptive throttles (empty when off); daemon d is domain
-  /// daemon_throttle_domain_[d] of its shard's instance.
-  std::vector<std::unique_ptr<PerDaemonThrottle>> throttles_;
-  std::vector<std::int32_t> daemon_throttle_domain_;
+  /// Sampling regulators by shard (empty when off): the global scope's one
+  /// on shard 0, or one per shard holding that shard's daemon domains.
+  /// Daemon d's period is domain daemon_domain_[d] of its shard's regulator.
+  std::vector<std::unique_ptr<SamplingRegulator>> regulators_;
+  std::vector<std::int32_t> daemon_domain_;
 
   /// Runtime fault state.  Effects are keyed by plan fault index so
   /// overlapping same-target windows revert exactly what they applied and
@@ -211,7 +203,7 @@ class Simulation {
   std::vector<CascadeHit> cascade_hits_;
   std::vector<std::vector<std::pair<std::size_t, double>>> daemon_net_penalties_;
   /// Control events that fired per shard: effects replicated onto every
-  /// shard (link/drop/clamp edges, repair broadcasts) plus throttle ticks.
+  /// shard (link/drop/clamp edges, repair broadcasts) plus regulator ticks.
   /// collect() reports sum(engines) - sum(control) + control[0], which is
   /// invariant in the shard count.
   std::vector<std::uint64_t> control_fired_;

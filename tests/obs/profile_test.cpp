@@ -185,6 +185,29 @@ TEST(Profiler, WindowsFarApartHoldLikeAdjacentOnes) {
   }
 }
 
+TEST(Profiler, ExcessiveCpuHoldsPastTheLastSampleMark) {
+  // The only lifecycle chain ends at 20 us, in window 0; the CPU track stays
+  // busy for 500 ms.  ExcessiveCPU must hold over all five windows, not stop
+  // at the last window that holds lifecycle or pipe data.
+  const auto report = profile_string(R"({"traceEvents": [
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 3, "args": {"name": "cpu node 0"}},
+    {"name": "lifecycle", "cat": "sample", "ph": "b", "ts": 10, "pid": 1, "tid": 3, "id": "0x1"},
+    {"name": "lifecycle", "cat": "sample", "ph": "n", "ts": 11, "pid": 1, "tid": 3, "id": "0x1",
+     "args": {"enq": 1}},
+    {"name": "lifecycle", "cat": "sample", "ph": "e", "ts": 20, "pid": 1, "tid": 3, "id": "0x1"},
+    {"name": "app", "cat": "cpu", "ph": "X", "ts": 0, "dur": 500000, "pid": 1, "tid": 3}
+  ]})");
+  const auto* cpu = find_hypothesis(report, "ExcessiveCPU");
+  ASSERT_NE(cpu, nullptr);
+  EXPECT_TRUE(cpu->held);
+  EXPECT_DOUBLE_EQ(cpu->first_held_start_us, 0.0);
+  EXPECT_DOUBLE_EQ(cpu->first_held_end_us, 500'000.0);
+  EXPECT_EQ(cpu->windows_held, 5u);
+  std::ostringstream text;
+  print_profile_report(text, report);
+  EXPECT_NE(text.str().find("[0.0 ms .. 500.0 ms)"), std::string::npos) << text.str();
+}
+
 TEST(Profiler, TruncatedShardTailThrowsWithOffset) {
   // A trace cut mid-event (a crashed writer's shard tail) must fail loudly
   // with a byte offset, not silently produce a half-empty report.
@@ -219,9 +242,8 @@ TEST(Profiler, PipeBackpressureFaultIsAttributedToThePipeHop) {
 
   const auto run = [](rocc::SystemConfig config) {
     TraceRecorder recorder(1u << 18);
-    Tracer tracer = recorder.create_tracer();
     rocc::Simulation sim(config);
-    sim.set_tracer(&tracer);
+    sim.set_trace_recorder(recorder);
     const auto result = sim.run();
     EXPECT_GT(result.samples_delivered, 0u);
     return profile_recorder(recorder);
@@ -260,9 +282,8 @@ TEST(Profiler, StreamingJsonPathMatchesNativeRecorderPath) {
   cfg.duration_us = 1.0e6;
 
   TraceRecorder recorder(1u << 18);
-  Tracer tracer = recorder.create_tracer();
   rocc::Simulation sim(cfg);
-  sim.set_tracer(&tracer);
+  sim.set_trace_recorder(recorder);
   (void)sim.run();
 
   const auto native = profile_recorder(recorder);
@@ -298,9 +319,8 @@ TEST(Profiler, ReportsAreDeterministicAcrossRuns) {
 
   const auto render = [&] {
     TraceRecorder recorder(1u << 18);
-    Tracer tracer = recorder.create_tracer();
     rocc::Simulation sim(cfg);
-    sim.set_tracer(&tracer);
+    sim.set_trace_recorder(recorder);
     (void)sim.run();
     std::ostringstream text, json, folded;
     const auto report = profile_recorder(recorder);

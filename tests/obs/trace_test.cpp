@@ -193,11 +193,9 @@ TEST(TraceRecorder, ParallelRunnerRepsShareOneRecorderSafely) {
   cfg.sampling_period_us = 10'000.0;
 
   TraceRecorder recorder(1u << 16);
-  std::vector<Tracer> tracers(kReps);
   experiments::ParallelRunner runner(kReps);
   runner.set_run_hook([&](rocc::Simulation& sim, std::size_t /*cell*/, std::size_t rep) {
-    tracers[rep] = recorder.create_tracer("rep " + std::to_string(rep));
-    sim.set_tracer(&tracers[rep]);
+    sim.set_trace_recorder(recorder, "rep " + std::to_string(rep));
   });
   const auto results = runner.replications(cfg, kReps);
   ASSERT_EQ(results.size(), kReps);
@@ -219,9 +217,8 @@ TEST(TraceSummary, SimulationTraceHasSpansAndCompleteLifecycles) {
   cfg.sampling_period_us = 10'000.0;
 
   TraceRecorder recorder(1u << 16);
-  Tracer tracer = recorder.create_tracer();
   rocc::Simulation sim(cfg);
-  sim.set_tracer(&tracer);
+  sim.set_trace_recorder(recorder);
   const auto result = sim.run();
   EXPECT_GT(result.samples_delivered, 0u);
 
@@ -266,9 +263,8 @@ TEST(TraceSummary, LifecycleIdsStayUniqueAcrossWarmup) {
   cfg.sampling_period_us = 10'000.0;
 
   TraceRecorder recorder(1u << 18);
-  Tracer tracer = recorder.create_tracer();
   rocc::Simulation sim(cfg);
-  sim.set_tracer(&tracer);
+  sim.set_trace_recorder(recorder);
   (void)sim.run();
   ASSERT_EQ(recorder.dropped(), 0u);
 

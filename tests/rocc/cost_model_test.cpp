@@ -15,11 +15,11 @@ SystemConfig adaptive_config(double budget_pct, double initial_period_us) {
   auto c = SystemConfig::now(4);
   c.duration_us = 10e6;
   c.sampling_period_us = initial_period_us;
-  c.adaptive.enabled = true;
-  c.adaptive.overhead_budget_pct = budget_pct;
-  c.adaptive.adjust_interval_us = 250'000.0;
-  c.adaptive.min_period_us = 500.0;
-  c.adaptive.max_period_us = 500'000.0;
+  c.regulator.scope = RegulatorScope::Global;
+  c.regulator.budget_pct = budget_pct;
+  c.regulator.adjust_interval_us = 250'000.0;
+  c.regulator.min_period_us = 500.0;
+  c.regulator.max_period_us = 500'000.0;
   c.main_on_dedicated_host = false;
   return c;
 }
@@ -33,7 +33,7 @@ TEST(CostModel, ThrottlesWhenOverBudget) {
   // undo, only stop adding to.)
   auto adaptive = adaptive_config(1.0, 1'000.0);
   auto fixed = adaptive;
-  fixed.adaptive.enabled = false;
+  fixed.regulator.scope = RegulatorScope::Off;
   const auto ra = run_simulation(adaptive);
   const auto rf = run_simulation(fixed);
 
@@ -63,11 +63,11 @@ TEST(CostModel, RespectsPeriodBounds) {
   // controller must stop at the bound, not run away.
   auto c = adaptive_config(0.0001, 1'000.0);
   const auto r = run_simulation(c);
-  EXPECT_LE(r.final_sampling_period_us, c.adaptive.max_period_us + 1e-9);
+  EXPECT_LE(r.final_sampling_period_us, c.regulator.max_period_us + 1e-9);
   // And a huge budget pins at the minimum.
   auto fast = adaptive_config(95.0, 100'000.0);
   const auto rf = run_simulation(fast);
-  EXPECT_GE(rf.final_sampling_period_us, fast.adaptive.min_period_us - 1e-9);
+  EXPECT_GE(rf.final_sampling_period_us, fast.regulator.min_period_us - 1e-9);
 }
 
 TEST(CostModel, AdjustmentLogIsComplete) {
@@ -77,57 +77,61 @@ TEST(CostModel, AdjustmentLogIsComplete) {
   EXPECT_NEAR(static_cast<double>(r.cost_adjustments.size()), 40.0, 2.0);
   for (const auto& adj : r.cost_adjustments) {
     EXPECT_GE(adj.observed_overhead_pct, 0.0);
-    EXPECT_GE(adj.new_period_us, c.adaptive.min_period_us);
-    EXPECT_LE(adj.new_period_us, c.adaptive.max_period_us);
+    EXPECT_GE(adj.new_period_us, c.regulator.min_period_us);
+    EXPECT_LE(adj.new_period_us, c.regulator.max_period_us);
   }
 }
 
 TEST(CostModel, DisabledMeansNoController) {
   auto c = adaptive_config(1.0, 10'000.0);
-  c.adaptive.enabled = false;
+  c.regulator.scope = RegulatorScope::Off;
   const auto r = run_simulation(c);
   EXPECT_DOUBLE_EQ(r.final_sampling_period_us, 0.0);
   EXPECT_TRUE(r.cost_adjustments.empty());
 }
 
 TEST(CostModel, ControllerValidation) {
-  des::Engine engine;
-  CpuResource cpu(engine, 1, 10'000.0);
-  const std::vector<const CpuResource*> cpus{&cpu};
-  AdaptiveSamplingConfig cfg;
-  cfg.enabled = true;
+  // Regulator settings are checked with the rest of the configuration,
+  // before anything is built.
+  auto c = adaptive_config(1.0, 10'000.0);
+  EXPECT_NO_THROW(c.validate());
 
-  auto bad = cfg;
-  bad.overhead_budget_pct = 0.0;
-  EXPECT_THROW(SamplingController(engine, bad, 1'000.0, cpus, 1.0), std::invalid_argument);
-  bad = cfg;
-  bad.adjust_interval_us = 0.0;
-  EXPECT_THROW(SamplingController(engine, bad, 1'000.0, cpus, 1.0), std::invalid_argument);
-  bad = cfg;
-  bad.min_period_us = 0.0;
-  EXPECT_THROW(SamplingController(engine, bad, 1'000.0, cpus, 1.0), std::invalid_argument);
-  bad = cfg;
-  bad.max_period_us = bad.min_period_us / 2.0;
-  EXPECT_THROW(SamplingController(engine, bad, 1'000.0, cpus, 1.0), std::invalid_argument);
-  bad = cfg;
-  bad.grow = 1.0;
-  EXPECT_THROW(SamplingController(engine, bad, 1'000.0, cpus, 1.0), std::invalid_argument);
-  bad = cfg;
-  bad.shrink = 1.0;
-  EXPECT_THROW(SamplingController(engine, bad, 1'000.0, cpus, 1.0), std::invalid_argument);
-  EXPECT_THROW(SamplingController(engine, cfg, 1'000.0, {}, 1.0), std::invalid_argument);
+  auto bad = c;
+  bad.regulator.budget_pct = 0.0;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad.regulator.scope = RegulatorScope::PerDaemon;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad.regulator.scope = RegulatorScope::Off;
+  EXPECT_NO_THROW(bad.validate());
+  bad = c;
+  bad.regulator.adjust_interval_us = 0.0;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad = c;
+  bad.regulator.min_period_us = 0.0;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad = c;
+  bad.regulator.max_period_us = bad.regulator.min_period_us / 2.0;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  // The global scope's interval and bounds do not apply per daemon.
+  bad.regulator.scope = RegulatorScope::PerDaemon;
+  EXPECT_NO_THROW(bad.validate());
 }
 
 TEST(CostModel, InitialPeriodClampedIntoBounds) {
   des::Engine engine;
   CpuResource cpu(engine, 1, 10'000.0);
-  AdaptiveSamplingConfig cfg;
+  RegulatorConfig cfg;
+  cfg.scope = RegulatorScope::Global;
   cfg.min_period_us = 5'000.0;
   cfg.max_period_us = 50'000.0;
-  SamplingController low(engine, cfg, 1.0, {&cpu}, 1.0);
-  EXPECT_DOUBLE_EQ(low.current_period_us(), 5'000.0);
-  SamplingController high(engine, cfg, 1e9, {&cpu}, 1.0);
-  EXPECT_DOUBLE_EQ(high.current_period_us(), 50'000.0);
+  SamplingRegulator low(engine, cfg, 1.0);
+  EXPECT_DOUBLE_EQ(low.period_us(low.add_domain({&cpu}, 1.0, 1.0)), 5'000.0);
+  SamplingRegulator high(engine, cfg, 1e9);
+  EXPECT_DOUBLE_EQ(high.period_us(high.add_domain({&cpu}, 1.0, 1.0)), 50'000.0);
+  // Per daemon, the bounds are [SP, 16 SP]: every domain starts at SP.
+  cfg.scope = RegulatorScope::PerDaemon;
+  SamplingRegulator per_daemon(engine, cfg, 1.0);
+  EXPECT_DOUBLE_EQ(per_daemon.period_us(per_daemon.add_domain({&cpu}, 1.0, 1.0)), 1.0);
 }
 
 }  // namespace

@@ -503,8 +503,8 @@ TEST(FaultSimulation, FaultFreeStreamsUntouchedByFaultMachinery) {
 TEST(FaultSimulation, AdaptiveThrottleSlowsSamplingUnderBudget) {
   auto c = quick_now(2, 1);
   c.sampling_period_us = 2'000.0;  // aggressive sampling -> perturbation
-  c.adaptive_throttle.enabled = true;
-  c.adaptive_throttle.perturbation_budget_pct = 0.5;  // tight budget
+  c.regulator.scope = RegulatorScope::PerDaemon;
+  c.regulator.budget_pct = 0.5;  // tight budget
   const auto rt = run_simulation(c);
   auto h = quick_now(2, 1);
   h.sampling_period_us = 2'000.0;

@@ -193,7 +193,8 @@ TEST(PdesInvariance, TreeTopologyFaultedGrid) {
 
 TEST(PdesInvariance, AdaptiveThrottleGrid) {
   auto c = pdes_config(4);
-  c.adaptive_throttle.enabled = true;
+  c.regulator.scope = RegulatorScope::PerDaemon;
+  c.regulator.budget_pct = 5.0;
   expect_shard_invariant(c, {2, 4});
 }
 
@@ -434,15 +435,6 @@ TEST(PdesInvariance, TracingDoesNotChangeResults) {
   expect_bit_identical(a, b);
 }
 
-TEST(PdesInvariance, SetTracerRejectedWhenPartitioned) {
-  auto c = pdes_config(4);
-  c.shards = 2;
-  Simulation sim(c);
-  obs::TraceRecorder recorder;
-  obs::Tracer tracer = recorder.create_tracer("x");
-  EXPECT_THROW(sim.set_tracer(&tracer), std::logic_error);
-}
-
 // ---------------------------------------------------------------------------
 // One shard: zero-latency couplings run, and --shards 1 matches --shards 0
 // ---------------------------------------------------------------------------
@@ -486,8 +478,8 @@ TEST(PdesOneShard, BarrierMatchesShardsZero) {
 
 TEST(PdesOneShard, GlobalAdaptiveSamplingMatchesShardsZero) {
   auto c = pdes_config(4);
-  c.adaptive.enabled = true;
-  c.adaptive.overhead_budget_pct = 1.0;
+  c.regulator.scope = RegulatorScope::Global;
+  c.regulator.budget_pct = 1.0;
   expect_one_shard_identical(c);
   c.uplink_latency_us = 0.0;
   const SimulationResult r = run_at_shards(c, 1);
@@ -512,7 +504,8 @@ TEST(PdesOneShard, MetricsProbesMatchShardsZero) {
     SCOPED_TRACE("uplink=" + std::to_string(uplink));
     auto c = pdes_config(4);
     c.uplink_latency_us = uplink;
-    c.adaptive_throttle.enabled = true;
+    c.regulator.scope = RegulatorScope::PerDaemon;
+    c.regulator.budget_pct = 5.0;
     c.faults = FaultPlan::parse("link_slow:start=200ms,dur=300ms,factor=4");
     const auto zero = metrics_run(c, 0);
     const auto one = metrics_run(c, 1);
@@ -562,8 +555,14 @@ TEST(PdesValidation, BarrierRejected) {
 TEST(PdesValidation, GlobalAdaptiveSamplingRejected) {
   auto c = pdes_config(4);
   c.shards = 2;
-  c.adaptive.enabled = true;
-  EXPECT_THROW(Simulation sim(c), std::invalid_argument);
+  c.regulator.scope = RegulatorScope::Global;
+  try {
+    Simulation sim(c);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    // The way out it names must be a flag roccsim accepts.
+    EXPECT_NE(std::string(e.what()).find("--adaptive-sampling"), std::string::npos) << e.what();
+  }
 }
 
 TEST(PdesValidation, MetricsProbesRejectedWhenPartitioned) {

@@ -54,8 +54,9 @@ void print_help() {
       "                          --adaptive-budget and --metrics\n"
       "  --uplink-ms X           daemon uplink delivery latency in ms — part of the\n"
       "                          model, and the cross-shard lookahead; default 0\n"
-      "  --adaptive-budget X     enable the dynamic cost model with an IS overhead\n"
-      "                          budget of X%% of CPU capacity; default off\n"
+      "  --adaptive-budget X     regulate the sampling period, global scope (Paradyn's\n"
+      "                          dynamic cost model): one period for all daemons, kept\n"
+      "                          under an IS CPU budget of X% of all CPUs; default off\n"
       "  --fault SPEC            inject perturbations; SPEC is ';'-joined entries like\n"
       "                          daemon_stall:daemon=0,start=1s,dur=500ms\n"
       "                          (types: daemon_stall daemon_crash link_slow\n"
@@ -70,8 +71,11 @@ void print_help() {
       "                          keys: timeout max_retries backoff jitter success_p\n"
       "                          penalty threshold; see EXPERIMENTS.md).\n"
       "                          Reports time-to-repair, attempts, and gave_up per fault\n"
-      "  --adaptive-sampling [X] closed-loop per-daemon sampling throttle; optional X\n"
-      "                          = predicted-perturbation budget in %% (default 5)\n"
+      "  --adaptive-sampling [X] regulate the sampling period, per-daemon scope: each\n"
+      "                          daemon's period stretches up to 16x while its\n"
+      "                          predicted perturbation (its CPU plus its apps'\n"
+      "                          pipe-blocked time) tops X% of its host's CPUs\n"
+      "                          (default 5); exclusive with --adaptive-budget\n"
       "  --seed N                RNG seed; default 1\n"
       "  --reps N                replications with 90% CIs; default 1\n"
       "  --jobs N                worker threads for the replications; default: all\n"
@@ -195,9 +199,23 @@ int main(int argc, char** argv) {
     cfg.warmup_us = args.get_double("warmup", 0.0) * 1e6;
     cfg.shards = static_cast<std::int32_t>(args.get_long("shards", 0));
     cfg.uplink_latency_us = args.get_double("uplink-ms", 0.0) * 1'000.0;
+    // One sampling regulator, two scopes: --adaptive-budget is the global
+    // one (default budget 1%), --adaptive-sampling the per-daemon one (5%).
+    if (args.has("adaptive-budget") && args.has("adaptive-sampling")) {
+      throw std::invalid_argument(
+          "--adaptive-budget and --adaptive-sampling are exclusive: they pick the global or "
+          "the per-daemon scope of one sampling regulator");
+    }
     if (args.has("adaptive-budget")) {
-      cfg.adaptive.enabled = true;
-      cfg.adaptive.overhead_budget_pct = args.get_double("adaptive-budget", 1.0);
+      cfg.regulator.scope = rocc::RegulatorScope::Global;
+      cfg.regulator.budget_pct = args.get_double("adaptive-budget", 1.0);
+    }
+    if (args.has("adaptive-sampling")) {
+      cfg.regulator.scope = rocc::RegulatorScope::PerDaemon;
+      // Bare switch uses the default budget; --adaptive-sampling=X sets it.
+      cfg.regulator.budget_pct = args.get_string("adaptive-sampling", "true") == "true"
+                                     ? 5.0
+                                     : args.get_double("adaptive-sampling", 5.0);
     }
     if (args.has("fault")) cfg.faults = rocc::FaultPlan::parse(args.get_string("fault", ""));
     consultant::RepairPolicy repair_policy;
@@ -205,13 +223,6 @@ int main(int argc, char** argv) {
       repair_policy = consultant::RepairPolicy::parse(args.get_string("repair", ""));
       if (cfg.faults.empty()) {
         throw std::invalid_argument("--repair requires --fault (nothing to repair)");
-      }
-    }
-    if (args.has("adaptive-sampling")) {
-      cfg.adaptive_throttle.enabled = true;
-      // Bare switch uses the default budget; --adaptive-sampling=X sets it.
-      if (args.get_string("adaptive-sampling", "true") != "true") {
-        cfg.adaptive_throttle.perturbation_budget_pct = args.get_double("adaptive-sampling", 5.0);
       }
     }
     cfg.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
@@ -262,24 +273,20 @@ int main(int argc, char** argv) {
 
     // One replication set reused across metrics when reps >= 2.
     if (reps >= 2) {
-      // The hook runs on worker threads: each rep writes its own tracer
-      // slot, and only rep 0 (seed == base seed) carries the metrics probes
+      // The hook runs on worker threads: each rep records into its own
+      // tracer, and only rep 0 (seed == base seed) carries the metrics probes
       // — a registry belongs to a single simulation.
-      std::vector<obs::Tracer> tracers(reps);
       // Per-rep detection harnesses (each owns a consultant fed by that
       // rep's delivered samples); slots are disjoint so no lock is needed.
       std::vector<std::unique_ptr<consultant::DetectionHarness>> harnesses(reps);
       const experiments::RunHook hook = [&](rocc::Simulation& sim, std::size_t /*cell*/,
                                             std::size_t rep) {
         if (recorder) {
-          if (cfg.shards > 1) {
-            // Sharded runs trace one tracer per shard ("shard s" process
-            // names); attach the recorder to rep 0 only so the shard names
-            // stay unambiguous across replications.
-            if (rep == 0) sim.set_trace_recorder(*recorder);
-          } else {
-            tracers[rep] = recorder->create_tracer("rep " + std::to_string(rep));
-            sim.set_tracer(&tracers[rep]);
+          // One-shard reps record as process "rep N".  Sharded runs name
+          // their tracers "shard s", so only rep 0 records, which keeps the
+          // shard names unambiguous across replications.
+          if (cfg.shards <= 1 || rep == 0) {
+            sim.set_trace_recorder(*recorder, "rep " + std::to_string(rep));
           }
         }
         if (want_metrics && rep == 0) sim.enable_metrics(registry, metrics_tick_us);
@@ -385,7 +392,7 @@ int main(int argc, char** argv) {
                       gave_up_n);
         }
       }
-      if (cfg.adaptive_throttle.enabled) {
+      if (cfg.regulator.scope == rocc::RegulatorScope::PerDaemon) {
         row("max sampling throttle factor",
             [](const rocc::SimulationResult& r) { return r.max_throttle_factor; }, 2);
       }
@@ -409,15 +416,7 @@ int main(int argc, char** argv) {
           sim.set_shard_executor(experiments::shard_pool_executor(*shard_pool, lanes));
         }
       }
-      obs::Tracer tracer;
-      if (recorder) {
-        if (cfg.shards > 1) {
-          sim.set_trace_recorder(*recorder);
-        } else {
-          tracer = recorder->create_tracer();
-          sim.set_tracer(&tracer);
-        }
-      }
+      if (recorder) sim.set_trace_recorder(*recorder, "");
       if (want_metrics) sim.enable_metrics(registry, metrics_tick_us);
       // No-op when the effective fault plan is empty.
       const consultant::DetectionHarness harness(sim, consultant::DetectorConfig{},
@@ -433,7 +432,7 @@ int main(int argc, char** argv) {
       std::printf("  %-36s %llu / %llu\n", "samples delivered / generated",
                   static_cast<unsigned long long>(r.samples_delivered),
                   static_cast<unsigned long long>(r.samples_generated));
-      if (cfg.adaptive.enabled) {
+      if (cfg.regulator.scope == rocc::RegulatorScope::Global) {
         std::printf("  %-36s %.2f\n", "final sampling period (ms)",
                     r.final_sampling_period_us / 1e3);
       }
@@ -441,7 +440,7 @@ int main(int argc, char** argv) {
         std::printf("  %-36s %llu\n", "samples dropped by faults",
                     static_cast<unsigned long long>(r.samples_dropped));
       }
-      if (cfg.adaptive_throttle.enabled) {
+      if (cfg.regulator.scope == rocc::RegulatorScope::PerDaemon) {
         std::printf("  %-36s %.2f (%llu adjustment(s))\n", "max sampling throttle factor",
                     r.max_throttle_factor,
                     static_cast<unsigned long long>(r.throttle_adjustments));
