@@ -10,41 +10,33 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "experiments/table.hpp"
+#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  paradyn::bench::print_stamp("ablation_cpu_quantum");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("ablation_cpu_quantum");
   constexpr std::size_t kReps = 3;
 
-  const std::vector<double> quanta_ms{0.5, 1, 2, 5, 10, 20, 50};
-  const std::vector<std::string> names{"CF", "BF(32)"};
-  std::vector<std::vector<double>> lat(2), thru(2), app(2);
-
-  for (const double q : quanta_ms) {
-    for (int policy = 0; policy < 2; ++policy) {
-      auto c = rocc::SystemConfig::now(4);
-      c.duration_us = 5e6;
-      c.sampling_period_us = 5'000.0;
-      c.batch_size = policy == 0 ? 1 : 32;
-      c.cpu_quantum_us = q * 1'000.0;
-      const experiments::ReplicationSet rs(c, kReps);
-      const auto p = static_cast<std::size_t>(policy);
-      lat[p].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.latency_sec() * 1e3; }));
-      thru[p].push_back(rs.mean(experiments::throughput));
-      app[p].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-    }
-  }
+  const experiments::Sweep sweep({0.5, 1, 2, 5, 10, 20, 50}, {"CF", "BF(32)"},
+                                 [](double q, std::size_t policy) {
+                                   auto c = rocc::SystemConfig::now(4);
+                                   c.duration_us = 5e6;
+                                   c.sampling_period_us = 5'000.0;
+                                   c.batch_size = policy == 0 ? 1 : 32;
+                                   c.cpu_quantum_us = q * 1'000.0;
+                                   return c;
+                                 },
+                                 kReps);
 
   std::cout << "=== Ablation: CPU scheduling quantum (4 nodes, SP = 5 ms) ===\n";
-  experiments::print_series(std::cout, "Monitoring latency/sample (ms)", "quantum (ms)",
-                            quanta_ms, names, lat);
-  experiments::print_series(std::cout, "Throughput (samples/sec)", "quantum (ms)", quanta_ms,
-                            names, thru, 1);
-  experiments::print_series(std::cout, "Application CPU utilization (%)", "quantum (ms)",
-                            quanta_ms, names, app);
+  sweep.print(std::cout, "quantum (ms)",
+              {{"Monitoring latency/sample (ms)", experiments::latency_ms},
+               {"Throughput (samples/sec)", experiments::throughput, 1},
+               {"Application CPU utilization (%)",
+                experiments::paper_panels()[experiments::kAppUtil].metric}});
   std::cout << "\nLatency grows with the quantum (the daemon's sub-millisecond requests\n"
             << "queue behind un-preempted application bursts); the Table 2 value of\n"
             << "10 ms sits where the application's burst distribution is mostly served\n"

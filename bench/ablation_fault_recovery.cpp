@@ -5,53 +5,51 @@
 // resumes it must drain the backlog.  This exercises the IS's failure
 // behavior — a dimension the paper's steady-state study does not cover —
 // and quantifies the blast radius of a sick daemon under CF vs BF.
-#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "experiments/table.hpp"
-#include "rocc/simulation.hpp"
+#include "experiments/runner.hpp"
+#include "jobs_common.hpp"
+#include "rocc/config.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  paradyn::bench::print_stamp("ablation_fault_recovery");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("ablation_fault_recovery");
 
-  const std::vector<double> stall_ms{0, 100, 250, 500, 1000};
-  const std::vector<std::string> names{"CF", "BF(32)"};
-  std::vector<std::vector<double>> generated(2), delivered(2), app_util(2), worst_lat(2);
-
-  for (const double stall : stall_ms) {
-    for (int policy = 0; policy < 2; ++policy) {
-      auto c = rocc::SystemConfig::now(1);
-      c.duration_us = 4e6;
-      c.sampling_period_us = 10'000.0;
-      c.batch_size = policy == 0 ? 1 : 32;
-      c.pipe_capacity = 16;
-      c.record_latency_series = true;
-      if (stall > 0.0) {
-        c.faults = rocc::FaultPlan::parse("daemon_stall:daemon=0,start=1s,dur=" +
-                                          std::to_string(static_cast<int>(stall)) + "ms");
-      }
-      const auto r = rocc::run_simulation(c);
-      const auto p = static_cast<std::size_t>(policy);
-      generated[p].push_back(static_cast<double>(r.samples_generated));
-      delivered[p].push_back(static_cast<double>(r.samples_delivered));
-      app_util[p].push_back(r.app_cpu_util_pct);
-      worst_lat[p].push_back(r.latency_us.count() ? r.latency_us.max() / 1e3 : 0.0);
-    }
-  }
+  const experiments::Sweep sweep(
+      {0, 100, 250, 500, 1000}, {"CF", "BF(32)"},
+      [](double stall, std::size_t policy) {
+        auto c = rocc::SystemConfig::now(1);
+        c.duration_us = 4e6;
+        c.sampling_period_us = 10'000.0;
+        c.batch_size = policy == 0 ? 1 : 32;
+        c.pipe_capacity = 16;
+        c.record_latency_series = true;
+        if (stall > 0.0) {
+          c.faults = rocc::FaultPlan::parse("daemon_stall:daemon=0,start=1s,dur=" +
+                                            std::to_string(static_cast<int>(stall)) + "ms");
+        }
+        return c;
+      },
+      /*replications=*/1);
 
   std::cout << "=== Failure injection: daemon stall at t=1s (1 node, SP = 10 ms, 4 s run) ===\n";
-  experiments::print_series(std::cout, "Samples generated", "stall (ms)", stall_ms, names,
-                            generated, 0);
-  experiments::print_series(std::cout, "Samples delivered", "stall (ms)", stall_ms, names,
-                            delivered, 0);
-  experiments::print_series(std::cout, "Application CPU utilization (%)", "stall (ms)",
-                            stall_ms, names, app_util);
-  experiments::print_series(std::cout, "Worst-case monitoring latency (ms)", "stall (ms)",
-                            stall_ms, names, worst_lat);
+  sweep.print(
+      std::cout, "stall (ms)",
+      {{"Samples generated",
+        [](const rocc::SimulationResult& r) { return static_cast<double>(r.samples_generated); },
+        0},
+       {"Samples delivered",
+        [](const rocc::SimulationResult& r) { return static_cast<double>(r.samples_delivered); },
+        0},
+       {"Application CPU utilization (%)",
+        experiments::paper_panels()[experiments::kAppUtil].metric},
+       {"Worst-case monitoring latency (ms)", [](const rocc::SimulationResult& r) {
+          return r.latency_us.count() ? r.latency_us.max() / 1e3 : 0.0;
+        }}});
 
   std::cout << "\nThe pipe (16 samples) absorbs ~160 ms of stall before the application\n"
             << "blocks; longer stalls suppress both application progress and sample\n"

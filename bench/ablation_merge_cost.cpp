@@ -6,55 +6,39 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "experiments/table.hpp"
+#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  paradyn::bench::print_stamp("ablation_merge_cost");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  using experiments::paper_panels;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("ablation_merge_cost");
   constexpr std::size_t kReps = 2;
 
-  const std::vector<double> merge_means_us{0, 45, 89, 178, 356, 712};
-  const std::vector<std::string> names{"tree", "direct (reference)"};
-  std::vector<std::vector<double>> pd(2), main_u(2), lat(2);
-
-  // Direct-forwarding reference (independent of the merge cost).
-  auto direct_cfg = rocc::SystemConfig::mpp(64, rocc::ForwardingTopology::Direct);
-  direct_cfg.duration_us = 4e6;
-  direct_cfg.batch_size = 32;
-  const experiments::ReplicationSet direct(direct_cfg, kReps);
-  const double direct_pd =
-      direct.mean([](const rocc::SimulationResult& r) { return r.pd_cpu_util_pct; });
-  const double direct_main =
-      direct.mean([](const rocc::SimulationResult& r) { return r.main_cpu_util_pct; });
-  const double direct_lat =
-      direct.mean([](const rocc::SimulationResult& r) { return r.latency_sec() * 1e3; });
-
-  for (const double mm : merge_means_us) {
-    auto c = rocc::SystemConfig::mpp(64, rocc::ForwardingTopology::BinaryTree);
-    c.duration_us = 4e6;
-    c.batch_size = 32;
-    c.pd.merge_cpu = mm > 0.0
-                         ? stats::DistributionPtr(std::make_shared<stats::Exponential>(mm))
-                         : stats::DistributionPtr(std::make_shared<stats::Deterministic>(0.0));
-    const experiments::ReplicationSet rs(c, kReps);
-    pd[0].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.pd_cpu_util_pct; }));
-    main_u[0].push_back(
-        rs.mean([](const rocc::SimulationResult& r) { return r.main_cpu_util_pct; }));
-    lat[0].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.latency_sec() * 1e3; }));
-    pd[1].push_back(direct_pd);
-    main_u[1].push_back(direct_main);
-    lat[1].push_back(direct_lat);
-  }
+  // The direct-forwarding reference does not depend on the merge cost, so
+  // every x runs the same configuration (and prints the same values).
+  const experiments::Sweep sweep(
+      {0, 45, 89, 178, 356, 712}, {"tree", "direct (reference)"},
+      [](double mm, std::size_t v) {
+        auto c = rocc::SystemConfig::mpp(64, v == 0 ? rocc::ForwardingTopology::BinaryTree
+                                                    : rocc::ForwardingTopology::Direct);
+        c.duration_us = 4e6;
+        c.batch_size = 32;
+        if (v == 0) {
+          c.pd.merge_cpu =
+              mm > 0.0 ? stats::DistributionPtr(std::make_shared<stats::Exponential>(mm))
+                       : stats::DistributionPtr(std::make_shared<stats::Deterministic>(0.0));
+        }
+        return c;
+      },
+      kReps);
 
   std::cout << "=== Ablation: tree merge CPU cost (MPP, 64 nodes, SP = 40 ms, BF 32) ===\n";
-  experiments::print_series(std::cout, "Pd CPU utilization/node (%)", "merge mean (us)",
-                            merge_means_us, names, pd);
-  experiments::print_series(std::cout, "Paradyn (main) CPU utilization (%)", "merge mean (us)",
-                            merge_means_us, names, main_u);
-  experiments::print_series(std::cout, "Monitoring latency/sample (ms)", "merge mean (us)",
-                            merge_means_us, names, lat);
+  sweep.print(std::cout, "merge mean (us)",
+              {paper_panels()[experiments::kPdUtil], paper_panels()[experiments::kMainUtil],
+               {"Monitoring latency/sample (ms)", experiments::latency_ms}});
   std::cout << "\nTree forwarding always flattens the main process's load; its per-node\n"
             << "overhead premium over direct forwarding scales linearly with the merge\n"
             << "demand — free merging makes the tree strictly better.\n";

@@ -9,41 +9,34 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "experiments/table.hpp"
+#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  paradyn::bench::print_stamp("ablation_network_contention");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("ablation_network_contention");
   constexpr std::size_t kReps = 2;
 
-  const std::vector<double> nodes{1, 2, 4, 8, 16, 32};
-  const std::vector<std::string> names{"contention-free", "shared Ethernet"};
-  std::vector<std::vector<double>> app(2), lat(2), net(2);
-
-  for (const double n : nodes) {
-    for (int shared = 0; shared < 2; ++shared) {
-      auto c = rocc::SystemConfig::now(static_cast<std::int32_t>(n));
-      c.duration_us = 4e6;
-      c.batch_size = 32;
-      c.contention = shared ? rocc::NetworkContention::SharedSingleServer
-                            : rocc::NetworkContention::ContentionFree;
-      const experiments::ReplicationSet rs(c, kReps);
-      const auto s = static_cast<std::size_t>(shared);
-      app[s].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-      lat[s].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.latency_sec() * 1e3; }));
-      net[s].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.network_util_pct; }));
-    }
-  }
+  const experiments::Sweep sweep(
+      {1, 2, 4, 8, 16, 32}, {"contention-free", "shared Ethernet"},
+      [](double n, std::size_t shared) {
+        auto c = rocc::SystemConfig::now(static_cast<std::int32_t>(n));
+        c.duration_us = 4e6;
+        c.batch_size = 32;
+        c.contention = shared != 0 ? rocc::NetworkContention::SharedSingleServer
+                                   : rocc::NetworkContention::ContentionFree;
+        return c;
+      },
+      kReps);
 
   std::cout << "=== Ablation: NOW network contention model (SP = 40 ms, BF 32) ===\n";
-  experiments::print_series(std::cout, "Application CPU utilization/node (%)", "nodes", nodes,
-                            names, app);
-  experiments::print_series(std::cout, "Monitoring latency/sample (ms)", "nodes", nodes, names,
-                            lat);
-  experiments::print_series(std::cout, "Network occupancy (% of one server)", "nodes", nodes,
-                            names, net);
+  sweep.print(std::cout, "nodes",
+              {experiments::paper_panels()[experiments::kAppUtil],
+               {"Monitoring latency/sample (ms)", experiments::latency_ms},
+               {"Network occupancy (% of one server)",
+                [](const rocc::SimulationResult& r) { return r.network_util_pct; }}});
   std::cout << "\nOn a real shared Ethernet the application's own messages saturate the\n"
             << "segment near ~10 nodes and application progress collapses — which is\n"
             << "why the paper (and our defaults) evaluate the NOW IS questions on a\n"

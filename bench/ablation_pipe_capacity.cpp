@@ -10,43 +10,39 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "experiments/table.hpp"
+#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  paradyn::bench::print_stamp("ablation_pipe_capacity");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("ablation_pipe_capacity");
   constexpr std::size_t kReps = 3;
 
-  const std::vector<double> capacities{1, 2, 4, 8, 16, 32, 64, 256};
-  const std::vector<std::string> names{"CF", "BF(32)"};
-  std::vector<std::vector<double>> app(2), generated(2), delivered(2);
-
-  for (const double cap : capacities) {
-    for (int policy = 0; policy < 2; ++policy) {
-      auto c = rocc::SystemConfig::now(1);
-      c.duration_us = 5e6;
-      c.sampling_period_us = 500.0;  // 2000 samples/s offered: heavy
-      c.batch_size = policy == 0 ? 1 : 32;
-      c.pipe_capacity = static_cast<std::int32_t>(cap);
-      const experiments::ReplicationSet rs(c, kReps);
-      const auto p = static_cast<std::size_t>(policy);
-      app[p].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-      generated[p].push_back(rs.mean(
-          [](const rocc::SimulationResult& r) { return static_cast<double>(r.samples_generated); }));
-      delivered[p].push_back(rs.mean(
-          [](const rocc::SimulationResult& r) { return static_cast<double>(r.samples_delivered); }));
-    }
-  }
+  const experiments::Sweep sweep(
+      {1, 2, 4, 8, 16, 32, 64, 256}, {"CF", "BF(32)"},
+      [](double cap, std::size_t policy) {
+        auto c = rocc::SystemConfig::now(1);
+        c.duration_us = 5e6;
+        c.sampling_period_us = 500.0;  // 2000 samples/s offered: heavy
+        c.batch_size = policy == 0 ? 1 : 32;
+        c.pipe_capacity = static_cast<std::int32_t>(cap);
+        return c;
+      },
+      kReps);
 
   std::cout << "=== Ablation: pipe capacity (1 node, SP = 0.5 ms, 5 s simulated) ===\n";
-  experiments::print_series(std::cout, "Application CPU utilization (%)", "pipe capacity",
-                            capacities, names, app);
-  experiments::print_series(std::cout, "Samples generated", "pipe capacity", capacities, names,
-                            generated, 0);
-  experiments::print_series(std::cout, "Samples delivered", "pipe capacity", capacities, names,
-                            delivered, 0);
+  sweep.print(
+      std::cout, "pipe capacity",
+      {{"Application CPU utilization (%)",
+        experiments::paper_panels()[experiments::kAppUtil].metric},
+       {"Samples generated",
+        [](const rocc::SimulationResult& r) { return static_cast<double>(r.samples_generated); },
+        0},
+       {"Samples delivered",
+        [](const rocc::SimulationResult& r) { return static_cast<double>(r.samples_delivered); },
+        0}});
   std::cout << "\nTiny pipes throttle the sample stream: the application blocks on a\n"
             << "full pipe, so samples generated track the daemon's drain rate instead\n"
             << "of the sampling timer.  Under CF the daemon is the bottleneck at any\n"

@@ -9,45 +9,38 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "experiments/table.hpp"
+#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  paradyn::bench::print_stamp("ablation_tracing_vs_sampling");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  using experiments::paper_panels;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("ablation_tracing_vs_sampling");
   constexpr std::size_t kReps = 3;
 
-  const std::vector<double> periods_ms{5, 10, 20, 40, 64};
-  const std::vector<std::string> names{"sampling CF", "sampling BF(32)", "tracing CF",
-                                       "tracing BF(32)"};
-  std::vector<std::vector<double>> pd(4), app(4), volume(4);
-
-  for (const double sp : periods_ms) {
-    for (std::size_t v = 0; v < names.size(); ++v) {
-      auto c = rocc::SystemConfig::now(4);
-      c.duration_us = 5e6;
-      c.sampling_period_us = sp * 1'000.0;
-      c.batch_size = (v % 2 == 1) ? 32 : 1;
-      c.instrumentation_mode =
-          v >= 2 ? rocc::InstrumentationMode::Tracing : rocc::InstrumentationMode::Sampling;
-      const experiments::ReplicationSet rs(c, kReps);
-      pd[v].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.pd_cpu_util_pct; }));
-      app[v].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-      volume[v].push_back(rs.mean([](const rocc::SimulationResult& r) {
-        return static_cast<double>(r.samples_generated) / (r.duration_us / 1e6);
-      }));
-    }
-  }
+  const experiments::Sweep sweep(
+      {5, 10, 20, 40, 64}, {"sampling CF", "sampling BF(32)", "tracing CF", "tracing BF(32)"},
+      [](double sp, std::size_t v) {
+        auto c = rocc::SystemConfig::now(4);
+        c.duration_us = 5e6;
+        c.sampling_period_us = sp * 1'000.0;
+        c.batch_size = (v % 2 == 1) ? 32 : 1;
+        c.instrumentation_mode =
+            v >= 2 ? rocc::InstrumentationMode::Tracing : rocc::InstrumentationMode::Sampling;
+        return c;
+      },
+      kReps);
 
   std::cout << "=== Ablation: sampling vs tracing instrumentation (NOW, 4 nodes) ===\n";
-  experiments::print_series(std::cout, "Data volume (records/sec, whole system)",
-                            "sampling period (ms)", periods_ms, names, volume, 0);
-  experiments::print_series(std::cout, "Pd CPU utilization/node (%)", "sampling period (ms)",
-                            periods_ms, names, pd);
-  experiments::print_series(std::cout, "Application CPU utilization/node (%)",
-                            "sampling period (ms)", periods_ms, names, app);
-
+  sweep.print(std::cout, "sampling period (ms)",
+              {{"Data volume (records/sec, whole system)",
+                [](const rocc::SimulationResult& r) {
+                  return static_cast<double>(r.samples_generated) / (r.duration_us / 1e6);
+                },
+                0},
+               paper_panels()[experiments::kPdUtil], paper_panels()[experiments::kAppUtil]});
   std::cout << "\nTracing volume is set by the application's event rate (~cycles/sec),\n"
             << "not the sampling period, so its overhead neither shrinks with longer\n"
             << "periods nor stays bounded on busier programs — the cost profile that\n"

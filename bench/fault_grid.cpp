@@ -48,7 +48,7 @@ double run_eps(const paradyn::rocc::SystemConfig& cfg) {
 double run_detect_eps(const paradyn::rocc::SystemConfig& cfg,
                       paradyn::consultant::RepairPolicy policy = {}) {
   const paradyn::bench::WallTimer t;
-  const auto r = paradyn::consultant::run_with_detection(cfg, {}, std::move(policy));
+  const auto r = paradyn::consultant::run_with_detection(cfg, std::move(policy));
   const double sec = t.seconds();
   return sec > 0.0 ? static_cast<double>(r.events_processed) / sec : 0.0;
 }

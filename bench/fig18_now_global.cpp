@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "experiments/table.hpp"
+#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
@@ -18,43 +18,28 @@ using paradyn::rocc::SystemConfig;
 void sweep(const std::vector<double>& xs, const char* x_label, const char* title,
            const std::function<SystemConfig(double)>& make, std::size_t reps) {
   using namespace paradyn;
-  std::vector<std::string> names{"CF", "BF(32)", "uninstrumented"};
-  std::vector<std::vector<double>> pd(3), main_u(3), app(3), lat(3);
-  for (const double x : xs) {
-    for (int v = 0; v < 3; ++v) {
-      SystemConfig c = make(x);
-      if (v == 2) {
-        c.instrumentation_enabled = false;
-      } else {
-        c.batch_size = v == 0 ? 1 : 32;
-      }
-      const experiments::ReplicationSet rs(c, reps);
-      const auto vi = static_cast<std::size_t>(v);
-      pd[vi].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.pd_cpu_util_pct; }));
-      main_u[vi].push_back(
-          rs.mean([](const rocc::SimulationResult& r) { return r.main_cpu_util_pct; }));
-      app[vi].push_back(
-          rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-      lat[vi].push_back(
-          rs.mean([](const rocc::SimulationResult& r) { return r.latency_sec(); }));
-    }
-  }
+  const experiments::Sweep s(xs, {"CF", "BF(32)", "uninstrumented"},
+                             [&](double x, std::size_t v) {
+                               SystemConfig c = make(x);
+                               if (v == 2) {
+                                 c.instrumentation_enabled = false;
+                               } else {
+                                 c.batch_size = v == 0 ? 1 : 32;
+                               }
+                               return c;
+                             },
+                             reps);
   std::cout << "=== Figure 18 (" << title << ") ===\n";
-  experiments::print_series(std::cout, "Pd CPU utilization/node (%)", x_label, xs, names, pd);
-  experiments::print_series(std::cout, "Paradyn (main) CPU utilization (%)", x_label, xs, names,
-                            main_u);
-  experiments::print_series(std::cout, "Application CPU utilization/node (%)", x_label, xs,
-                            names, app);
-  experiments::print_series(std::cout, "Monitoring latency/sample (sec)", x_label, xs, names,
-                            lat, 6);
+  s.print(std::cout, x_label, experiments::paper_panels());
   std::cout << '\n';
 }
 
 }  // namespace
 
-int main() {
-  paradyn::bench::print_stamp("fig18_now_global");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("fig18_now_global");
   constexpr std::size_t kReps = 3;
 
   sweep({2, 4, 8, 16, 32}, "nodes", "a: sampling period = 40 ms", [](double nodes) {

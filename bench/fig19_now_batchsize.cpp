@@ -7,47 +7,34 @@
 
 #include "experiments/runner.hpp"
 #include "experiments/table.hpp"
+#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  paradyn::bench::print_stamp("fig19_now_batchsize");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("fig19_now_batchsize");
   constexpr std::size_t kReps = 3;
 
   const std::vector<double> batches{1, 2, 4, 8, 16, 32, 64, 128};
   const std::vector<double> periods_ms{1, 40, 64};
-  const std::vector<std::string> names{"SP=1ms", "SP=40ms", "SP=64ms"};
-
-  std::vector<std::vector<double>> pd(3), main_u(3), app(3), lat(3);
-  for (std::size_t p = 0; p < periods_ms.size(); ++p) {
-    for (const double b : batches) {
-      auto c = rocc::SystemConfig::now(8);
-      c.duration_us = 6e6;
-      c.sampling_period_us = periods_ms[p] * 1'000.0;
-      c.batch_size = static_cast<std::int32_t>(b);
-      const experiments::ReplicationSet rs(c, kReps);
-      pd[p].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.pd_cpu_util_pct; }));
-      main_u[p].push_back(
-          rs.mean([](const rocc::SimulationResult& r) { return r.main_cpu_util_pct; }));
-      app[p].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-      lat[p].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.latency_sec(); }));
-    }
-  }
+  const experiments::Sweep sweep(batches, {"SP=1ms", "SP=40ms", "SP=64ms"},
+                                 [&](double b, std::size_t p) {
+                                   auto c = rocc::SystemConfig::now(8);
+                                   c.duration_us = 6e6;
+                                   c.sampling_period_us = periods_ms[p] * 1'000.0;
+                                   c.batch_size = static_cast<std::int32_t>(b);
+                                   return c;
+                                 },
+                                 kReps);
 
   std::cout << "=== Figure 19 (NOW, 8 nodes, 6 s simulated, " << kReps << " reps) ===\n";
-  experiments::print_series(std::cout, "Pd CPU utilization/node (%)", "batch size", batches,
-                            names, pd);
-  experiments::print_series(std::cout, "Paradyn (main) CPU utilization (%)", "batch size",
-                            batches, names, main_u);
-  experiments::print_series(std::cout, "Application CPU utilization/node (%)", "batch size",
-                            batches, names, app);
-  experiments::print_series(std::cout, "Monitoring latency/sample (sec)", "batch size", batches,
-                            names, lat, 6);
+  sweep.print(std::cout, "batch size", experiments::paper_panels());
 
   // Locate the knee at SP = 1 ms: the first batch size whose incremental
   // overhead reduction falls below 10% of the CF -> 2 step.
-  const auto& curve = pd[0];
+  const auto curve = sweep.means(experiments::paper_panels()[experiments::kPdUtil].metric)[0];
   std::size_t knee = 1;
   const double first_drop = curve[0] - curve[1];
   for (std::size_t i = 1; i + 1 < curve.size(); ++i) {

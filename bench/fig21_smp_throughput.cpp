@@ -6,44 +6,40 @@
 // To expose the serial-daemon saturation the paper observes, each
 // application process here samples a burst of metrics per period
 // (metrics-heavy instrumentation), driving the daemons toward capacity.
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "experiments/table.hpp"
+#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  paradyn::bench::print_stamp("fig21_smp_throughput");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("fig21_smp_throughput");
   constexpr std::size_t kReps = 3;
 
-  const std::vector<double> cpus{1, 2, 4, 8, 12, 16};
-
   for (const int batch : {1, 32}) {
-    std::vector<std::string> names;
-    std::vector<std::vector<double>> thru;
-    for (int daemons = 1; daemons <= 4; ++daemons) {
-      names.push_back(std::to_string(daemons) + " Pd" + (daemons > 1 ? "s" : ""));
-      std::vector<double> row;
-      for (const double n : cpus) {
-        const auto ncpus = static_cast<std::int32_t>(n);
-        auto c = rocc::SystemConfig::smp(ncpus, ncpus, std::min(daemons, ncpus));
-        c.duration_us = 6e6;
-        // Heavy sampling traffic so daemon capacity (not the offered load)
-        // limits throughput, as in the paper's experiment.
-        c.sampling_period_us = 2'000.0;
-        c.batch_size = batch;
-        const experiments::ReplicationSet rs(c, kReps);
-        row.push_back(rs.mean(experiments::throughput));
-      }
-      thru.push_back(std::move(row));
-    }
+    const experiments::Sweep sweep(
+        {1, 2, 4, 8, 12, 16}, {"1 Pd", "2 Pds", "3 Pds", "4 Pds"},
+        [batch](double n, std::size_t v) {
+          const auto ncpus = static_cast<std::int32_t>(n);
+          const int daemons = static_cast<int>(v) + 1;
+          auto c = rocc::SystemConfig::smp(ncpus, ncpus, std::min(daemons, ncpus));
+          c.duration_us = 6e6;
+          // Heavy sampling traffic so daemon capacity (not the offered load)
+          // limits throughput, as in the paper's experiment.
+          c.sampling_period_us = 2'000.0;
+          c.batch_size = batch;
+          return c;
+        },
+        kReps);
     std::cout << "=== Figure 21" << (batch == 1 ? "a (CF policy)" : "b (BF policy, batch=32)")
               << " ===\n";
-    experiments::print_series(std::cout, "Throughput of Pd(s) (samples/sec)", "CPUs (=apps)",
-                              cpus, names, thru, 1);
+    sweep.print(std::cout, "CPUs (=apps)",
+                {{"Throughput of Pd(s) (samples/sec)", experiments::throughput, 1}});
     std::cout << '\n';
   }
 

@@ -7,49 +7,34 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "experiments/table.hpp"
+#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  paradyn::bench::print_stamp("fig26_mpp_sampling");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("fig26_mpp_sampling");
   constexpr std::size_t kReps = 2;
   constexpr std::int32_t kNodes = 64;
 
-  const std::vector<double> periods_ms{1, 2, 4, 8, 16, 32, 64};
-  const std::vector<std::string> names{"CF direct", "CF tree", "BF direct", "BF tree",
-                                       "uninstr."};
-  std::vector<std::vector<double>> pd(5), main_u(5), app(5), lat(5);
-
-  for (const double sp : periods_ms) {
-    for (std::size_t v = 0; v < names.size(); ++v) {
-      auto c = rocc::SystemConfig::mpp(
-          kNodes, (v == 1 || v == 3) ? rocc::ForwardingTopology::BinaryTree
-                                     : rocc::ForwardingTopology::Direct);
-      c.duration_us = 4e6;
-      c.sampling_period_us = sp * 1'000.0;
-      c.batch_size = (v >= 2 && v != 4) ? 32 : 1;
-      if (v == 4) c.instrumentation_enabled = false;
-      const experiments::ReplicationSet rs(c, kReps);
-      pd[v].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.pd_cpu_util_pct; }));
-      main_u[v].push_back(
-          rs.mean([](const rocc::SimulationResult& r) { return r.main_cpu_util_pct; }));
-      app[v].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-      lat[v].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.latency_sec(); }));
-    }
-  }
+  const experiments::Sweep sweep(
+      {1, 2, 4, 8, 16, 32, 64}, {"CF direct", "CF tree", "BF direct", "BF tree", "uninstr."},
+      [](double sp, std::size_t v) {
+        auto c = rocc::SystemConfig::mpp(
+            kNodes, (v == 1 || v == 3) ? rocc::ForwardingTopology::BinaryTree
+                                       : rocc::ForwardingTopology::Direct);
+        c.duration_us = 4e6;
+        c.sampling_period_us = sp * 1'000.0;
+        c.batch_size = (v >= 2 && v != 4) ? 32 : 1;
+        if (v == 4) c.instrumentation_enabled = false;
+        return c;
+      },
+      kReps);
 
   std::cout << "=== Figure 26 (MPP, " << kNodes << " nodes, 4 s simulated, " << kReps
             << " reps) ===\n";
-  experiments::print_series(std::cout, "Pd CPU utilization/node (%)", "sampling period (ms)",
-                            periods_ms, names, pd);
-  experiments::print_series(std::cout, "Paradyn (main) CPU utilization (%)",
-                            "sampling period (ms)", periods_ms, names, main_u);
-  experiments::print_series(std::cout, "Application CPU utilization/node (%)",
-                            "sampling period (ms)", periods_ms, names, app);
-  experiments::print_series(std::cout, "Monitoring latency/sample (sec)",
-                            "sampling period (ms)", periods_ms, names, lat, 6);
+  sweep.print(std::cout, "sampling period (ms)", experiments::paper_panels());
 
   std::cout << "\nPaper's Figure 26: BF's direct overhead is far below CF's at small\n"
             << "sampling periods (fewer forwarding system calls); the direct-vs-tree\n"

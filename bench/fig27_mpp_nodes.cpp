@@ -5,45 +5,32 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "experiments/table.hpp"
+#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  paradyn::bench::print_stamp("fig27_mpp_nodes");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("fig27_mpp_nodes");
   constexpr std::size_t kReps = 2;
 
-  const std::vector<double> nodes{2, 4, 8, 16, 32, 64, 128, 256};
-  const std::vector<std::string> names{"direct", "tree", "uninstr."};
-  std::vector<std::vector<double>> pd(3), main_u(3), app(3), lat(3);
-
-  for (const double n : nodes) {
-    for (std::size_t v = 0; v < names.size(); ++v) {
-      auto c = rocc::SystemConfig::mpp(
-          static_cast<std::int32_t>(n),
-          v == 1 ? rocc::ForwardingTopology::BinaryTree : rocc::ForwardingTopology::Direct);
-      c.duration_us = 4e6;
-      c.sampling_period_us = 40'000.0;
-      c.batch_size = 32;
-      if (v == 2) c.instrumentation_enabled = false;
-      const experiments::ReplicationSet rs(c, kReps);
-      pd[v].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.pd_cpu_util_pct; }));
-      main_u[v].push_back(
-          rs.mean([](const rocc::SimulationResult& r) { return r.main_cpu_util_pct; }));
-      app[v].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-      lat[v].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.latency_sec(); }));
-    }
-  }
+  const experiments::Sweep sweep(
+      {2, 4, 8, 16, 32, 64, 128, 256}, {"direct", "tree", "uninstr."},
+      [](double n, std::size_t v) {
+        auto c = rocc::SystemConfig::mpp(
+            static_cast<std::int32_t>(n),
+            v == 1 ? rocc::ForwardingTopology::BinaryTree : rocc::ForwardingTopology::Direct);
+        c.duration_us = 4e6;
+        c.sampling_period_us = 40'000.0;
+        c.batch_size = 32;
+        if (v == 2) c.instrumentation_enabled = false;
+        return c;
+      },
+      kReps);
 
   std::cout << "=== Figure 27 (MPP, SP = 40 ms, BF batch=32, 4 s simulated) ===\n";
-  experiments::print_series(std::cout, "Pd CPU utilization/node (%)", "nodes", nodes, names, pd);
-  experiments::print_series(std::cout, "Paradyn (main) CPU utilization (%)", "nodes", nodes,
-                            names, main_u);
-  experiments::print_series(std::cout, "Application CPU utilization/node (%)", "nodes", nodes,
-                            names, app);
-  experiments::print_series(std::cout, "Monitoring latency/sample (sec)", "nodes", nodes, names,
-                            lat, 6);
+  sweep.print(std::cout, "nodes", experiments::paper_panels());
 
   std::cout << "\nPaper's Figure 27: direct and tree forwarding deliver similar latency,\n"
             << "but tree forwarding costs more per-node Pd CPU (merge work at interior\n"

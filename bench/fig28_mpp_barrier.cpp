@@ -11,49 +11,41 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "experiments/table.hpp"
+#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  paradyn::bench::print_stamp("fig28_mpp_barrier");
+int main(int argc, char** argv) {
   using namespace paradyn;
+  using experiments::paper_panels;
+  bench::init_jobs(argc, argv);
+  bench::print_stamp("fig28_mpp_barrier");
   constexpr std::size_t kReps = 2;
   constexpr std::int32_t kNodes = 64;
 
-  const std::vector<double> barrier_ms{5, 10, 50, 100, 1000, 10000};
-  const std::vector<std::string> names{"direct", "tree"};
-  std::vector<std::vector<double>> pd_share(2), pd_util(2), app(2), lat(2);
-
-  for (const double bp : barrier_ms) {
-    for (std::size_t v = 0; v < names.size(); ++v) {
-      auto c = rocc::SystemConfig::mpp(
-          kNodes, v == 1 ? rocc::ForwardingTopology::BinaryTree
-                         : rocc::ForwardingTopology::Direct);
-      c.duration_us = 4e6;
-      c.sampling_period_us = 40'000.0;
-      c.batch_size = 32;
-      c.barrier_period_us = bp * 1'000.0;
-      const experiments::ReplicationSet rs(c, kReps);
-      pd_share[v].push_back(
-          rs.mean([](const rocc::SimulationResult& r) { return r.pd_busy_share_pct; }));
-      pd_util[v].push_back(
-          rs.mean([](const rocc::SimulationResult& r) { return r.pd_cpu_util_pct; }));
-      app[v].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-      lat[v].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.latency_sec(); }));
-    }
-  }
+  const experiments::Sweep sweep(
+      {5, 10, 50, 100, 1000, 10000}, {"direct", "tree"},
+      [](double bp, std::size_t v) {
+        auto c = rocc::SystemConfig::mpp(
+            kNodes, v == 1 ? rocc::ForwardingTopology::BinaryTree
+                           : rocc::ForwardingTopology::Direct);
+        c.duration_us = 4e6;
+        c.sampling_period_us = 40'000.0;
+        c.batch_size = 32;
+        c.barrier_period_us = bp * 1'000.0;
+        return c;
+      },
+      kReps);
 
   std::cout << "=== Figure 28 (MPP, " << kNodes
             << " nodes, SP = 40 ms, BF batch=32, 4 s simulated) ===\n";
-  experiments::print_series(std::cout, "Pd share of occupied CPU time (%)",
-                            "barrier period (ms)", barrier_ms, names, pd_share);
-  experiments::print_series(std::cout, "Pd CPU utilization/node (%, wall-clock)",
-                            "barrier period (ms)", barrier_ms, names, pd_util);
-  experiments::print_series(std::cout, "Application CPU utilization/node (%)",
-                            "barrier period (ms)", barrier_ms, names, app);
-  experiments::print_series(std::cout, "Monitoring latency/sample (sec)",
-                            "barrier period (ms)", barrier_ms, names, lat, 6);
+  sweep.print(std::cout, "barrier period (ms)",
+              {{"Pd share of occupied CPU time (%)",
+                [](const rocc::SimulationResult& r) { return r.pd_busy_share_pct; }},
+               {"Pd CPU utilization/node (%, wall-clock)",
+                paper_panels()[experiments::kPdUtil].metric},
+               paper_panels()[experiments::kAppUtil],
+               paper_panels()[experiments::kLatencySec]});
 
   std::cout << "\nPaper's Figure 28: frequent barriers idle the application (its CPU\n"
             << "occupancy falls), so the daemon's share of the occupied CPU rises while\n"

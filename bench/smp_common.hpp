@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "experiments/table.hpp"
 #include "jobs_common.hpp"
 #include "rocc/config.hpp"
 
@@ -17,58 +16,32 @@ namespace paradyn::bench {
 
 /// For each policy (CF, BF batch 32) print IS utilization, latency, and
 /// application utilization vs `xs`, one series per daemon count 1..4 plus
-/// an uninstrumented reference.
+/// an uninstrumented reference (one daemon, default batch).
 inline void smp_daemon_sweep(const std::string& figure, const std::vector<double>& xs,
                              const std::string& x_label,
                              const std::function<rocc::SystemConfig(double, int)>& make,
                              std::size_t reps) {
+  using experiments::paper_panels;
   for (const int batch : {1, 32}) {
-    std::vector<std::string> names;
-    std::vector<std::vector<double>> is_util, lat, app;
-    for (int daemons = 1; daemons <= 4; ++daemons) {
-      names.push_back(std::to_string(daemons) + " Pd" + (daemons > 1 ? "s" : ""));
-      std::vector<double> is_row, lat_row, app_row;
-      for (const double x : xs) {
-        auto c = make(x, daemons);
-        c.batch_size = batch;
-        const experiments::ReplicationSet rs(c, reps);
-        is_row.push_back(
-            rs.mean([](const rocc::SimulationResult& r) { return r.is_cpu_util_pct; }));
-        lat_row.push_back(
-            rs.mean([](const rocc::SimulationResult& r) { return r.latency_sec(); }));
-        app_row.push_back(
-            rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-      }
-      is_util.push_back(std::move(is_row));
-      lat.push_back(std::move(lat_row));
-      app.push_back(std::move(app_row));
-    }
-    // Uninstrumented baseline for the application-utilization panel.
-    {
-      names.push_back("uninstr.");
-      std::vector<double> is_row, lat_row, app_row;
-      for (const double x : xs) {
-        auto c = make(x, 1);
-        c.instrumentation_enabled = false;
-        const experiments::ReplicationSet rs(c, reps);
-        is_row.push_back(0.0);
-        lat_row.push_back(0.0);
-        app_row.push_back(
-            rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-      }
-      is_util.push_back(std::move(is_row));
-      lat.push_back(std::move(lat_row));
-      app.push_back(std::move(app_row));
-    }
-
+    const experiments::Sweep sweep(xs, {"1 Pd", "2 Pds", "3 Pds", "4 Pds", "uninstr."},
+                                   [&](double x, std::size_t v) {
+                                     if (v == 4) {
+                                       auto c = make(x, 1);
+                                       c.instrumentation_enabled = false;
+                                       return c;
+                                     }
+                                     auto c = make(x, static_cast<int>(v) + 1);
+                                     c.batch_size = batch;
+                                     return c;
+                                   },
+                                   reps);
     std::cout << "=== " << figure << (batch == 1 ? "a (CF policy)" : "b (BF policy, batch=32)")
               << " ===\n";
-    experiments::print_series(std::cout, "IS CPU utilization/node (%)", x_label, xs, names,
-                              is_util);
-    experiments::print_series(std::cout, "Monitoring latency/sample (sec)", x_label, xs, names,
-                              lat, 6);
-    experiments::print_series(std::cout, "Application CPU utilization/node (%)", x_label, xs,
-                              names, app);
+    sweep.print(std::cout, x_label,
+                {{"IS CPU utilization/node (%)",
+                  [](const rocc::SimulationResult& r) { return r.is_cpu_util_pct; }},
+                 paper_panels()[experiments::kLatencySec],
+                 paper_panels()[experiments::kAppUtil]});
     std::cout << '\n';
   }
 }

@@ -73,10 +73,10 @@ void FaultDetector::finalize(std::vector<rocc::FaultOutcome>& outcomes) const {
   }
 }
 
-DetectionHarness::DetectionHarness(rocc::Simulation& sim, DetectorConfig config,
-                                   RepairPolicy policy) {
+DetectionHarness::DetectionHarness(rocc::Simulation& sim, RepairPolicy policy) {
   const rocc::FaultPlan& plan = sim.effective_fault_plan();
   if (plan.empty() || sim.main_process() == nullptr) return;
+  DetectorConfig config;
   config.sampling_period_us = sim.config().sampling_period_us;
   detector_ = std::make_unique<FaultDetector>(plan, config);
   FaultDetector* detector = detector_.get();
@@ -100,10 +100,9 @@ void DetectionHarness::finalize(rocc::SimulationResult& result) const {
 }
 
 rocc::SimulationResult run_with_detection(const rocc::SystemConfig& config,
-                                          DetectorConfig detector_config,
                                           RepairPolicy repair_policy) {
   rocc::Simulation sim(config);
-  const DetectionHarness harness(sim, detector_config, std::move(repair_policy));
+  const DetectionHarness harness(sim, std::move(repair_policy));
   rocc::SimulationResult result = sim.run();
   harness.finalize(result);
   return result;

@@ -90,10 +90,10 @@ class FaultDetector {
 class DetectionHarness {
  public:
   /// No-op when instrumentation is disabled or the fault plan is empty.
-  /// A non-empty `policy` closes the loop: detections trigger repair
-  /// attempts through the simulation's repair API.
-  explicit DetectionHarness(rocc::Simulation& sim, DetectorConfig config = {},
-                            RepairPolicy policy = {});
+  /// The detector runs with the default DetectorConfig at the run's
+  /// sampling period.  A non-empty `policy` closes the loop: detections
+  /// trigger repair attempts through the simulation's repair API.
+  explicit DetectionHarness(rocc::Simulation& sim, RepairPolicy policy = {});
 
   /// Fill result.fault_outcomes with detection/recovery latencies plus the
   /// per-fault repair block when a policy was armed.
@@ -110,7 +110,6 @@ class DetectionHarness {
 /// Convenience: run one simulation with fault detection (and optionally
 /// the repair loop) attached.
 [[nodiscard]] rocc::SimulationResult run_with_detection(const rocc::SystemConfig& config,
-                                                        DetectorConfig detector_config = {},
                                                         RepairPolicy repair_policy = {});
 
 }  // namespace paradyn::consultant

@@ -1,5 +1,6 @@
 #include "experiments/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -45,16 +46,6 @@ double RunReport::speedup_estimate() const noexcept {
   return serial_estimate_sec / wall_sec;
 }
 
-RunReport& RunReport::operator+=(const RunReport& other) {
-  jobs = other.jobs;  // sweeps run every set with the same job count
-  runs += other.runs;
-  wall_sec += other.wall_sec;
-  cpu_sec += other.cpu_sec;
-  serial_estimate_sec += other.serial_estimate_sec;
-  events += other.events;
-  return *this;
-}
-
 void RunReport::print(std::ostream& os, std::string_view label) const {
   char line[256];
   std::snprintf(line, sizeof(line),
@@ -65,14 +56,6 @@ void RunReport::print(std::ostream& os, std::string_view label) const {
                 static_cast<unsigned long long>(events),
                 wall_sec > 0.0 ? static_cast<double>(events) / wall_sec / 1e6 : 0.0);
   os << line;
-  if (cells.size() > 1) {
-    os << '[' << label << "] per-cell wall (s):";
-    for (const auto& c : cells) {
-      std::snprintf(line, sizeof(line), " %03x=%.2f", c.mask, c.wall_sec);
-      os << line;
-    }
-    os << '\n';
-  }
 }
 
 ParallelRunner::ParallelRunner(std::size_t jobs) : jobs_(jobs == 0 ? default_jobs() : jobs) {}
@@ -97,10 +80,7 @@ std::vector<std::vector<rocc::SimulationResult>> ParallelRunner::run_grid(
   report_.jobs = jobs_;
   report_.runs = num_cells * replications;
   report_.cells.resize(num_cells);
-  for (std::size_t i = 0; i < num_cells; ++i) {
-    report_.cells[i].mask = static_cast<unsigned>(i);
-    report_.cells[i].replications = replications;
-  }
+  for (auto& cell : report_.cells) cell.replications = replications;
 
   std::vector<std::vector<rocc::SimulationResult>> results(num_cells);
   for (auto& cell : results) cell.resize(replications);
@@ -126,13 +106,14 @@ std::vector<std::vector<rocc::SimulationResult>> ParallelRunner::run_grid(
     if (meter) meter->run_completed(results[cell][rep].events_processed);
   };
 
-  if (jobs_ <= 1) {
-    // Legacy serial path: same iteration order as the pre-parallel code.
+  // At most one worker per run; a single worker runs inline on the caller.
+  const std::size_t workers = std::min(jobs_, report_.runs);
+  if (workers <= 1) {
     for (std::size_t cell = 0; cell < num_cells; ++cell) {
       for (std::size_t rep = 0; rep < replications; ++rep) run_one(cell, rep);
     }
   } else {
-    ThreadPool pool(jobs_);
+    ThreadPool pool(workers);
     std::vector<std::future<void>> futures;
     futures.reserve(num_cells * replications);
     for (std::size_t cell = 0; cell < num_cells; ++cell) {

@@ -25,7 +25,6 @@ namespace paradyn::experiments {
 /// one-job run of the same work would roughly have cost.
 struct RunReport {
   struct Cell {
-    unsigned mask = 0;          ///< Factorial cell index (bit i = factor i high).
     std::size_t replications = 0;
     double wall_sec = 0.0;      ///< Sum of this cell's per-run wall times.
   };
@@ -41,11 +40,7 @@ struct RunReport {
   /// serial_estimate_sec / wall_sec (1.0 when wall time is ~0).
   [[nodiscard]] double speedup_estimate() const noexcept;
 
-  /// Accumulate another report's totals (used by sweeps that run many
-  /// sets); per-cell detail is not merged.
-  RunReport& operator+=(const RunReport& other);
-
-  /// Two-part human-readable summary: totals line + per-cell walls.
+  /// One-line human-readable summary of the totals.
   void print(std::ostream& os, std::string_view label) const;
 };
 
@@ -70,14 +65,14 @@ using RunHook = std::function<void(rocc::Simulation& sim, std::size_t cell, std:
 
 class ParallelRunner {
  public:
-  /// jobs = 0 picks up default_jobs(); jobs = 1 is the legacy serial path
-  /// (runs inline on the caller thread, no pool).
+  /// jobs = 0 picks up default_jobs().  A grid starts min(jobs, runs)
+  /// workers; with one it runs inline on the caller thread, no pool.
   explicit ParallelRunner(std::size_t jobs = 0);
 
   [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
 
-  /// `n` replications of one configuration, seeds config.seed + 0..n-1.
-  /// Identical to rocc::run_replications for every job count.
+  /// `n` replications of one configuration, seeds config.seed + 0..n-1,
+  /// bit-identical to running them in seed order for every job count.
   [[nodiscard]] std::vector<rocc::SimulationResult> replications(const rocc::SystemConfig& config,
                                                                  std::size_t n);
 

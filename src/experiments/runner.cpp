@@ -4,8 +4,19 @@
 #include <utility>
 
 #include "experiments/parallel.hpp"
+#include "experiments/table.hpp"
 
 namespace paradyn::experiments {
+
+namespace {
+
+double mean_of(const std::vector<rocc::SimulationResult>& runs, const MetricFn& fn) {
+  stats::SummaryStats s;
+  for (const auto& r : runs) s.add(fn(r));
+  return s.mean();
+}
+
+}  // namespace
 
 ReplicationSet::ReplicationSet(const rocc::SystemConfig& config, std::size_t replications,
                                std::size_t jobs, RunHook hook) {
@@ -33,17 +44,67 @@ stats::ConfidenceInterval ReplicationSet::metric(const MetricFn& fn, double leve
   return stats::mean_confidence_interval(s, level);
 }
 
-double ReplicationSet::mean(const MetricFn& fn) const {
-  stats::SummaryStats s;
-  for (const auto& r : results_) s.add(fn(r));
-  return s.mean();
+double ReplicationSet::mean(const MetricFn& fn) const { return mean_of(results_, fn); }
+
+Sweep::Sweep(std::vector<double> xs, std::vector<std::string> variants, const MakeFn& make,
+             std::size_t replications, std::size_t jobs, RunHook hook)
+    : xs_(std::move(xs)), variants_(std::move(variants)) {
+  if (xs_.empty() || variants_.empty()) throw std::invalid_argument("Sweep: need xs and variants");
+  if (replications == 0) throw std::invalid_argument("Sweep: replications must be > 0");
+  std::vector<rocc::SystemConfig> configs;
+  configs.reserve(xs_.size() * variants_.size());
+  for (const double x : xs_) {
+    for (std::size_t v = 0; v < variants_.size(); ++v) configs.push_back(make(x, v));
+  }
+  for (const auto& c : configs) {
+    if (c.seed != configs.front().seed) {
+      throw std::invalid_argument("Sweep: every configuration must share one seed");
+    }
+  }
+  ParallelRunner runner(jobs);
+  runner.set_run_hook(std::move(hook));
+  cells_ = runner.cells(configs, configs.front().seed, replications);
+  report_ = runner.report();
 }
 
-double FactorialCell::mean(const MetricFn& fn) const {
-  stats::SummaryStats s;
-  for (const auto& r : runs) s.add(fn(r));
-  return s.mean();
+std::vector<std::vector<double>> Sweep::means(const MetricFn& fn) const {
+  std::vector<std::vector<double>> out(variants_.size());
+  for (std::size_t v = 0; v < variants_.size(); ++v) {
+    for (std::size_t i = 0; i < xs_.size(); ++i) {
+      out[v].push_back(mean_of(cells_[i * variants_.size() + v], fn));
+    }
+  }
+  return out;
 }
+
+void Sweep::print(std::ostream& os, const std::string& x_label,
+                  const std::vector<Panel>& panels) const {
+  for (const auto& p : panels) {
+    print_series(os, p.title, x_label, xs_, variants_, means(p.metric), p.digits);
+  }
+}
+
+std::vector<rocc::SimulationResult> Sweep::runs() const {
+  std::vector<rocc::SimulationResult> out;
+  for (const auto& cell : cells_) out.insert(out.end(), cell.begin(), cell.end());
+  return out;
+}
+
+const std::vector<Panel>& paper_panels() {
+  static const std::vector<Panel> panels{
+      {"Pd CPU utilization/node (%)",
+       [](const rocc::SimulationResult& r) { return r.pd_cpu_util_pct; }},
+      {"Paradyn (main) CPU utilization (%)",
+       [](const rocc::SimulationResult& r) { return r.main_cpu_util_pct; }},
+      {"Application CPU utilization/node (%)",
+       [](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }},
+      {"Monitoring latency/sample (sec)",
+       [](const rocc::SimulationResult& r) { return r.latency_sec(); }, 6},
+  };
+  return panels;
+}
+
+double FactorialCell::mean(const MetricFn& fn) const { return mean_of(runs, fn); }
 
 FactorialExperiment::FactorialExperiment(rocc::SystemConfig base, std::vector<Factor> factors,
                                          std::size_t replications, std::size_t jobs,

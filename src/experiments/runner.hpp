@@ -1,8 +1,9 @@
-// Replication and 2^k r factorial runners coupling the ROCC simulator to
-// the statistics library (Section 4.1 of the paper).
+// Replication, one-factor sweep and 2^k r factorial runners coupling the
+// ROCC simulator to the statistics library (Section 4.1 of the paper).
 #pragma once
 
 #include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,56 @@ class ReplicationSet {
   std::vector<rocc::SimulationResult> results_;
   RunReport report_;
 };
+
+/// One panel of a figure: a title, the per-run metric it plots and the
+/// decimals it prints with.
+struct Panel {
+  std::string title;
+  MetricFn metric;
+  int digits = 4;
+};
+
+/// A one-factor sweep over replicated runs — the shape of the paper's
+/// simulation figures: every (variant, x) configuration runs `replications`
+/// times as one ParallelRunner grid, run r of every cell with seed
+/// base seed + r (common random numbers, as a ReplicationSet per point
+/// seeds them), so results are bit-identical for every job count.
+class Sweep {
+ public:
+  /// Builds the configuration of one (x, variant) point.
+  using MakeFn = std::function<rocc::SystemConfig(double x, std::size_t variant)>;
+
+  /// Runs every point across `jobs` worker threads (0 = default_jobs()).
+  /// `hook` sees cell = x index * variants + variant.  Every configuration
+  /// must carry the same seed.
+  Sweep(std::vector<double> xs, std::vector<std::string> variants, const MakeFn& make,
+        std::size_t replications, std::size_t jobs = 0, RunHook hook = {});
+
+  /// means(fn)[v][i]: the mean of `fn` over the runs of variant v at xs[i],
+  /// accumulated as ReplicationSet::mean accumulates it.
+  [[nodiscard]] std::vector<std::vector<double>> means(const MetricFn& fn) const;
+
+  /// One print_series block per panel: x rows, one column per variant.
+  void print(std::ostream& os, const std::string& x_label, const std::vector<Panel>& panels) const;
+
+  /// Every run, x-major, then variant, then replication.
+  [[nodiscard]] std::vector<rocc::SimulationResult> runs() const;
+
+  /// Wall/CPU accounting for the runs (for the tools' stderr report).
+  [[nodiscard]] const RunReport& report() const noexcept { return report_; }
+
+ private:
+  std::vector<double> xs_;
+  std::vector<std::string> variants_;
+  std::vector<std::vector<rocc::SimulationResult>> cells_;  ///< [x * variants + v][rep]
+  RunReport report_;
+};
+
+/// The four panels of Figures 18, 19, 26 and 27, in print order: Pd, main
+/// and application CPU utilization (%) and the monitoring latency in
+/// seconds.  Other figures pick entries by these indices.
+enum PaperPanel : std::size_t { kPdUtil, kMainUtil, kAppUtil, kLatencySec };
+[[nodiscard]] const std::vector<Panel>& paper_panels();
 
 /// One two-level factor of a factorial experiment: a name plus a mutator
 /// that sets the configuration to the factor's low or high level.

@@ -9,6 +9,7 @@
 #include <istream>
 #include <iterator>
 #include <ostream>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 
@@ -49,6 +50,23 @@ std::uint64_t parse_chain_id(std::string_view id) {
 /// Bound on the W3 window vector, so a malformed timestamp cannot make it
 /// grow without limit: ~4M windows, 4.8 simulated days at 100 ms.
 constexpr std::size_t kMaxWindows = std::size_t{1} << 22;
+
+/// Busy intervals closer than this merge (absorbs the 1ns JSON rounding).
+constexpr double kCoalesceGapUs = 0.002;
+/// Open-chain map cap: chains beyond this are counted unmatched instead of
+/// growing memory without bound on truncated traces.
+constexpr std::size_t kMaxOpenChains = std::size_t{1} << 20;
+/// Per-resource merged-interval cap; exceeding it doubles the coalescing
+/// gap and re-merges, keeping memory bounded on any input.
+constexpr std::size_t kMaxIntervalsPerResource = std::size_t{1} << 16;
+
+// W3 hypothesis thresholds.  A hop holds Excessive* when its share of all
+// hop time in the window exceeds kHopShareThreshold and its mean per-chain
+// wait exceeds kHopWaitMinUs (which filters noise in near-idle windows);
+// ExcessiveCPU holds when a CPU track's busy fraction tops kCpuBusyThreshold.
+constexpr double kHopShareThreshold = 0.4;
+constexpr double kHopWaitMinUs = 500.0;
+constexpr double kCpuBusyThreshold = 0.9;
 
 /// Lifecycle progress marks, in causal order.
 enum Mark : int { kEnq = 0, kDeq, kCollect, kFwd, kNet };
@@ -110,7 +128,10 @@ std::string ProfileReport::track_label(std::int64_t pid, std::int32_t track) con
 
 Profiler::Profiler(ProfileOptions options)
     : options_(options), top_paths_(options.top_paths) {
-  if (options_.window_us <= 0.0) options_.window_us = 100'000.0;
+  if (!(options_.window_us > 0.0) || !std::isfinite(options_.window_us)) {
+    throw std::invalid_argument(
+        "Profiler: the W3 window (--window-ms) must be positive and finite");
+  }
 }
 
 void Profiler::set_track_label(std::int64_t pid, std::int32_t track, std::string label) {
@@ -174,7 +195,7 @@ Profiler::ResourceAccum& Profiler::resource(std::int64_t pid, std::int32_t track
     ResourceAccum& res = resources_.emplace_back();
     res.pid = pid;
     res.track = track;
-    res.coalesce_gap_us = options_.coalesce_gap_us;
+    res.coalesce_gap_us = kCoalesceGapUs;
   }
   return resources_[*index];
 }
@@ -187,7 +208,7 @@ void Profiler::observe_span(std::int64_t pid, std::int32_t track, bool cpu, doub
   merge_busy_interval(res.intervals, ts, ts + dur, res.coalesce_gap_us);
   // Bounded memory on any input: if the timeline fragments past the cap,
   // double the coalescing gap and re-merge.
-  while (res.intervals.size() > options_.max_intervals_per_resource) {
+  while (res.intervals.size() > kMaxIntervalsPerResource) {
     res.coalesce_gap_us = std::max(res.coalesce_gap_us * 2.0, 1.0);
     std::vector<BusyInterval> rebuilt;
     for (const auto& [s, e] : res.intervals) {
@@ -215,7 +236,7 @@ void Profiler::observe_span(std::int64_t pid, std::int32_t track, bool cpu, doub
 }
 
 void Profiler::chain_begin(std::int64_t pid, std::uint64_t id, std::int32_t track, double ts) {
-  if (open_chains_.size() >= options_.max_open_chains) {
+  if (open_chains_.size() >= kMaxOpenChains) {
     ++chains_unmatched_;  // cannot track more; count it rather than grow
     return;
   }
@@ -461,8 +482,8 @@ ProfileReport Profiler::finalize() {
         if (total <= 0.0 || win.hop_count[hop] == 0) return;
         const double share = win.hop_queue_us[hop] / total;
         const double mean = win.hop_queue_us[hop] / static_cast<double>(win.hop_count[hop]);
-        if (!require_block && share <= options_.hop_share_threshold) return;
-        if (mean > options_.hop_wait_min_us) held(w, share);
+        if (!require_block && share <= kHopShareThreshold) return;
+        if (mean > kHopWaitMinUs) held(w, share);
       });
     };
   };
@@ -474,12 +495,12 @@ ProfileReport Profiler::finalize() {
   for (const ResourceAccum* accum : by_key) {
     accum->cpu_busy.for_each([&](std::size_t w, double busy) {
       const double frac = busy / options_.window_us;
-      if (frac > options_.cpu_busy_threshold) cpu_peak[w] = std::max(cpu_peak[w], frac);
+      if (frac > kCpuBusyThreshold) cpu_peak[w] = std::max(cpu_peak[w], frac);
     });
   }
   evaluate("ExcessiveCPU", "", -1, [&](const auto& held) {
     cpu_peak.for_each([&](std::size_t w, double peak) {
-      if (peak > options_.cpu_busy_threshold) held(w, peak);
+      if (peak > kCpuBusyThreshold) held(w, peak);
     });
   });
   // The where-axis for ExcessiveCPU: the CPU track with the highest busy
@@ -491,7 +512,7 @@ ProfileReport Profiler::finalize() {
       for (const ResourceAccum* accum : by_key) {
         accum->cpu_busy.for_each([&](std::size_t, double busy) {
           const double frac = busy / options_.window_us;
-          if (frac > options_.cpu_busy_threshold && frac > best) {
+          if (frac > kCpuBusyThreshold && frac > best) {
             best = frac;
             cpu.target = report.track_label(accum->pid, accum->track);
           }

@@ -50,28 +50,11 @@ struct BusyInterval {
 void merge_busy_interval(std::vector<BusyInterval>& intervals, double s, double e, double gap);
 
 struct ProfileOptions {
-  /// Width of the W3 evaluation windows (simulated microseconds).
+  /// Width of the W3 evaluation windows (simulated microseconds); the
+  /// Profiler rejects one that is not positive and finite.
   double window_us = 100'000.0;
   /// Slowest chains retained for the report (`--top-paths N`).
   std::size_t top_paths = 5;
-  /// Busy intervals closer than this merge (absorbs the 1ns JSON rounding).
-  double coalesce_gap_us = 0.002;
-  /// Open-chain map cap: chains beyond this are counted unmatched instead
-  /// of growing memory without bound on truncated traces.
-  std::size_t max_open_chains = 1u << 20;
-  /// Per-resource merged-interval cap; exceeding it doubles the coalescing
-  /// gap and re-merges, keeping memory bounded on any input.
-  std::size_t max_intervals_per_resource = 1u << 16;
-
-  // --- W3 hypothesis thresholds ---
-  /// A hop holds Excessive* when its share of all hop time in the window
-  /// exceeds this...
-  double hop_share_threshold = 0.4;
-  /// ...and its mean per-chain wait exceeds this floor (filters noise in
-  /// near-idle windows).
-  double hop_wait_min_us = 500.0;
-  /// ExcessiveCPU: a CPU track's busy fraction in the window exceeds this.
-  double cpu_busy_threshold = 0.9;
 };
 
 /// One hop row of the decomposition.

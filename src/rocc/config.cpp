@@ -1,7 +1,10 @@
 #include "rocc/config.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <utility>
 
 namespace paradyn::rocc {
 namespace {
@@ -83,6 +86,12 @@ void SystemConfig::validate() const {
   if (regulator.scope != RegulatorScope::Off && !(regulator.budget_pct > 0.0)) {
     throw std::invalid_argument("SystemConfig: regulator budget must be > 0");
   }
+  if (regulator.scope != RegulatorScope::Off && !instrumentation_enabled) {
+    throw std::invalid_argument(
+        std::string("SystemConfig: ") +
+        (regulator.scope == RegulatorScope::Global ? "--adaptive-budget" : "--adaptive-sampling") +
+        " regulates the IS sampling period, and --uninstrumented runs no IS");
+  }
   if (regulator.scope == RegulatorScope::Global) {
     if (!(regulator.adjust_interval_us > 0.0)) {
       throw std::invalid_argument("SystemConfig: regulator adjust interval must be > 0");
@@ -136,6 +145,19 @@ void SystemConfig::validate() const {
           "SystemConfig: --shards >= 2 is incompatible with the global regulator scope "
           "(--adaptive-budget reads every CPU's accounting each interval); use "
           "--adaptive-sampling, whose domains are node-local");
+    }
+  }
+  // NaN passes every ordered test above and an infinite duration never
+  // ends, so every time field must also be finite.
+  for (const auto& [value, name] :
+       {std::pair{sampling_period_us, "sampling_period_us"}, {cpu_quantum_us, "cpu_quantum_us"},
+        {barrier_period_us, "barrier_period_us"}, {duration_us, "duration_us"},
+        {warmup_us, "warmup_us"}, {uplink_latency_us, "uplink_latency_us"},
+        {regulator.adjust_interval_us, "regulator adjust interval"},
+        {regulator.min_period_us, "regulator min period"},
+        {regulator.max_period_us, "regulator max period"}}) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument(std::string("SystemConfig: ") + name + " must be finite");
     }
   }
 }

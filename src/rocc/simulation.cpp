@@ -882,15 +882,4 @@ SimulationResult Simulation::collect() const {
 
 SimulationResult run_simulation(const SystemConfig& config) { return Simulation(config).run(); }
 
-std::vector<SimulationResult> run_replications(SystemConfig config, std::size_t replications) {
-  std::vector<SimulationResult> results;
-  results.reserve(replications);
-  for (std::size_t i = 0; i < replications; ++i) {
-    SystemConfig c = config;
-    c.seed = config.seed + i;
-    results.push_back(run_simulation(c));
-  }
-  return results;
-}
-
 }  // namespace paradyn::rocc

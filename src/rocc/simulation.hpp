@@ -219,9 +219,4 @@ class Simulation {
 /// Convenience: build and run in one call.
 [[nodiscard]] SimulationResult run_simulation(const SystemConfig& config);
 
-/// Run `replications` simulations with seeds seed, seed+1, ... and return
-/// all results (the 2^k r experiment harness builds on this).
-[[nodiscard]] std::vector<SimulationResult> run_replications(SystemConfig config,
-                                                             std::size_t replications);
-
 }  // namespace paradyn::rocc

@@ -127,7 +127,7 @@ rocc::SystemConfig crash_config() {
 }
 
 TEST(RepairLoop, CrashRepairedWithFiniteTimeToRepair) {
-  const auto r = run_with_detection(crash_config(), {},
+  const auto r = run_with_detection(crash_config(),
                                     RepairPolicy::parse("restart_daemon:timeout=50ms,"
                                                         "max_retries=3,backoff=exp:20ms"));
   ASSERT_EQ(r.fault_outcomes.size(), 1u);
@@ -149,7 +149,7 @@ TEST(RepairLoop, CrashRepairedWithFiniteTimeToRepair) {
 }
 
 TEST(RepairLoop, ForcedFailureGivesUpAfterRetryBudget) {
-  const auto r = run_with_detection(crash_config(), {},
+  const auto r = run_with_detection(crash_config(),
                                     RepairPolicy::parse("restart_daemon:timeout=50ms,"
                                                         "max_retries=2,backoff=fixed:30ms,"
                                                         "success_p=0"));
@@ -165,7 +165,7 @@ TEST(RepairLoop, ForcedFailureGivesUpAfterRetryBudget) {
 }
 
 TEST(RepairLoop, JitterStretchesBackoff) {
-  const auto r = run_with_detection(crash_config(), {},
+  const auto r = run_with_detection(crash_config(),
                                     RepairPolicy::parse("restart_daemon:timeout=50ms,"
                                                         "max_retries=2,backoff=fixed:30ms,"
                                                         "jitter=0.5,success_p=0"));
@@ -181,7 +181,7 @@ TEST(RepairLoop, UnmatchedPolicyLeavesRunBitIdentical) {
   // A policy that matches nothing in the plan must not move any stream or
   // schedule any event: the run reproduces the no-policy run exactly.
   const auto with_policy = run_with_detection(
-      crash_config(), {}, RepairPolicy::parse("reset_pipe;reroute_link:threshold=64"));
+      crash_config(), RepairPolicy::parse("reset_pipe;reroute_link:threshold=64"));
   const auto without = run_with_detection(crash_config());
   EXPECT_EQ(with_policy.samples_generated, without.samples_generated);
   EXPECT_EQ(with_policy.samples_delivered, without.samples_delivered);
@@ -198,7 +198,7 @@ TEST(RepairLoop, RerouteLinkCapsSlowdownPenalty) {
   c.sampling_period_us = 10'000.0;
   c.faults = rocc::FaultPlan::parse("link_slow:start=500ms,dur=2s,factor=32");
   const auto repaired = run_with_detection(
-      c, {}, RepairPolicy::parse("reroute_link:timeout=50ms,penalty=1.5"));
+      c, RepairPolicy::parse("reroute_link:timeout=50ms,penalty=1.5"));
   const auto unrepaired = run_with_detection(c);
   ASSERT_EQ(repaired.fault_outcomes.size(), 1u);
   if (repaired.fault_outcomes[0].repaired) {
@@ -223,7 +223,7 @@ TEST(RepairLoop, ResetPipeDrainsAndUnclamps) {
       "daemon_stall:daemon=0,start=500ms,dur=1s;"
       "pipe_backpressure:daemon=0,start=500ms,dur=2s,capacity=1");
   const auto r = run_with_detection(
-      c, {}, RepairPolicy::parse("reset_pipe:timeout=50ms"));
+      c, RepairPolicy::parse("reset_pipe:timeout=50ms"));
   ASSERT_EQ(r.fault_outcomes.size(), 2u);
   // Whichever fault the detector flags first, only the backpressure row
   // can carry a reset_pipe repair.
@@ -236,8 +236,8 @@ TEST(RepairLoop, ResetPipeDrainsAndUnclamps) {
 TEST(RepairLoop, RepairRunsAreDeterministic) {
   const RepairPolicy policy = RepairPolicy::parse(
       "restart_daemon:timeout=50ms,max_retries=3,backoff=exp:20ms,jitter=0.3,success_p=0.5");
-  const auto a = run_with_detection(crash_config(), {}, policy);
-  const auto b = run_with_detection(crash_config(), {}, policy);
+  const auto a = run_with_detection(crash_config(), policy);
+  const auto b = run_with_detection(crash_config(), policy);
   ASSERT_EQ(a.fault_outcomes.size(), 1u);
   ASSERT_EQ(b.fault_outcomes.size(), 1u);
   EXPECT_EQ(a.fault_outcomes[0].repair_attempts, b.fault_outcomes[0].repair_attempts);

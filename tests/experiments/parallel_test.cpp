@@ -6,9 +6,11 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "experiments/runner.hpp"
+#include "support/replications.hpp"
 
 namespace paradyn::experiments {
 namespace {
@@ -113,13 +115,17 @@ TEST(ParallelRunner, ReportAccountsForEveryRun) {
   EXPECT_NE(os.str().find("runs=3"), std::string::npos);
 }
 
-TEST(ParallelRunner, ReportAccumulation) {
-  ParallelRunner runner(1);
-  (void)runner.replications(tiny_config(), 2);
-  RunReport total = runner.report();
-  (void)runner.replications(tiny_config(), 2);
-  total += runner.report();
-  EXPECT_EQ(total.runs, 4u);
+TEST(ParallelRunner, OneRunRunsInlineAtAnyJobCount) {
+  // At most one worker per run: a single run needs no pool, so its hook
+  // sees the calling thread, and the report keeps the requested job count.
+  std::thread::id hook_thread;
+  const ReplicationSet rs(tiny_config(), 1, /*jobs=*/8,
+                          [&](rocc::Simulation&, std::size_t, std::size_t) {
+                            hook_thread = std::this_thread::get_id();
+                          });
+  EXPECT_EQ(hook_thread, std::this_thread::get_id());
+  EXPECT_EQ(rs.report().jobs, 8u);
+  EXPECT_EQ(rs.report().runs, 1u);
 }
 
 TEST(ParallelRunner, RunHookSeesEveryRunAndEventsAreAccounted) {

@@ -99,6 +99,44 @@ TEST(FactorialExperiment, Validation) {
   EXPECT_THROW(FactorialExperiment(tiny_config(), one, 0), std::invalid_argument);
 }
 
+// Two variants of tiny_config() swept over the sampling period.
+rocc::SystemConfig sweep_point(double sp_ms, std::size_t variant) {
+  auto c = tiny_config();
+  c.sampling_period_us = sp_ms * 1'000.0;
+  c.batch_size = variant == 0 ? 1 : 8;
+  return c;
+}
+
+TEST(Sweep, MeansMatchAReplicationSetPerPointBitForBit) {
+  const std::vector<double> xs{10, 40};
+  for (const std::size_t jobs : {1u, 4u}) {
+    const Sweep sweep(xs, {"CF", "BF(8)"}, sweep_point, 2, jobs);
+    for (const auto& panel : paper_panels()) {
+      const auto means = sweep.means(panel.metric);
+      ASSERT_EQ(means.size(), 2u);
+      for (std::size_t v = 0; v < 2; ++v) {
+        ASSERT_EQ(means[v].size(), xs.size());
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          const ReplicationSet point(sweep_point(xs[i], v), 2, 1);
+          EXPECT_EQ(means[v][i], point.mean(panel.metric)) << panel.title << " jobs " << jobs;
+        }
+      }
+    }
+    EXPECT_EQ(sweep.runs().size(), 8u);
+    EXPECT_EQ(sweep.report().runs, 8u);
+  }
+}
+
+TEST(Sweep, RejectsZeroReplicationsAndUnequalSeeds) {
+  EXPECT_THROW(Sweep({10}, {"CF"}, sweep_point, 0), std::invalid_argument);
+  const auto seeded = [](double sp_ms, std::size_t variant) {
+    auto c = sweep_point(sp_ms, variant);
+    c.seed = 1 + variant;
+    return c;
+  };
+  EXPECT_THROW(Sweep({10}, {"CF", "BF(8)"}, seeded, 1), std::invalid_argument);
+}
+
 TEST(MetricExtractors, MatchResultFields) {
   rocc::SimulationResult r;
   r.pd_cpu_time_per_node_us = 2e6;

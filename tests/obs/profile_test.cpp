@@ -49,6 +49,19 @@ EventView mark(double ts, const char* id, const NumArg& stage, std::int64_t pid 
   return ev;
 }
 
+TEST(Profiler, WindowMustBePositiveAndFinite) {
+  // No silent fallback: a window that is not positive and finite has no
+  // meaningful when-axis, so the profiler refuses it.
+  for (const double w : {0.0, -5'000.0, std::nan(""), HUGE_VAL}) {
+    ProfileOptions options;
+    options.window_us = w;
+    EXPECT_THROW(Profiler{options}, std::invalid_argument) << w;
+  }
+  ProfileOptions fine;
+  fine.window_us = 0.5;
+  EXPECT_NO_THROW(Profiler{fine});
+}
+
 TEST(Profiler, EmptyTraceYieldsWellFormedReport) {
   const auto report = profile_string("{\"traceEvents\": []}");
   EXPECT_EQ(report.events, 0u);

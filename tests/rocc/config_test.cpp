@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace paradyn::rocc {
 namespace {
 
@@ -77,6 +83,51 @@ TEST(SystemConfig, ValidateRejectsBadKnobs) {
   c = SystemConfig::now(8);
   c.barrier_period_us = -1.0;
   EXPECT_THROW(c.validate(), std::invalid_argument);
+}
+
+TEST(SystemConfig, TimeFieldsMustBeFinite) {
+  // NaN passes every ordered test, and an infinite duration never ends.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<const char*, std::function<void(SystemConfig&)>>> cases{
+      {"duration_us", [&](SystemConfig& c) { c.duration_us = inf; }},
+      {"warmup_us", [&](SystemConfig& c) { c.warmup_us = nan; }},
+      {"barrier_period_us", [&](SystemConfig& c) { c.barrier_period_us = nan; }},
+      {"barrier_period_us", [&](SystemConfig& c) { c.barrier_period_us = inf; }},
+      {"uplink_latency_us", [&](SystemConfig& c) { c.uplink_latency_us = nan; }},
+      {"sampling_period_us", [&](SystemConfig& c) { c.sampling_period_us = inf; }},
+      {"cpu_quantum_us", [&](SystemConfig& c) { c.cpu_quantum_us = inf; }},
+  };
+  for (const auto& [field, set] : cases) {
+    auto c = SystemConfig::now(8);
+    set(c);
+    try {
+      c.validate();
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(SystemConfig, RegulatorNeedsTheIs) {
+  // Without the IS nothing is sampled, so a regulator would report a
+  // period and a throttle factor that nothing regulated.
+  for (const auto& [scope, flag] : {std::pair{RegulatorScope::Global, "--adaptive-budget"},
+                                    std::pair{RegulatorScope::PerDaemon, "--adaptive-sampling"}}) {
+    auto c = SystemConfig::now(4);
+    c.regulator.scope = scope;
+    EXPECT_NO_THROW(c.validate());
+    c.instrumentation_enabled = false;
+    try {
+      c.validate();
+      ADD_FAILURE() << flag << " accepted without the IS";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(flag), std::string::npos) << what;
+      EXPECT_NE(what.find("--uninstrumented"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(SystemConfig, TreeForwardingIsMppOnly) {

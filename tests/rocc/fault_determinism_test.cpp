@@ -103,8 +103,7 @@ std::vector<SimulationResult> run_with_repair_at_jobs(const SystemConfig& c,
   std::vector<std::unique_ptr<consultant::DetectionHarness>> harnesses(reps);
   std::mutex mu;
   const experiments::RunHook hook = [&](Simulation& sim, std::size_t, std::size_t rep) {
-    auto h = std::make_unique<consultant::DetectionHarness>(sim, consultant::DetectorConfig{},
-                                                            policy);
+    auto h = std::make_unique<consultant::DetectionHarness>(sim, policy);
     const std::lock_guard<std::mutex> lock(mu);
     harnesses[rep] = std::move(h);
   };

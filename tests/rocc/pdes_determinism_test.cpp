@@ -213,8 +213,7 @@ SimulationResult run_with_harness(SystemConfig c, std::int32_t shards,
   c.shards = shards;
   Simulation sim(c);
   auto harness = policy != nullptr
-                     ? std::make_unique<consultant::DetectionHarness>(
-                           sim, consultant::DetectorConfig{}, *policy)
+                     ? std::make_unique<consultant::DetectionHarness>(sim, *policy)
                      : std::make_unique<consultant::DetectionHarness>(sim);
   SimulationResult r = sim.run();
   harness->finalize(r);

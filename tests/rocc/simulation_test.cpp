@@ -6,6 +6,8 @@
 #include <cmath>
 #include <memory>
 
+#include "support/replications.hpp"
+
 namespace paradyn::rocc {
 namespace {
 

@@ -97,6 +97,25 @@ TEST(CliArgs, RejectsMalformedNumbers) {
   EXPECT_THROW((void)args.get_double("alpha", 0.0), std::invalid_argument);
 }
 
+TEST(CliArgs, BoundedIntegersRejectOverflowAndRange) {
+  // strtol saturates on overflow; the read must not pass LONG_MAX on, and
+  // a value outside the caller's bounds must not wrap into its field.
+  EXPECT_THROW((void)parse({"--alpha=99999999999999999999999"}).get_long("alpha", 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--alpha=4294967298"}).get_long("alpha", 0, kInt32Min, kCountMax),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--alpha=-1"}).get_long("alpha", 1, 1, kCountMax),
+               std::invalid_argument);
+  try {
+    (void)parse({"--alpha=0"}).get_long("alpha", 1, 1, 10);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--alpha"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(parse({"--alpha=2147483647"}).get_long("alpha", 0, kInt32Min, kCountMax), kCountMax);
+  EXPECT_EQ(parse({}).get_long("alpha", 7, 1, 5), 7);  // the fallback is the caller's
+}
+
 TEST(CliArgs, NegativeValuesViaEquals) {
   // A negative space-separated value would look like a flag; the = form
   // carries it through.

@@ -1,0 +1,122 @@
+#include "model_flags.hpp"
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+namespace paradyn::tools {
+namespace {
+
+CliArgs parse(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "prog");
+  return CliArgs(static_cast<int>(argv.size()), argv.data(),
+                 {"arch", "nodes", "apps", "daemons", "topology", "sampling-ms", "batch",
+                  "seconds", "seed", "shards", "uplink-ms"});
+}
+
+TEST(ModelConfig, SharedFlagsBuildTheConfig) {
+  const auto c = model_config(parse({"--arch", "mpp", "--nodes", "16", "--topology", "tree",
+                                     "--sampling-ms", "5", "--batch", "8", "--seed", "7",
+                                     "--shards", "4", "--uplink-ms", "0.5"}),
+                              10.0);
+  EXPECT_EQ(c.arch, rocc::Architecture::Mpp);
+  EXPECT_EQ(c.nodes, 16);
+  EXPECT_EQ(c.topology, rocc::ForwardingTopology::BinaryTree);
+  EXPECT_EQ(c.sampling_period_us, 5'000.0);
+  EXPECT_EQ(c.batch_size, 8);
+  EXPECT_EQ(c.duration_us, 10e6);
+  EXPECT_EQ(c.seed, 7u);
+  EXPECT_EQ(c.shards, 4);
+  EXPECT_EQ(c.uplink_latency_us, 500.0);
+
+  const auto smp = model_config(parse({"--arch=smp", "--nodes=8", "--daemons=2"}), 5.0);
+  EXPECT_EQ(smp.app_processes_per_node, 8);  // SMP apps default to the CPU count
+  EXPECT_EQ(smp.daemons, 2);
+  EXPECT_EQ(smp.duration_us, 5e6);
+}
+
+TEST(ModelConfig, CountsOutsideInt32Fail) {
+  // An out-of-range count must fail, not wrap into the int32 field
+  // (4294967298 would run 2 nodes, -4294967295 CF(1)).
+  EXPECT_THROW((void)model_config(parse({"--nodes", "4294967298"}), 1.0), std::invalid_argument);
+  EXPECT_THROW((void)model_config(parse({"--batch=-4294967295"}), 1.0), std::invalid_argument);
+  EXPECT_THROW((void)model_config(parse({"--arch", "vax"}), 1.0), std::invalid_argument);
+}
+
+TEST(SweepValues, EachEntryParsesWhole) {
+  EXPECT_EQ(parse_values("sampling-ms", "1,2.5,,40"), (std::vector<double>{1, 2.5, 40}));
+  EXPECT_EQ(parse_values("batch", "1,8,32"), (std::vector<double>{1, 8, 32}));
+  for (const char* bad : {"1,2x", "abc", "1,nan", "inf", ","}) {
+    EXPECT_THROW((void)parse_values("sampling-ms", bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(SweepValues, IntegerAxesRejectFractionsAndOverflow) {
+  for (const char* axis : {"batch", "nodes", "apps", "daemons", "pipe"}) {
+    EXPECT_THROW((void)parse_values(axis, "2.7"), std::invalid_argument) << axis;
+    EXPECT_THROW((void)parse_values(axis, "4294967298"), std::invalid_argument) << axis;
+  }
+  EXPECT_EQ(parse_values("barrier-ms", "2.7"), (std::vector<double>{2.7}));
+}
+
+TEST(SweepValues, AxisSetsItsField) {
+  auto now = rocc::SystemConfig::now(4);
+  apply_axis(now, "nodes", 16);
+  apply_axis(now, "pipe", 8);
+  apply_axis(now, "barrier-ms", 50);
+  EXPECT_EQ(now.nodes, 16);
+  EXPECT_EQ(now.pipe_capacity, 8);
+  EXPECT_EQ(now.barrier_period_us, 50'000.0);
+  auto smp = rocc::SystemConfig::smp(8, 8, 1);
+  apply_axis(smp, "nodes", 16);  // the SMP machine's CPU count
+  EXPECT_EQ(smp.cpus_per_node, 16);
+  EXPECT_THROW(apply_axis(now, "colour", 1), std::invalid_argument);
+}
+
+rocc::FaultOutcome outcome(bool detected, bool repaired) {
+  rocc::FaultOutcome o;
+  o.injected = true;
+  o.detected = detected;
+  if (detected) o.detection_latency_us = 2'000.0;
+  o.repair_attempted = repaired;
+  if (repaired) {
+    o.repaired = true;
+    o.repair_attempts = 2;
+    o.time_to_repair_us = 6'000.0;
+    o.repair_backoff_us = 1'000.0;
+  }
+  return o;
+}
+
+TEST(FaultTally, CountsAndMeans) {
+  FaultTally t;
+  t.add(outcome(true, true));
+  t.add(outcome(true, false));  // detected only
+  t.add(outcome(false, true));  // repaired only
+  t.add(outcome(false, false));
+  EXPECT_EQ(t.rows, 4u);
+  EXPECT_EQ(t.detected, 2u);
+  EXPECT_EQ(t.repaired, 2u);
+  EXPECT_EQ(t.attempted, 2u);
+  EXPECT_EQ(t.recovered, 0u);
+  EXPECT_EQ(t.gave_up, 0u);
+  EXPECT_EQ(t.frac(t.detected), 0.5);
+  EXPECT_EQ(t.frac(t.repaired), 0.5);
+  EXPECT_EQ(FaultTally::mean_ms(t.detection_us, t.detected), 2.0);
+  EXPECT_EQ(FaultTally::mean_ms(t.repair_us, t.repaired), 6.0);
+  EXPECT_EQ(FaultTally::mean_ms(t.backoff_us, t.attempted, 0.0), 1.0);
+  EXPECT_EQ(t.attempts, 4.0);
+  // Nothing to average: the caller's sentinel, and 0 without rows.
+  EXPECT_EQ(FaultTally::mean_ms(t.recovery_us, t.recovered), -1.0);
+  EXPECT_EQ(FaultTally{}.frac(0), 0.0);
+
+  FaultTally sum;
+  sum += t;
+  sum += t;
+  EXPECT_EQ(sum.rows, 8u);
+  EXPECT_EQ(FaultTally::mean_ms(sum.detection_us, sum.detected), 2.0);
+}
+
+}  // namespace
+}  // namespace paradyn::tools

@@ -1,5 +1,6 @@
 #include "cli_args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/suggest.hpp"
@@ -53,13 +54,18 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   return v;
 }
 
-long CliArgs::get_long(const std::string& name, long fallback) const {
+long CliArgs::get_long(const std::string& name, long fallback, long lo, long hi) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(it->second.c_str(), &end, 10);
   if (end == it->second.c_str() || *end != '\0') {
     throw std::invalid_argument("flag --" + name + ": not an integer: " + it->second);
+  }
+  if (errno == ERANGE || v < lo || v > hi) {
+    throw std::invalid_argument("flag --" + name + ": out of range [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + "]: " + it->second);
   }
   return v;
 }
@@ -70,6 +76,12 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   if (it->second == "true" || it->second == "1" || it->second == "yes") return true;
   if (it->second == "false" || it->second == "0" || it->second == "no") return false;
   throw std::invalid_argument("flag --" + name + ": not a boolean: " + it->second);
+}
+
+std::ofstream open_output(const std::string& path) {
+  std::ofstream os(path);
+  if (!os) throw std::runtime_error("cannot open for writing: " + path);
+  return os;
 }
 
 }  // namespace paradyn::tools

@@ -7,14 +7,22 @@
 // via `max_positionals`; every tool prints its own --help.
 #pragma once
 
+#include <cstdint>
+#include <fstream>
+#include <limits>
 #include <map>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace paradyn::tools {
+
+/// get_long bounds of count flags: a flag that fills an int32 field spans
+/// the field's range (the field's own validation owns the sign), and no
+/// count exceeds kCountMax.
+inline constexpr long kInt32Min = std::numeric_limits<std::int32_t>::min();
+inline constexpr long kCountMax = std::numeric_limits<std::int32_t>::max();
 
 class CliArgs {
  public:
@@ -34,12 +42,20 @@ class CliArgs {
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
-  [[nodiscard]] long get_long(const std::string& name, long fallback) const;
+  /// An integer flag in [lo, hi]: a malformed, overflowing or out-of-range
+  /// value throws std::invalid_argument naming the flag.
+  [[nodiscard]] long get_long(const std::string& name, long fallback,
+                              long lo = std::numeric_limits<long>::min(),
+                              long hi = std::numeric_limits<long>::max()) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback = false) const;
 
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positionals_;
 };
+
+/// Open an output file or throw naming it (a silently unwritable --trace
+/// or --json must not discard the run).
+[[nodiscard]] std::ofstream open_output(const std::string& path);
 
 }  // namespace paradyn::tools

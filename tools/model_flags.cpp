@@ -1,0 +1,138 @@
+#include "model_flags.hpp"
+
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <sstream>
+#include <stdexcept>
+
+namespace paradyn::tools {
+
+rocc::SystemConfig model_config(const CliArgs& args, double default_seconds) {
+  const auto int32_flag = [&](const char* name, long fallback) {
+    return static_cast<std::int32_t>(args.get_long(name, fallback, kInt32Min, kCountMax));
+  };
+  const std::string arch = args.get_string("arch", "now");
+  const std::int32_t nodes = int32_flag("nodes", 8);
+  const std::int32_t apps = int32_flag("apps", arch == "smp" ? nodes : 1);
+  const std::int32_t daemons = int32_flag("daemons", 1);
+  const std::string topology = args.get_string("topology", "direct");
+
+  rocc::SystemConfig cfg = [&] {
+    if (arch == "now") return rocc::SystemConfig::now(nodes);
+    if (arch == "smp") return rocc::SystemConfig::smp(nodes, apps, daemons);
+    if (arch == "mpp") {
+      return rocc::SystemConfig::mpp(nodes, topology == "tree"
+                                                ? rocc::ForwardingTopology::BinaryTree
+                                                : rocc::ForwardingTopology::Direct);
+    }
+    throw std::invalid_argument("unknown --arch: " + arch);
+  }();
+  if (arch != "smp") cfg.app_processes_per_node = apps;
+  cfg.sampling_period_us = args.get_double("sampling-ms", 40.0) * 1'000.0;
+  cfg.batch_size = int32_flag("batch", 1);
+  cfg.duration_us = args.get_double("seconds", default_seconds) * 1e6;
+  cfg.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  cfg.shards = int32_flag("shards", 0);
+  cfg.uplink_latency_us = args.get_double("uplink-ms", 0.0) * 1'000.0;
+  return cfg;
+}
+
+namespace {
+
+/// The int32 field an integer axis sets (--axis nodes sets the CPU count
+/// on SMP), or nullptr for the other axes.
+std::int32_t* integer_field(rocc::SystemConfig& cfg, const std::string& axis) {
+  if (axis == "batch") return &cfg.batch_size;
+  if (axis == "nodes") {
+    return cfg.arch == rocc::Architecture::Smp ? &cfg.cpus_per_node : &cfg.nodes;
+  }
+  if (axis == "apps") return &cfg.app_processes_per_node;
+  if (axis == "daemons") return &cfg.daemons;
+  if (axis == "pipe") return &cfg.pipe_capacity;
+  return nullptr;
+}
+
+}  // namespace
+
+std::vector<double> parse_values(const std::string& axis, const std::string& csv) {
+  rocc::SystemConfig probe;
+  const bool integers = integer_field(probe, axis) != nullptr;
+  std::vector<double> out;
+  std::stringstream ss(csv);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (item.empty()) continue;
+    char* end = nullptr;
+    const double v = std::strtod(item.c_str(), &end);
+    if (end == item.c_str() || *end != '\0' || !std::isfinite(v)) {
+      throw std::invalid_argument("--values: not a finite number: " + item);
+    }
+    if (integers && !(v == std::trunc(v) && v >= static_cast<double>(kInt32Min) &&
+                      v <= static_cast<double>(kCountMax))) {
+      throw std::invalid_argument("--values: --axis " + axis + " takes 32-bit integers: " + item);
+    }
+    out.push_back(v);
+  }
+  if (out.empty()) throw std::invalid_argument("--values: no sweep points");
+  return out;
+}
+
+void apply_axis(rocc::SystemConfig& cfg, const std::string& axis, double value) {
+  if (std::int32_t* field = integer_field(cfg, axis)) {
+    *field = static_cast<std::int32_t>(value);
+  } else if (axis == "sampling-ms") {
+    cfg.sampling_period_us = value * 1'000.0;
+  } else if (axis == "barrier-ms") {
+    cfg.barrier_period_us = value * 1'000.0;
+  } else {
+    throw std::invalid_argument("unknown --axis: " + axis);
+  }
+}
+
+void FaultTally::add(const rocc::FaultOutcome& o) {
+  ++rows;
+  if (o.detected) {
+    ++detected;
+    detection_us += o.detection_latency_us;
+  }
+  if (o.recovered) {
+    ++recovered;
+    recovery_us += o.recovery_latency_us;
+  }
+  if (o.repair_attempted) {
+    ++attempted;
+    attempts += o.repair_attempts;
+    backoff_us += o.repair_backoff_us;
+  }
+  if (o.repaired) {
+    ++repaired;
+    repair_us += o.time_to_repair_us;
+  }
+  if (o.gave_up) ++gave_up;
+}
+
+FaultTally& FaultTally::operator+=(const FaultTally& other) {
+  rows += other.rows;
+  detected += other.detected;
+  recovered += other.recovered;
+  attempted += other.attempted;
+  repaired += other.repaired;
+  gave_up += other.gave_up;
+  detection_us += other.detection_us;
+  recovery_us += other.recovery_us;
+  repair_us += other.repair_us;
+  attempts += other.attempts;
+  backoff_us += other.backoff_us;
+  return *this;
+}
+
+double FaultTally::frac(std::size_t k) const {
+  return rows ? static_cast<double>(k) / static_cast<double>(rows) : 0.0;
+}
+
+double FaultTally::mean_ms(double sum_us, std::size_t k, double none) {
+  return k ? sum_us / static_cast<double>(k) / 1e3 : none;
+}
+
+}  // namespace paradyn::tools

@@ -39,14 +39,6 @@ void print_help() {
       "  --help          this text\n");
 }
 
-/// Open an output file or die with a clear message (a silently unwritable
-/// --json must not discard the analysis).
-std::ofstream open_or_throw(const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for writing: " + path);
-  return os;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,7 +61,8 @@ int main(int argc, char** argv) {
     }
 
     obs::ProfileOptions options;
-    options.top_paths = static_cast<std::size_t>(args.get_long("top-paths", 5));
+    options.top_paths =
+        static_cast<std::size_t>(args.get_long("top-paths", 5, 0, tools::kCountMax));
     options.window_us = args.get_double("window-ms", 100.0) * 1'000.0;
     const obs::ProfileReport report = obs::profile_trace_stream(is, options);
 
@@ -77,15 +70,15 @@ int main(int argc, char** argv) {
     obs::print_profile_report(std::cout, report, args.get_bool("hypotheses"));
 
     if (args.has("json")) {
-      auto os = open_or_throw(args.get_string("json", ""));
+      auto os = tools::open_output(args.get_string("json", ""));
       obs::write_profile_json(os, report);
     }
     if (args.has("csv")) {
-      auto os = open_or_throw(args.get_string("csv", ""));
+      auto os = tools::open_output(args.get_string("csv", ""));
       obs::write_profile_csv(os, report);
     }
     if (args.has("folded")) {
-      auto os = open_or_throw(args.get_string("folded", ""));
+      auto os = tools::open_output(args.get_string("folded", ""));
       obs::write_profile_folded(os, report);
     }
     return 0;

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -23,6 +22,7 @@
 #include "experiments/runner.hpp"
 #include "experiments/shard_executor.hpp"
 #include "experiments/table.hpp"
+#include "model_flags.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/repro.hpp"
@@ -101,14 +101,6 @@ void print_help() {
       "  --help                  this text\n");
 }
 
-/// Open an output file or die with a clear message (a silently unwritable
-/// --trace must not discard the run).
-std::ofstream open_or_throw(const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for writing: " + path);
-  return os;
-}
-
 /// One line per fault: injection window plus measured latencies and — when a
 /// repair policy is armed — the repair outcome.
 void print_fault_outcomes(const std::vector<paradyn::rocc::FaultOutcome>& outcomes) {
@@ -157,6 +149,52 @@ void print_fault_outcomes(const std::vector<paradyn::rocc::FaultOutcome>& outcom
   }
 }
 
+/// Per-fault means over the replications, plus MTTD/MTTR when a repair
+/// was tried.  Plan faults only: cascade-induced rows are appended per rep
+/// and their count can vary with the seed.
+void print_fault_means(const std::vector<paradyn::rocc::SimulationResult>& results) {
+  using paradyn::tools::FaultTally;
+  const std::size_t reps = results.size();
+  std::size_t nfaults = results.front().fault_outcomes.size();
+  for (const auto& r : results) nfaults = std::min(nfaults, r.fault_outcomes.size());
+  std::printf("\n  per-fault detection latency, mean over %zu rep(s) (ms):\n", reps);
+  FaultTally all;
+  for (std::size_t f = 0; f < nfaults; ++f) {
+    FaultTally t;
+    for (const auto& r : results) t.add(r.fault_outcomes[f]);
+    all += t;
+    std::printf("    %s: detected %zu/%zu",
+                results.front().fault_outcomes[f].spec.describe().c_str(), t.detected, reps);
+    if (t.detected > 0) {
+      std::printf(", mean +%.1f ms", FaultTally::mean_ms(t.detection_us, t.detected));
+    }
+    std::printf(", recovered %zu/%zu", t.recovered, reps);
+    if (t.recovered > 0) {
+      std::printf(", mean +%.1f ms", FaultTally::mean_ms(t.recovery_us, t.recovered));
+    }
+    if (t.repaired > 0 || t.gave_up > 0) {
+      std::printf(", repaired %zu/%zu", t.repaired, reps);
+      if (t.repaired > 0) {
+        std::printf(", mean TTR +%.1f ms", FaultTally::mean_ms(t.repair_us, t.repaired));
+      }
+      if (t.gave_up > 0) std::printf(", gave up %zu/%zu", t.gave_up, reps);
+    }
+    std::printf("\n");
+  }
+  if (all.attempted > 0) {
+    char mttd[32] = "n/a";
+    char mttr[32] = "n/a";
+    if (all.detected > 0) {
+      std::snprintf(mttd, sizeof(mttd), "%.1f",
+                    FaultTally::mean_ms(all.detection_us, all.detected));
+    }
+    if (all.repaired > 0) {
+      std::snprintf(mttr, sizeof(mttr), "%.1f", FaultTally::mean_ms(all.repair_us, all.repaired));
+    }
+    std::printf("\n  MTTD (ms): %s   MTTR (ms): %s   gave up: %zu\n", mttd, mttr, all.gave_up);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -174,31 +212,11 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const std::string arch = args.get_string("arch", "now");
-    const auto nodes = static_cast<std::int32_t>(args.get_long("nodes", 8));
-    const auto apps = static_cast<std::int32_t>(args.get_long("apps", arch == "smp" ? nodes : 1));
-    const auto daemons = static_cast<std::int32_t>(args.get_long("daemons", 1));
-    const std::string topology = args.get_string("topology", "direct");
-
-    rocc::SystemConfig cfg = [&] {
-      if (arch == "now") return rocc::SystemConfig::now(nodes);
-      if (arch == "smp") return rocc::SystemConfig::smp(nodes, apps, daemons);
-      if (arch == "mpp") {
-        return rocc::SystemConfig::mpp(nodes, topology == "tree"
-                                                  ? rocc::ForwardingTopology::BinaryTree
-                                                  : rocc::ForwardingTopology::Direct);
-      }
-      throw std::invalid_argument("unknown --arch: " + arch);
-    }();
-    if (arch != "smp") cfg.app_processes_per_node = apps;
-    cfg.sampling_period_us = args.get_double("sampling-ms", 40.0) * 1'000.0;
-    cfg.batch_size = static_cast<std::int32_t>(args.get_long("batch", 1));
+    rocc::SystemConfig cfg = tools::model_config(args, 10.0);
     cfg.barrier_period_us = args.get_double("barrier-ms", 0.0) * 1'000.0;
-    cfg.pipe_capacity = static_cast<std::int32_t>(args.get_long("pipe", 64));
-    cfg.duration_us = args.get_double("seconds", 10.0) * 1e6;
+    cfg.pipe_capacity =
+        static_cast<std::int32_t>(args.get_long("pipe", 64, tools::kInt32Min, tools::kCountMax));
     cfg.warmup_us = args.get_double("warmup", 0.0) * 1e6;
-    cfg.shards = static_cast<std::int32_t>(args.get_long("shards", 0));
-    cfg.uplink_latency_us = args.get_double("uplink-ms", 0.0) * 1'000.0;
     // One sampling regulator, two scopes: --adaptive-budget is the global
     // one (default budget 1%), --adaptive-sampling the per-daemon one (5%).
     if (args.has("adaptive-budget") && args.has("adaptive-sampling")) {
@@ -225,17 +243,17 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("--repair requires --fault (nothing to repair)");
       }
     }
-    cfg.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
     cfg.instrumentation_enabled = !args.get_bool("uninstrumented");
     cfg.main_on_dedicated_host = args.get_bool("dedicated-main");
     cfg.validate();
 
-    const auto reps = static_cast<std::size_t>(args.get_long("reps", 1));
-    const auto jobs = static_cast<std::size_t>(args.get_long("jobs", 0));  // 0 = all hw threads
+    const auto reps = static_cast<std::size_t>(args.get_long("reps", 1, 1, tools::kCountMax));
+    // 0 = all hardware threads.
+    const auto jobs = static_cast<std::size_t>(args.get_long("jobs", 0, 0, tools::kCountMax));
 
     const std::string trace_file = args.get_string("trace", "");
     const auto trace_events =
-        static_cast<std::size_t>(args.get_long("trace-events", 1L << 18));
+        static_cast<std::size_t>(args.get_long("trace-events", 1L << 18, 0, tools::kCountMax));
     const std::string metrics_file = args.get_string("metrics", "");
     const double metrics_tick_us = args.get_double("metrics-tick-ms", 100.0) * 1'000.0;
     const std::string report_file = args.get_string("report-json", "");
@@ -271,164 +289,61 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry registry;
     std::optional<obs::ProfileReport> profile_report;
 
-    // One replication set reused across metrics when reps >= 2.
-    if (reps >= 2) {
-      // The hook runs on worker threads: each rep records into its own
-      // tracer, and only rep 0 (seed == base seed) carries the metrics probes
-      // — a registry belongs to a single simulation.
-      // Per-rep detection harnesses (each owns a consultant fed by that
-      // rep's delivered samples); slots are disjoint so no lock is needed.
-      std::vector<std::unique_ptr<consultant::DetectionHarness>> harnesses(reps);
-      const experiments::RunHook hook = [&](rocc::Simulation& sim, std::size_t /*cell*/,
-                                            std::size_t rep) {
-        if (recorder) {
-          // One-shard reps record as process "rep N".  Sharded runs name
-          // their tracers "shard s", so only rep 0 records, which keeps the
-          // shard names unambiguous across replications.
-          if (cfg.shards <= 1 || rep == 0) {
-            sim.set_trace_recorder(*recorder, "rep " + std::to_string(rep));
-          }
-        }
-        if (want_metrics && rep == 0) sim.enable_metrics(registry, metrics_tick_us);
-        // No-op when the effective fault plan is empty.
-        harnesses[rep] =
-            std::make_unique<consultant::DetectionHarness>(sim, consultant::DetectorConfig{},
-                                                           repair_policy);
-      };
-      const experiments::ReplicationSet rs(cfg, reps, jobs, hook);
-      const auto row = [&](const char* label, const experiments::MetricFn& fn, int digits) {
-        const auto ci = rs.metric(fn);
-        std::printf("  %-36s %s\n", label,
-                    experiments::fmt_ci(ci.mean, ci.half_width, digits).c_str());
-      };
-      row("Pd CPU time/node (s)", experiments::pd_cpu_time_sec, 4);
-      row("Pd CPU utilization/node (%)",
-          [](const rocc::SimulationResult& r) { return r.pd_cpu_util_pct; }, 3);
-      row("main Paradyn CPU utilization (%)",
-          [](const rocc::SimulationResult& r) { return r.main_cpu_util_pct; }, 3);
-      row("application CPU utilization/node (%)",
-          [](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }, 3);
-      row("monitoring latency/sample (ms)", experiments::latency_ms, 3);
-      row("throughput (samples/s)", experiments::throughput, 1);
-      // Detection/recovery latencies live in the harnesses; fold them into
-      // a finalized copy of the results for the report and the summary.
-      std::vector<rocc::SimulationResult> finalized = rs.results();
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        if (harnesses[rep]) harnesses[rep]->finalize(finalized[rep]);
+    // A single sharded run fans its window loop over a pool when the
+    // hardware has room; replications keep one thread per run.  The
+    // executor never changes results (bit-identical by contract).
+    std::optional<experiments::ThreadPool> shard_pool;
+    const std::size_t lanes =
+        reps == 1 && cfg.shards > 1
+            ? std::min<std::size_t>(static_cast<std::size_t>(cfg.shards),
+                                    experiments::ThreadPool::hardware_jobs())
+            : 1;
+    if (lanes > 1) shard_pool.emplace(lanes - 1);  // the caller thread is lane 0
+
+    // With several reps the hook runs on worker threads: each rep records
+    // into its own tracer, only rep 0 carries the metrics probes (a
+    // registry belongs to a single simulation), and each rep gets its own
+    // detection harness (a consultant fed by that rep's delivered
+    // samples); slots are disjoint so no lock is needed.
+    std::vector<std::unique_ptr<consultant::DetectionHarness>> harnesses(reps);
+    const experiments::RunHook hook = [&](rocc::Simulation& sim, std::size_t /*cell*/,
+                                          std::size_t rep) {
+      if (shard_pool) sim.set_shard_executor(experiments::shard_pool_executor(*shard_pool, lanes));
+      // Sharded runs name their tracers "shard s", so only rep 0 records,
+      // which keeps the shard names unambiguous across replications.
+      if (recorder && (cfg.shards <= 1 || rep == 0)) {
+        sim.set_trace_recorder(*recorder, reps == 1 ? "" : "rep " + std::to_string(rep));
       }
-      if (!finalized.empty() && !finalized.front().fault_outcomes.empty()) {
-        row("samples dropped by faults",
-            [](const rocc::SimulationResult& r) {
-              return static_cast<double>(r.samples_dropped);
-            },
-            1);
-        // Per-fault rows aggregate the *plan* faults only: cascade-induced
-        // rows are appended per rep and their count can vary with the seed.
-        std::size_t nfaults = finalized.front().fault_outcomes.size();
-        for (const auto& r : finalized) nfaults = std::min(nfaults, r.fault_outcomes.size());
-        std::printf("\n  per-fault detection latency, mean over %zu rep(s) (ms):\n", reps);
-        double mttd_sum = 0.0;
-        std::size_t mttd_n = 0;
-        double mttr_sum = 0.0;
-        std::size_t mttr_n = 0;
-        std::size_t gave_up_n = 0;
-        bool any_repair = false;
-        for (std::size_t f = 0; f < nfaults; ++f) {
-          double det_sum = 0.0;
-          double rec_sum = 0.0;
-          double rep_sum = 0.0;
-          std::size_t det_n = 0;
-          std::size_t rec_n = 0;
-          std::size_t rep_n = 0;
-          std::size_t gu_n = 0;
-          for (const auto& r : finalized) {
-            const auto& o = r.fault_outcomes[f];
-            if (o.detected) {
-              det_sum += o.detection_latency_us;
-              ++det_n;
-            }
-            if (o.recovered) {
-              rec_sum += o.recovery_latency_us;
-              ++rec_n;
-            }
-            if (o.repair_attempted) any_repair = true;
-            if (o.repaired) {
-              rep_sum += o.time_to_repair_us;
-              ++rep_n;
-            }
-            if (o.gave_up) ++gu_n;
-          }
-          mttd_sum += det_sum;
-          mttd_n += det_n;
-          mttr_sum += rep_sum;
-          mttr_n += rep_n;
-          gave_up_n += gu_n;
-          std::printf("    %s: detected %zu/%zu", finalized.front().fault_outcomes[f].spec.describe().c_str(),
-                      det_n, reps);
-          if (det_n > 0) std::printf(", mean +%.1f ms", det_sum / static_cast<double>(det_n) / 1e3);
-          std::printf(", recovered %zu/%zu", rec_n, reps);
-          if (rec_n > 0) std::printf(", mean +%.1f ms", rec_sum / static_cast<double>(rec_n) / 1e3);
-          if (rep_n > 0 || gu_n > 0) {
-            std::printf(", repaired %zu/%zu", rep_n, reps);
-            if (rep_n > 0) {
-              std::printf(", mean TTR +%.1f ms", rep_sum / static_cast<double>(rep_n) / 1e3);
-            }
-            if (gu_n > 0) std::printf(", gave up %zu/%zu", gu_n, reps);
-          }
-          std::printf("\n");
-        }
-        if (any_repair) {
-          char mttd[32] = "n/a";
-          char mttr[32] = "n/a";
-          if (mttd_n > 0) {
-            std::snprintf(mttd, sizeof(mttd), "%.1f",
-                          mttd_sum / static_cast<double>(mttd_n) / 1e3);
-          }
-          if (mttr_n > 0) {
-            std::snprintf(mttr, sizeof(mttr), "%.1f",
-                          mttr_sum / static_cast<double>(mttr_n) / 1e3);
-          }
-          std::printf("\n  MTTD (ms): %s   MTTR (ms): %s   gave up: %zu\n", mttd, mttr,
-                      gave_up_n);
-        }
-      }
-      if (cfg.regulator.scope == rocc::RegulatorScope::PerDaemon) {
-        row("max sampling throttle factor",
-            [](const rocc::SimulationResult& r) { return r.max_throttle_factor; }, 2);
-      }
-      rs.report().print(std::cerr, "roccsim");
-      if (profile) profile_report = obs::profile_recorder(*recorder);
-      if (!report_file.empty()) {
-        auto os = open_or_throw(report_file);
-        experiments::write_report_json(os, stamp, finalized, &rs.report(),
-                                       profile_report ? &*profile_report : nullptr);
-      }
-    } else {
-      rocc::Simulation sim(cfg);
-      // Fan the shard window loop over a pool when the hardware has room;
-      // the executor never changes results (bit-identical by contract).
-      std::optional<experiments::ThreadPool> shard_pool;
-      if (cfg.shards > 1) {
-        const std::size_t lanes = std::min<std::size_t>(
-            static_cast<std::size_t>(cfg.shards), experiments::ThreadPool::hardware_jobs());
-        if (lanes > 1) {
-          shard_pool.emplace(lanes - 1);  // the caller thread is lane 0
-          sim.set_shard_executor(experiments::shard_pool_executor(*shard_pool, lanes));
-        }
-      }
-      if (recorder) sim.set_trace_recorder(*recorder, "");
-      if (want_metrics) sim.enable_metrics(registry, metrics_tick_us);
+      if (want_metrics && rep == 0) sim.enable_metrics(registry, metrics_tick_us);
       // No-op when the effective fault plan is empty.
-      const consultant::DetectionHarness harness(sim, consultant::DetectorConfig{},
-                                                 repair_policy);
-      auto r = sim.run();
-      harness.finalize(r);
-      std::printf("  %-36s %.4f\n", "Pd CPU time/node (s)", r.pd_cpu_time_sec());
-      std::printf("  %-36s %.3f\n", "Pd CPU utilization/node (%)", r.pd_cpu_util_pct);
-      std::printf("  %-36s %.3f\n", "main Paradyn CPU utilization (%)", r.main_cpu_util_pct);
-      std::printf("  %-36s %.3f\n", "application CPU utilization/node (%)", r.app_cpu_util_pct);
-      std::printf("  %-36s %.3f\n", "monitoring latency/sample (ms)", r.latency_sec() * 1e3);
-      std::printf("  %-36s %.1f\n", "throughput (samples/s)", r.throughput_samples_per_sec);
+      harnesses[rep] = std::make_unique<consultant::DetectionHarness>(sim, repair_policy);
+    };
+    // At most one worker per run, so one rep runs on the calling thread.
+    const experiments::ReplicationSet rs(cfg, reps, jobs, hook);
+    // Detection/recovery latencies live in the harnesses; fold them into
+    // a finalized copy of the results for the report and the summary.
+    std::vector<rocc::SimulationResult> results = rs.results();
+    for (std::size_t rep = 0; rep < reps; ++rep) harnesses[rep]->finalize(results[rep]);
+
+    // One rep prints point values, more reps 90% confidence intervals.
+    const auto row = [&](const char* label, const experiments::MetricFn& fn, int digits) {
+      if (reps == 1) {
+        std::printf("  %-36s %.*f\n", label, digits, fn(results.front()));
+        return;
+      }
+      const auto ci = rs.metric(fn);
+      std::printf("  %-36s %s\n", label,
+                  experiments::fmt_ci(ci.mean, ci.half_width, digits).c_str());
+    };
+    const auto& panels = experiments::paper_panels();
+    row("Pd CPU time/node (s)", experiments::pd_cpu_time_sec, 4);
+    row("Pd CPU utilization/node (%)", panels[experiments::kPdUtil].metric, 3);
+    row("main Paradyn CPU utilization (%)", panels[experiments::kMainUtil].metric, 3);
+    row("application CPU utilization/node (%)", panels[experiments::kAppUtil].metric, 3);
+    row("monitoring latency/sample (ms)", experiments::latency_ms, 3);
+    row("throughput (samples/s)", experiments::throughput, 1);
+    if (reps == 1) {
+      const rocc::SimulationResult& r = results.front();
       std::printf("  %-36s %llu / %llu\n", "samples delivered / generated",
                   static_cast<unsigned long long>(r.samples_delivered),
                   static_cast<unsigned long long>(r.samples_generated));
@@ -446,12 +361,27 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(r.throttle_adjustments));
       }
       print_fault_outcomes(r.fault_outcomes);
-      if (profile) profile_report = obs::profile_recorder(*recorder);
-      if (!report_file.empty()) {
-        auto os = open_or_throw(report_file);
-        experiments::write_report_json(os, stamp, {r}, nullptr,
-                                       profile_report ? &*profile_report : nullptr);
+    } else {
+      if (!results.front().fault_outcomes.empty()) {
+        row("samples dropped by faults",
+            [](const rocc::SimulationResult& r) {
+              return static_cast<double>(r.samples_dropped);
+            },
+            1);
+        print_fault_means(results);
       }
+      if (cfg.regulator.scope == rocc::RegulatorScope::PerDaemon) {
+        row("max sampling throttle factor",
+            [](const rocc::SimulationResult& r) { return r.max_throttle_factor; }, 2);
+      }
+      rs.report().print(std::cerr, "roccsim");
+    }
+    if (profile) profile_report = obs::profile_recorder(*recorder);
+    if (!report_file.empty()) {
+      auto os = tools::open_output(report_file);
+      // The run report only describes replications.
+      experiments::write_report_json(os, stamp, results, reps >= 2 ? &rs.report() : nullptr,
+                                     profile_report ? &*profile_report : nullptr);
     }
 
     if (profile_report) {
@@ -460,21 +390,21 @@ int main(int argc, char** argv) {
     }
 
     if (recorder && !trace_file.empty()) {
-      auto os = open_or_throw(trace_file);
+      auto os = tools::open_output(trace_file);
       recorder->write_chrome_json(os);
       std::fprintf(stderr, "roccsim: wrote %llu trace event(s) to %s (%llu dropped)\n",
                    static_cast<unsigned long long>(recorder->recorded() - recorder->dropped()),
                    trace_file.c_str(), static_cast<unsigned long long>(recorder->dropped()));
     }
     if (!metrics_file.empty()) {
-      auto os = open_or_throw(metrics_file);
+      auto os = tools::open_output(metrics_file);
       stamp.write(os);
       registry.write_csv(os);
       std::fprintf(stderr, "roccsim: wrote %zu metrics row(s) to %s\n", registry.rows(),
                    metrics_file.c_str());
     }
     if (!metrics_json_file.empty()) {
-      auto os = open_or_throw(metrics_json_file);
+      auto os = tools::open_output(metrics_json_file);
       experiments::write_metrics_json(os, registry);
       std::fprintf(stderr, "roccsim: wrote %zu metrics row(s) to %s\n", registry.rows(),
                    metrics_json_file.c_str());

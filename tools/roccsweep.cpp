@@ -9,12 +9,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,6 +22,7 @@
 #include "experiments/runner.hpp"
 #include "experiments/shard_executor.hpp"
 #include "experiments/table.hpp"
+#include "model_flags.hpp"
 #include "obs/repro.hpp"
 #include "rocc/config.hpp"
 #include "rocc/faults.hpp"
@@ -43,7 +42,9 @@ void print_help() {
       "                     barrier-ms\n"
       "                     (--axis nodes sweeps node count on NOW/MPP; on SMP it\n"
       "                     sweeps cpus_per_node, the machine's CPU count)\n"
-      "  --values a,b,c     sweep points (required)\n"
+      "  --values a,b,c     sweep points (required); each must be a finite number,\n"
+      "                     and an integer on batch, nodes, apps, daemons and pipe;\n"
+      "                     a malformed value fails before anything runs\n"
       "  --arch now|smp|mpp --nodes N --apps N --daemons N --sampling-ms X\n"
       "  --batch N --topology direct|tree --seconds X --reps N --seed N\n"
       "  --shards N         run every simulation on N conservative-window DES\n"
@@ -52,7 +53,7 @@ void print_help() {
       "                     needs --uplink-ms > 0 and rejects SMP and barriers\n"
       "  --uplink-ms X      daemon uplink latency in ms — part of the model, and\n"
       "                     the cross-shard lookahead; default 0\n"
-      "  --jobs N           worker threads per replication set; default: all\n"
+      "  --jobs N           worker threads for the sweep's runs; default: all\n"
       "                     hardware threads, 1 = serial (results identical).\n"
       "                     Shard workers are clamped per job so --jobs x --shards\n"
       "                     never oversubscribes the machine\n"
@@ -67,60 +68,27 @@ void print_help() {
       "  --help             this text\n");
 }
 
-std::vector<double> parse_values(const std::string& csv) {
-  std::vector<double> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    out.push_back(std::stod(item));
-  }
-  if (out.empty()) throw std::invalid_argument("--values: no sweep points");
-  return out;
-}
-
-void apply_axis(paradyn::rocc::SystemConfig& cfg, const std::string& axis, double value) {
-  using paradyn::rocc::Architecture;
-  if (axis == "sampling-ms") {
-    cfg.sampling_period_us = value * 1'000.0;
-  } else if (axis == "batch") {
-    cfg.batch_size = static_cast<std::int32_t>(value);
-  } else if (axis == "nodes") {
-    if (cfg.arch == Architecture::Smp) {
-      cfg.cpus_per_node = static_cast<std::int32_t>(value);
-    } else {
-      cfg.nodes = static_cast<std::int32_t>(value);
-    }
-  } else if (axis == "apps") {
-    cfg.app_processes_per_node = static_cast<std::int32_t>(value);
-  } else if (axis == "daemons") {
-    cfg.daemons = static_cast<std::int32_t>(value);
-  } else if (axis == "pipe") {
-    cfg.pipe_capacity = static_cast<std::int32_t>(value);
-  } else if (axis == "barrier-ms") {
-    cfg.barrier_period_us = value * 1'000.0;
-  } else {
-    throw std::invalid_argument("unknown --axis: " + axis);
-  }
-}
-
-/// One row of the fault grid: a label plus the --fault spec string (empty
-/// = the fault-free baseline).
-struct GridEntry {
-  std::string label;
-  std::string spec;
+/// One row of a grid: a fault (empty spec = the fault-free baseline) and
+/// a repair policy (empty spec = detection only; the fault grid has none).
+struct GridRow {
+  std::string fault_label;
+  std::string fault_spec;
+  std::string policy_label = "";
+  std::string policy_spec = "";
 };
+
+/// "start=..,dur=..<extra>" for a window at 40% of the run, `share` of it long.
+std::string fault_window(double duration_us, double share, const char* extra) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "start=%.0f,dur=%.0f%s", 0.4 * duration_us,
+                share * duration_us, extra);
+  return buf;
+}
 
 /// The canonical fault grid (Tables 4-6 style): every fault type at a mild
 /// and a severe setting, windows placed relative to the simulated length.
-std::vector<GridEntry> fault_grid(double duration_us) {
-  const double start = 0.4 * duration_us;
-  const double dur = 0.2 * duration_us;
-  const auto window = [&](const char* extra) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "start=%.0f,dur=%.0f%s", start, dur, extra);
-    return std::string(buf);
-  };
+std::vector<GridRow> fault_grid(double duration_us) {
+  const auto window = [&](const char* extra) { return fault_window(duration_us, 0.2, extra); };
   return {
       {"none", ""},
       {"daemon_stall", "daemon_stall:daemon=0," + window("")},
@@ -133,91 +101,12 @@ std::vector<GridEntry> fault_grid(double duration_us) {
   };
 }
 
-/// Run the grid and print a CSV of per-fault detection/recovery metrics.
-void run_fault_grid(const paradyn::rocc::SystemConfig& base, std::size_t reps, std::size_t jobs,
-                    const std::string& report_file, const paradyn::obs::ReproStamp& stamp,
-                    const ShardSetup& shard_setup) {
-  using namespace paradyn;
-  std::printf("fault,detected_frac,detection_ms,recovered_frac,recovery_ms,dropped,delivered,latency_ms\n");
-  std::vector<rocc::SimulationResult> all_results;
-  experiments::RunReport grid_report;
-  for (const GridEntry& entry : fault_grid(base.duration_us)) {
-    rocc::SystemConfig cfg = base;
-    if (!entry.spec.empty()) cfg.faults = rocc::FaultPlan::parse(entry.spec);
-    cfg.validate();
-    std::vector<std::unique_ptr<consultant::DetectionHarness>> harnesses(reps);
-    const experiments::RunHook hook = [&](rocc::Simulation& sim, std::size_t, std::size_t rep) {
-      if (shard_setup) shard_setup(sim);
-      harnesses[rep] = std::make_unique<consultant::DetectionHarness>(sim);
-    };
-    const experiments::ReplicationSet rs(cfg, reps, jobs, hook);
-    grid_report += rs.report();
-    std::vector<rocc::SimulationResult> finalized = rs.results();
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      if (harnesses[rep]) harnesses[rep]->finalize(finalized[rep]);
-    }
-
-    double det_sum = 0.0;
-    double rec_sum = 0.0;
-    double dropped = 0.0;
-    double delivered = 0.0;
-    double latency_ms = 0.0;
-    std::size_t det_n = 0;
-    std::size_t rec_n = 0;
-    for (const auto& r : finalized) {
-      for (const auto& o : r.fault_outcomes) {
-        if (o.detected) {
-          det_sum += o.detection_latency_us;
-          ++det_n;
-        }
-        if (o.recovered) {
-          rec_sum += o.recovery_latency_us;
-          ++rec_n;
-        }
-      }
-      dropped += static_cast<double>(r.samples_dropped);
-      delivered += static_cast<double>(r.samples_delivered);
-      latency_ms += r.latency_us.count() ? r.latency_us.mean() / 1e3 : 0.0;
-    }
-    const auto n = static_cast<double>(reps);
-    const std::size_t outcome_slots = finalized.front().fault_outcomes.size() * reps;
-    std::printf("%s,%.2f,%.3f,%.2f,%.3f,%.1f,%.1f,%.3f\n", entry.label.c_str(),
-                outcome_slots ? static_cast<double>(det_n) / static_cast<double>(outcome_slots) : 0.0,
-                det_n ? det_sum / static_cast<double>(det_n) / 1e3 : -1.0,
-                outcome_slots ? static_cast<double>(rec_n) / static_cast<double>(outcome_slots) : 0.0,
-                rec_n ? rec_sum / static_cast<double>(rec_n) / 1e3 : -1.0, dropped / n,
-                delivered / n, latency_ms / n);
-    if (!report_file.empty()) {
-      all_results.insert(all_results.end(), finalized.begin(), finalized.end());
-    }
-  }
-  grid_report.print(std::cerr, "roccsweep --fault-grid");
-  if (!report_file.empty()) {
-    std::ofstream os(report_file);
-    if (!os) throw std::runtime_error("cannot open for writing: " + report_file);
-    experiments::write_report_json(os, stamp, all_results, &grid_report);
-  }
-}
-
 /// The canonical repair grid: every repairable fault flavor crossed with a
 /// policy ladder from "no repair" through "never succeeds", so MTTR and
 /// gave_up rates are comparable across fault types the way the fault grid
 /// makes detection latency comparable.
-struct RepairGridEntry {
-  std::string fault_label;
-  std::string fault_spec;
-  std::string policy_label;
-  std::string policy_spec;
-};
-
-std::vector<RepairGridEntry> repair_grid(double duration_us) {
-  const double start = 0.4 * duration_us;
-  const double dur = 0.4 * duration_us;
-  const auto window = [&](const char* extra) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "start=%.0f,dur=%.0f%s", start, dur, extra);
-    return std::string(buf);
-  };
+std::vector<GridRow> repair_grid(double duration_us) {
+  const auto window = [&](const char* extra) { return fault_window(duration_us, 0.4, extra); };
   const std::vector<std::pair<std::string, std::string>> faults = {
       {"daemon_stall", "daemon_stall:daemon=0," + window("")},
       {"daemon_crash", "daemon_crash:daemon=0," + window("")},
@@ -239,7 +128,7 @@ std::vector<RepairGridEntry> repair_grid(double duration_us) {
                   action.c_str(), timeout, backoff, extra);
     return std::string(buf);
   };
-  std::vector<RepairGridEntry> grid;
+  std::vector<GridRow> grid;
   for (const auto& [flabel, fspec] : faults) {
     const std::string action = action_for(flabel);
     grid.push_back({flabel, fspec, "off", ""});
@@ -250,87 +139,82 @@ std::vector<RepairGridEntry> repair_grid(double duration_us) {
   return grid;
 }
 
-/// Run the repair grid and print a CSV of per-cell repair/MTTR metrics.
-void run_repair_grid(const paradyn::rocc::SystemConfig& base, std::size_t reps, std::size_t jobs,
-                     const std::string& report_file, const paradyn::obs::ReproStamp& stamp,
-                     const ShardSetup& shard_setup) {
+/// Run every row's replications on `runner` as one grid with detection
+/// (and the row's repair policy) attached; returns each row's finalized runs.
+std::vector<std::vector<paradyn::rocc::SimulationResult>> run_grid(
+    const std::vector<GridRow>& rows, const paradyn::rocc::SystemConfig& base, std::size_t reps,
+    paradyn::experiments::ParallelRunner& runner, const ShardSetup& shard_setup) {
   using namespace paradyn;
-  std::printf(
-      "fault,policy,detected_frac,detection_ms,repaired_frac,ttr_ms,gave_up_frac,"
-      "attempts_mean,backoff_ms,dropped\n");
-  std::vector<rocc::SimulationResult> all_results;
-  experiments::RunReport grid_report;
-  for (const RepairGridEntry& entry : repair_grid(base.duration_us)) {
+  std::vector<rocc::SystemConfig> configs;
+  std::vector<consultant::RepairPolicy> policies;
+  for (const GridRow& row : rows) {
     rocc::SystemConfig cfg = base;
-    cfg.faults = rocc::FaultPlan::parse(entry.fault_spec);
+    if (!row.fault_spec.empty()) cfg.faults = rocc::FaultPlan::parse(row.fault_spec);
     cfg.validate();
-    consultant::RepairPolicy policy;
-    if (!entry.policy_spec.empty()) policy = consultant::RepairPolicy::parse(entry.policy_spec);
-    std::vector<std::unique_ptr<consultant::DetectionHarness>> harnesses(reps);
-    const experiments::RunHook hook = [&](rocc::Simulation& sim, std::size_t, std::size_t rep) {
-      if (shard_setup) shard_setup(sim);
-      harnesses[rep] =
-          std::make_unique<consultant::DetectionHarness>(sim, consultant::DetectorConfig{},
-                                                         policy);
-    };
-    const experiments::ReplicationSet rs(cfg, reps, jobs, hook);
-    grid_report += rs.report();
-    std::vector<rocc::SimulationResult> finalized = rs.results();
+    configs.push_back(std::move(cfg));
+    policies.push_back(row.policy_spec.empty() ? consultant::RepairPolicy{}
+                                               : consultant::RepairPolicy::parse(row.policy_spec));
+  }
+  std::vector<std::unique_ptr<consultant::DetectionHarness>> harnesses(rows.size() * reps);
+  runner.set_run_hook([&](rocc::Simulation& sim, std::size_t cell, std::size_t rep) {
+    if (shard_setup) shard_setup(sim);
+    harnesses[cell * reps + rep] =
+        std::make_unique<consultant::DetectionHarness>(sim, policies[cell]);
+  });
+  auto results = runner.cells(configs, base.seed, reps);
+  for (std::size_t cell = 0; cell < rows.size(); ++cell) {
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      if (harnesses[rep]) harnesses[rep]->finalize(finalized[rep]);
+      harnesses[cell * reps + rep]->finalize(results[cell][rep]);
     }
+  }
+  return results;
+}
 
-    double det_sum = 0.0;
-    double ttr_sum = 0.0;
-    double backoff_sum = 0.0;
-    double attempts_sum = 0.0;
-    double dropped = 0.0;
-    std::size_t det_n = 0;
-    std::size_t rep_n = 0;
-    std::size_t gave_up_n = 0;
-    std::size_t attempted_n = 0;
-    std::size_t slots = 0;
-    for (const auto& r : finalized) {
-      for (const auto& o : r.fault_outcomes) {
-        if (o.cascaded_from >= 0) continue;  // induced rows have no policy row
-        ++slots;
-        if (o.detected) {
-          det_sum += o.detection_latency_us;
-          ++det_n;
-        }
-        if (o.repair_attempted) {
-          ++attempted_n;
-          attempts_sum += o.repair_attempts;
-          backoff_sum += o.repair_backoff_us;
-        }
-        if (o.repaired) {
-          ttr_sum += o.time_to_repair_us;
-          ++rep_n;
-        }
-        if (o.gave_up) ++gave_up_n;
-      }
-      dropped += static_cast<double>(r.samples_dropped);
-    }
-    const auto frac = [&](std::size_t k) {
-      return slots ? static_cast<double>(k) / static_cast<double>(slots) : 0.0;
-    };
-    std::printf("%s,%s,%.2f,%.3f,%.2f,%.3f,%.2f,%.2f,%.3f,%.1f\n", entry.fault_label.c_str(),
-                entry.policy_label.c_str(), frac(det_n),
-                det_n ? det_sum / static_cast<double>(det_n) / 1e3 : -1.0, frac(rep_n),
-                rep_n ? ttr_sum / static_cast<double>(rep_n) / 1e3 : -1.0, frac(gave_up_n),
-                attempted_n ? attempts_sum / static_cast<double>(attempted_n) : 0.0,
-                attempted_n ? backoff_sum / static_cast<double>(attempted_n) / 1e3 : 0.0,
-                dropped / static_cast<double>(reps));
-    if (!report_file.empty()) {
-      all_results.insert(all_results.end(), finalized.begin(), finalized.end());
+/// Plan-fault rows of one grid row's replications (induced cascade rows
+/// carry no policy row; neither grid plans a cascade).
+paradyn::tools::FaultTally tally(const std::vector<paradyn::rocc::SimulationResult>& runs) {
+  paradyn::tools::FaultTally t;
+  for (const auto& r : runs) {
+    for (const auto& o : r.fault_outcomes) {
+      if (o.cascaded_from < 0) t.add(o);
     }
   }
-  grid_report.print(std::cerr, "roccsweep --repair-grid");
-  if (!report_file.empty()) {
-    std::ofstream os(report_file);
-    if (!os) throw std::runtime_error("cannot open for writing: " + report_file);
-    experiments::write_report_json(os, stamp, all_results, &grid_report);
+  return t;
+}
+
+/// Per-fault detection/recovery metrics, one CSV row per fault.
+void print_fault_row(const GridRow& row, const std::vector<paradyn::rocc::SimulationResult>& runs) {
+  using paradyn::tools::FaultTally;
+  const FaultTally t = tally(runs);
+  double dropped = 0.0;
+  double delivered = 0.0;
+  double latency_ms = 0.0;
+  for (const auto& r : runs) {
+    dropped += static_cast<double>(r.samples_dropped);
+    delivered += static_cast<double>(r.samples_delivered);
+    latency_ms += r.latency_us.count() ? r.latency_us.mean() / 1e3 : 0.0;
   }
+  const auto n = static_cast<double>(runs.size());
+  std::printf("%s,%.2f,%.3f,%.2f,%.3f,%.1f,%.1f,%.3f\n", row.fault_label.c_str(),
+              t.frac(t.detected), FaultTally::mean_ms(t.detection_us, t.detected),
+              t.frac(t.recovered), FaultTally::mean_ms(t.recovery_us, t.recovered), dropped / n,
+              delivered / n, latency_ms / n);
+}
+
+/// Per-cell repair/MTTR metrics, one CSV row per (fault, policy).
+void print_repair_row(const GridRow& row,
+                      const std::vector<paradyn::rocc::SimulationResult>& runs) {
+  using paradyn::tools::FaultTally;
+  const FaultTally t = tally(runs);
+  double dropped = 0.0;
+  for (const auto& r : runs) dropped += static_cast<double>(r.samples_dropped);
+  std::printf("%s,%s,%.2f,%.3f,%.2f,%.3f,%.2f,%.2f,%.3f,%.1f\n", row.fault_label.c_str(),
+              row.policy_label.c_str(), t.frac(t.detected),
+              FaultTally::mean_ms(t.detection_us, t.detected), t.frac(t.repaired),
+              FaultTally::mean_ms(t.repair_us, t.repaired), t.frac(t.gave_up),
+              t.attempted ? t.attempts / static_cast<double>(t.attempted) : 0.0,
+              FaultTally::mean_ms(t.backoff_us, t.attempted, 0.0),
+              dropped / static_cast<double>(runs.size()));
 }
 
 }  // namespace
@@ -357,32 +241,11 @@ int main(int argc, char** argv) {
     const std::string axis = args.get_string("axis", "");
     const auto values = grid_mode || repair_grid_mode
                             ? std::vector<double>{}
-                            : parse_values(args.get_string("values", ""));
-    const std::string arch = args.get_string("arch", "now");
-    const auto nodes = static_cast<std::int32_t>(args.get_long("nodes", 8));
-    const auto apps = static_cast<std::int32_t>(args.get_long("apps", arch == "smp" ? nodes : 1));
-    const auto daemons = static_cast<std::int32_t>(args.get_long("daemons", 1));
-    const auto reps = static_cast<std::size_t>(args.get_long("reps", 1));
-    const auto jobs = static_cast<std::size_t>(args.get_long("jobs", 0));  // 0 = all hw threads
-
-    rocc::SystemConfig base = [&] {
-      if (arch == "now") return rocc::SystemConfig::now(nodes);
-      if (arch == "smp") return rocc::SystemConfig::smp(nodes, apps, daemons);
-      if (arch == "mpp") {
-        return rocc::SystemConfig::mpp(
-            nodes, args.get_string("topology", "direct") == "tree"
-                       ? rocc::ForwardingTopology::BinaryTree
-                       : rocc::ForwardingTopology::Direct);
-      }
-      throw std::invalid_argument("unknown --arch: " + arch);
-    }();
-    if (arch != "smp") base.app_processes_per_node = apps;
-    base.sampling_period_us = args.get_double("sampling-ms", 40.0) * 1'000.0;
-    base.batch_size = static_cast<std::int32_t>(args.get_long("batch", 1));
-    base.duration_us = args.get_double("seconds", 5.0) * 1e6;
-    base.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-    base.shards = static_cast<std::int32_t>(args.get_long("shards", 0));
-    base.uplink_latency_us = args.get_double("uplink-ms", 0.0) * 1'000.0;
+                            : tools::parse_values(axis, args.get_string("values", ""));
+    const rocc::SystemConfig base = tools::model_config(args, 5.0);
+    const auto reps = static_cast<std::size_t>(args.get_long("reps", 1, 1, tools::kCountMax));
+    // 0 = all hardware threads.
+    const auto jobs = static_cast<std::size_t>(args.get_long("jobs", 0, 0, tools::kCountMax));
 
     if (args.get_bool("progress")) experiments::set_progress_stream(&std::cerr);
     const std::string report_file = args.get_string("report-json", "");
@@ -428,48 +291,54 @@ int main(int argc, char** argv) {
     // humans can always trace the file back to the run that made it.
     stamp.write(std::cout);
 
-    if (grid_mode) {
-      run_fault_grid(base, reps, jobs, report_file, stamp, shard_setup);
-      return 0;
-    }
-    if (repair_grid_mode) {
-      run_repair_grid(base, reps, jobs, report_file, stamp, shard_setup);
-      return 0;
-    }
-
-    std::vector<std::vector<double>> series(5);
-    std::vector<rocc::SimulationResult> all_results;
-    experiments::RunReport sweep_report;
-    for (const double v : values) {
-      rocc::SystemConfig cfg = base;
-      apply_axis(cfg, axis, v);
-      cfg.validate();
-      const experiments::RunHook hook = [&](rocc::Simulation& sim, std::size_t, std::size_t) {
-        if (shard_setup) shard_setup(sim);
-      };
-      const experiments::ReplicationSet rs(cfg, reps, jobs, hook);
-      sweep_report += rs.report();
-      if (!report_file.empty()) {
-        all_results.insert(all_results.end(), rs.results().begin(), rs.results().end());
+    std::vector<rocc::SimulationResult> runs;
+    experiments::RunReport report;
+    const char* label = "roccsweep";
+    if (grid_mode || repair_grid_mode) {
+      label = grid_mode ? "roccsweep --fault-grid" : "roccsweep --repair-grid";
+      std::puts(grid_mode ? "fault,detected_frac,detection_ms,recovered_frac,recovery_ms,"
+                            "dropped,delivered,latency_ms"
+                          : "fault,policy,detected_frac,detection_ms,repaired_frac,ttr_ms,"
+                            "gave_up_frac,attempts_mean,backoff_ms,dropped");
+      const auto rows = grid_mode ? fault_grid(base.duration_us) : repair_grid(base.duration_us);
+      experiments::ParallelRunner runner(jobs);
+      const auto results = run_grid(rows, base, reps, runner, shard_setup);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        (grid_mode ? print_fault_row : print_repair_row)(rows[i], results[i]);
+        runs.insert(runs.end(), results[i].begin(), results[i].end());
       }
-      series[0].push_back(rs.mean([](const rocc::SimulationResult& r) { return r.pd_cpu_util_pct; }));
-      series[1].push_back(
-          rs.mean([](const rocc::SimulationResult& r) { return r.main_cpu_util_pct; }));
-      series[2].push_back(
-          rs.mean([](const rocc::SimulationResult& r) { return r.app_cpu_util_pct; }));
-      series[3].push_back(rs.mean(experiments::latency_ms));
-      series[4].push_back(rs.mean(experiments::throughput));
+      report = runner.report();
+    } else {
+      const experiments::Sweep sweep(
+          values, {axis},
+          [&](double v, std::size_t) {
+            rocc::SystemConfig cfg = base;
+            tools::apply_axis(cfg, axis, v);
+            cfg.validate();
+            return cfg;
+          },
+          reps, jobs, [&](rocc::Simulation& sim, std::size_t, std::size_t) {
+            if (shard_setup) shard_setup(sim);
+          });
+      const auto& panels = experiments::paper_panels();
+      std::vector<std::vector<double>> series;
+      for (const experiments::MetricFn& fn :
+           {panels[experiments::kPdUtil].metric, panels[experiments::kMainUtil].metric,
+            panels[experiments::kAppUtil].metric, experiments::MetricFn(experiments::latency_ms),
+            experiments::MetricFn(experiments::throughput)}) {
+        series.push_back(sweep.means(fn).front());
+      }
+      experiments::write_series_csv(
+          std::cout, axis, values,
+          {"pd_util_pct", "main_util_pct", "app_util_pct", "latency_ms", "throughput_per_s"},
+          series);
+      runs = sweep.runs();
+      report = sweep.report();
     }
-
-    experiments::write_series_csv(
-        std::cout, axis, values,
-        {"pd_util_pct", "main_util_pct", "app_util_pct", "latency_ms", "throughput_per_s"},
-        series);
-    sweep_report.print(std::cerr, "roccsweep");
+    report.print(std::cerr, label);
     if (!report_file.empty()) {
-      std::ofstream os(report_file);
-      if (!os) throw std::runtime_error("cannot open for writing: " + report_file);
-      experiments::write_report_json(os, stamp, all_results, &sweep_report);
+      auto os = tools::open_output(report_file);
+      experiments::write_report_json(os, stamp, runs, &report);
     }
     return 0;
   } catch (const std::exception& e) {

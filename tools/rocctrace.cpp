@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
       return args.get_bool("help") ? 0 : 1;
     }
 
+    const auto top = static_cast<std::size_t>(args.get_long("top", 20, 0, tools::kCountMax));
     const std::string& path = args.positionals().front();
     std::ifstream is(path);
     if (!is) {
@@ -89,8 +90,7 @@ int main(int argc, char** argv) {
                                         args.get_string("event", ""),
                                         args.get_string("cat", ""));
     std::cout << path << ":\n";
-    obs::print_trace_summary(std::cout, summary,
-                             static_cast<std::size_t>(args.get_long("top", 20)));
+    obs::print_trace_summary(std::cout, summary, top);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "rocctrace: %s\n(try --help)\n", e.what());

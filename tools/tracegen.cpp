@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
                   args.get_string("in", "").c_str());
     } else {
       const double seconds = args.get_double("seconds", 10.0);
-      const auto nodes = static_cast<std::int32_t>(args.get_long("nodes", 1));
+      const auto nodes = static_cast<std::int32_t>(
+          args.get_long("nodes", 1, tools::kInt32Min, tools::kCountMax));
       const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
       records = trace::generate_trace(trace::Sp2TraceModel::paper_pvmbt(seconds * 1e6), nodes,
                                       seed);
