@@ -6,8 +6,8 @@
 
 namespace paradyn::consultant {
 
-FaultDetector::FaultDetector(rocc::FaultPlan plan, DetectorConfig config)
-    : config_(config), consultant_(config.consultant) {
+FaultDetector::FaultDetector(rocc::FaultPlan plan, rocc::SimTime sampling_period_us)
+    : horizon_us_(kStarvationFactor * sampling_period_us) {
   tracked_.reserve(plan.faults.size());
   for (const rocc::FaultSpec& f : plan.faults) {
     Tracked t;
@@ -24,9 +24,8 @@ std::string FaultDetector::signature(rocc::SimTime now) const {
   for (const Finding& f : consultant_.search()) {
     parts.push_back(std::string(to_string(f.hypothesis)) + "@" + f.focus.describe());
   }
-  const rocc::SimTime horizon = config_.starvation_factor * config_.sampling_period_us;
   for (const auto& [node, seen] : last_seen_) {
-    if (now - seen > horizon) parts.push_back("starved@node " + std::to_string(node));
+    if (now - seen > horizon_us_) parts.push_back("starved@node " + std::to_string(node));
   }
   std::sort(parts.begin(), parts.end());
   std::string sig;
@@ -76,9 +75,7 @@ void FaultDetector::finalize(std::vector<rocc::FaultOutcome>& outcomes) const {
 DetectionHarness::DetectionHarness(rocc::Simulation& sim, RepairPolicy policy) {
   const rocc::FaultPlan& plan = sim.effective_fault_plan();
   if (plan.empty() || sim.main_process() == nullptr) return;
-  DetectorConfig config;
-  config.sampling_period_us = sim.config().sampling_period_us;
-  detector_ = std::make_unique<FaultDetector>(plan, config);
+  detector_ = std::make_unique<FaultDetector>(plan, sim.config().sampling_period_us);
   FaultDetector* detector = detector_.get();
   des::Engine* engine = &sim.engine();
   // Replaces any previously attached sample sink.

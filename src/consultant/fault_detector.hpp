@@ -28,20 +28,18 @@
 
 namespace paradyn::consultant {
 
-struct DetectorConfig {
-  ConsultantConfig consultant;
-  /// Nominal sampling period of the run (sets the starvation horizon).
-  rocc::SimTime sampling_period_us = 40'000.0;
-  /// A node counts as sample-starved when nothing arrived from it for this
-  /// many sampling periods (stalls and crashes starve their whole domain).
-  double starvation_factor = 4.0;
-};
-
 /// Streaming detector: feed every delivered sample, read per-fault
 /// detection/recovery latencies at the end of the run.
 class FaultDetector {
  public:
-  FaultDetector(rocc::FaultPlan plan, DetectorConfig config);
+  /// A node counts as sample-starved when nothing arrived from it for this
+  /// many sampling periods (stalls and crashes starve their whole domain).
+  static constexpr double kStarvationFactor = 4.0;
+
+  /// `sampling_period_us` is the run's nominal sampling period, which sets
+  /// the starvation horizon.  The consultant runs with its default
+  /// thresholds (ConsultantConfig{}).
+  FaultDetector(rocc::FaultPlan plan, rocc::SimTime sampling_period_us);
 
   /// Feed one delivered sample; `delivered_at` is the simulated delivery
   /// time (wire to MainParadyn's sink with the engine clock).
@@ -75,7 +73,8 @@ class FaultDetector {
   [[nodiscard]] std::string signature(rocc::SimTime now) const;
   void evaluate(rocc::SimTime now);
 
-  DetectorConfig config_;
+  /// Starvation horizon: kStarvationFactor sampling periods.
+  rocc::SimTime horizon_us_;
   PerformanceConsultant consultant_;
   std::vector<Tracked> tracked_;
   DetectionCallback on_detect_;
@@ -90,9 +89,9 @@ class FaultDetector {
 class DetectionHarness {
  public:
   /// No-op when instrumentation is disabled or the fault plan is empty.
-  /// The detector runs with the default DetectorConfig at the run's
-  /// sampling period.  A non-empty `policy` closes the loop: detections
-  /// trigger repair attempts through the simulation's repair API.
+  /// The detector runs at the run's sampling period.  A non-empty `policy`
+  /// closes the loop: detections trigger repair attempts through the
+  /// simulation's repair API.
   explicit DetectionHarness(rocc::Simulation& sim, RepairPolicy policy = {});
 
   /// Fill result.fault_outcomes with detection/recovery latencies plus the

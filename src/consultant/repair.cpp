@@ -11,12 +11,9 @@ namespace paradyn::consultant {
 namespace {
 
 using util::SpecCtx;
+using util::bad_spec;
 using util::parse_number;
 using util::parse_time_us;
-
-[[noreturn]] void bad(const SpecCtx& c, std::size_t local_pos, const std::string& why) {
-  util::bad_spec(c, local_pos, why);
-}
 
 const std::set<std::string>& known_actions() {
   static const std::set<std::string> names = {"restart_daemon", "reroute_link", "reset_pipe"};
@@ -27,13 +24,6 @@ const std::set<std::string>& known_repair_keys() {
   static const std::set<std::string> names = {"timeout", "max_retries", "backoff", "jitter",
                                               "success_p", "penalty",     "threshold"};
   return names;
-}
-
-std::int32_t parse_count(const SpecCtx& c, std::size_t pos, const std::string& text) {
-  const double v = parse_number(c, pos, text);
-  const auto i = static_cast<std::int32_t>(v);
-  if (static_cast<double>(i) != v || i < 1) bad(c, pos, "expected an integer >= 1: " + text);
-  return i;
 }
 
 RepairSpec parse_spec_impl(const SpecCtx& c) {
@@ -49,67 +39,60 @@ RepairSpec parse_spec_impl(const SpecCtx& c) {
   } else if (action_name == "reset_pipe") {
     r.action = RepairAction::ResetPipe;
   } else {
-    bad(c, 0,
-        "unknown repair action: " + action_name + util::did_you_mean(action_name, known_actions()));
+    bad_spec(c, 0,
+             "unknown repair action: " + action_name +
+                 util::did_you_mean(action_name, known_actions()));
   }
 
-  std::size_t pos = colon == std::string::npos ? spec.size() : colon + 1;
-  while (pos < spec.size()) {
-    const auto comma = spec.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? spec.size() : comma;
-    const std::string kv = spec.substr(pos, end - pos);
-    const std::size_t kv_pos = pos;
-    pos = end + 1;
-    if (kv.empty()) continue;
-    const auto eq = kv.find('=');
-    if (eq == std::string::npos) bad(c, kv_pos, "expected key=value, got: " + kv);
-    const std::string key = kv.substr(0, eq);
-    const std::string value = kv.substr(eq + 1);
-    const std::size_t value_pos = kv_pos + eq + 1;
+  const std::size_t keys_at = colon == std::string::npos ? spec.size() : colon + 1;
+  util::scan_keys(c, keys_at, [&](const std::string& key, const std::string& value,
+                                  std::size_t kv_pos, std::size_t value_pos) {
     if (key == "timeout") {
       r.timeout_us = parse_time_us(c, value_pos, value);
-      if (!(r.timeout_us > 0.0)) bad(c, value_pos, "timeout must be > 0");
+      if (!(r.timeout_us > 0.0)) bad_spec(c, value_pos, "timeout must be > 0");
     } else if (key == "max_retries") {
-      r.max_retries = parse_count(c, value_pos, value);
+      r.max_retries = util::parse_count(c, value_pos, value);
     } else if (key == "backoff") {
       // "exp:BASE" or "fixed:BASE".
       const auto sep = value.find(':');
-      if (sep == std::string::npos) bad(c, value_pos, "expected exp:BASE or fixed:BASE");
+      if (sep == std::string::npos) bad_spec(c, value_pos, "expected exp:BASE or fixed:BASE");
       const std::string kind = value.substr(0, sep);
       if (kind == "exp" || kind == "exponential") {
         r.backoff = BackoffKind::Exponential;
       } else if (kind == "fixed") {
         r.backoff = BackoffKind::Fixed;
       } else {
-        bad(c, value_pos, "unknown backoff kind: " + kind +
-                              util::did_you_mean(kind, {"exp", "fixed"}));
+        bad_spec(c, value_pos,
+                 "unknown backoff kind: " + kind + util::did_you_mean(kind, {"exp", "fixed"}));
       }
       r.backoff_base_us = parse_time_us(c, value_pos + sep + 1, value.substr(sep + 1));
-      if (r.backoff_base_us < 0.0) bad(c, value_pos + sep + 1, "backoff base must be >= 0");
+      if (!(r.backoff_base_us >= 0.0)) {
+        bad_spec(c, value_pos + sep + 1, "backoff base must be >= 0");
+      }
     } else if (key == "jitter") {
       r.jitter = parse_number(c, value_pos, value);
-      if (r.jitter < 0.0 || r.jitter > 1.0) bad(c, value_pos, "jitter must be in [0, 1]");
+      if (!(r.jitter >= 0.0 && r.jitter <= 1.0)) bad_spec(c, value_pos, "jitter must be in [0, 1]");
     } else if (key == "success_p") {
       r.success_p = parse_number(c, value_pos, value);
-      if (r.success_p < 0.0 || r.success_p > 1.0) {
-        bad(c, value_pos, "success_p must be in [0, 1]");
+      if (!(r.success_p >= 0.0 && r.success_p <= 1.0)) {
+        bad_spec(c, value_pos, "success_p must be in [0, 1]");
       }
     } else if (key == "penalty") {
       if (r.action != RepairAction::RerouteLink) {
-        bad(c, kv_pos, "penalty only applies to reroute_link");
+        bad_spec(c, kv_pos, "penalty only applies to reroute_link");
       }
       r.penalty = parse_number(c, value_pos, value);
-      if (!(r.penalty >= 1.0)) bad(c, value_pos, "penalty must be >= 1");
+      if (!(r.penalty >= 1.0)) bad_spec(c, value_pos, "penalty must be >= 1");
     } else if (key == "threshold") {
       if (r.action != RepairAction::RerouteLink) {
-        bad(c, kv_pos, "threshold only applies to reroute_link");
+        bad_spec(c, kv_pos, "threshold only applies to reroute_link");
       }
       r.threshold = parse_number(c, value_pos, value);
-      if (r.threshold < 0.0) bad(c, value_pos, "threshold must be >= 0");
+      if (!(r.threshold >= 0.0)) bad_spec(c, value_pos, "threshold must be >= 0");
     } else {
-      bad(c, kv_pos, "unknown key: " + key + util::did_you_mean(key, known_repair_keys()));
+      bad_spec(c, kv_pos, "unknown key: " + key + util::did_you_mean(key, known_repair_keys()));
     }
-  }
+  });
   return r;
 }
 
@@ -159,22 +142,8 @@ RepairSpec RepairPolicy::parse_spec(const std::string& spec) {
 
 RepairPolicy RepairPolicy::parse(const std::string& specs) {
   RepairPolicy policy;
-  std::size_t at = 0;
-  std::size_t clause_no = 0;
-  while (at <= specs.size()) {
-    const auto semi = specs.find(';', at);
-    const std::size_t end = semi == std::string::npos ? specs.size() : semi;
-    const std::string one = specs.substr(at, end - at);
-    if (!one.empty()) {
-      ++clause_no;
-      policy.actions.push_back(parse_spec_impl(SpecCtx{"RepairPolicy", one, clause_no, at}));
-    }
-    if (semi == std::string::npos) break;
-    at = semi + 1;
-  }
-  if (policy.actions.empty()) {
-    throw std::invalid_argument("RepairPolicy: no action specs in \"" + specs + "\"");
-  }
+  policy.actions =
+      util::parse_clauses<RepairSpec>("RepairPolicy", "action", specs, parse_spec_impl);
   return policy;
 }
 
@@ -187,19 +156,19 @@ void RepairPolicy::validate() const {
     if (r.max_retries < 1) {
       throw std::invalid_argument("RepairPolicy: max_retries must be >= 1: " + what);
     }
-    if (r.backoff_base_us < 0.0) {
+    if (!(r.backoff_base_us >= 0.0)) {
       throw std::invalid_argument("RepairPolicy: backoff base must be >= 0: " + what);
     }
-    if (r.jitter < 0.0 || r.jitter > 1.0) {
+    if (!(r.jitter >= 0.0 && r.jitter <= 1.0)) {
       throw std::invalid_argument("RepairPolicy: jitter must be in [0, 1]: " + what);
     }
-    if (r.success_p < 0.0 || r.success_p > 1.0) {
+    if (!(r.success_p >= 0.0 && r.success_p <= 1.0)) {
       throw std::invalid_argument("RepairPolicy: success_p must be in [0, 1]: " + what);
     }
     if (!(r.penalty >= 1.0)) {
       throw std::invalid_argument("RepairPolicy: penalty must be >= 1: " + what);
     }
-    if (r.threshold < 0.0) {
+    if (!(r.threshold >= 0.0)) {
       throw std::invalid_argument("RepairPolicy: threshold must be >= 0: " + what);
     }
   }

@@ -16,11 +16,12 @@
 //   reroute_link[:penalty=1.5,threshold=2,...]
 //   reset_pipe[:...]
 //
-// Times accept us / ms / s suffixes (bare numbers are microseconds).  An
-// action matches fault types by kind: restart_daemon repairs
-// daemon_stall / daemon_crash, reroute_link repairs link_slow, reset_pipe
-// repairs pipe_backpressure; sample_drop is unrepairable.  The first
-// declared action matching a fault's type handles it.
+// Times accept us / ms / s suffixes (bare numbers are microseconds), and
+// every number must be finite.  An action matches fault types by kind:
+// restart_daemon repairs daemon_stall / daemon_crash, reroute_link repairs
+// link_slow, reset_pipe repairs pipe_backpressure; sample_drop is
+// unrepairable.  The first declared action matching a fault's type
+// handles it.
 //
 // Attempt lifecycle: when the detector first flags a fault, the matching
 // action starts attempt 1, which occupies `timeout` of simulated time and

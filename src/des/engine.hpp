@@ -26,12 +26,13 @@ class Engine {
   /// Current simulation time (microseconds).
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedule a callback at absolute time `t` (must be >= now()).  The
-  /// callable is stored inline in the pooled event record — a capture
-  /// larger than EventQueue::kCallbackCapacity is a compile error.
+  /// Schedule a callback at absolute time `t` (must be >= now(); NaN is
+  /// rejected too).  The callable is stored inline in the pooled event
+  /// record — a capture larger than EventQueue::kCallbackCapacity is a
+  /// compile error.
   template <typename F>
   EventHandle schedule_at(SimTime t, F&& cb) {
-    if (t < now_) throw std::invalid_argument("Engine::schedule_at: time in the past");
+    if (!(t >= now_)) throw std::invalid_argument("Engine::schedule_at: time in the past or NaN");
     return queue_.push(t, std::forward<F>(cb));
   }
 

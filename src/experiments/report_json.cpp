@@ -227,37 +227,8 @@ void write_report_json(std::ostream& os, const obs::ReproStamp& stamp,
   // Emitted only under --profile, so profiling-off reports stay
   // byte-identical to the pre-profiler format.
   if (profile != nullptr) {
-    doc.key("bottlenecks") << "[";
-    for (std::size_t i = 0; i < profile->hypotheses.size(); ++i) {
-      os << (i > 0 ? "," : "") << "\n    ";
-      const obs::HypothesisFinding& f = profile->hypotheses[i];
-      Obj hyp(os, 4);
-      hyp.key("hypothesis");
-      quoted(os, f.name);
-      hyp.key("target");
-      quoted(os, f.target);
-      hyp.key("hop");
-      if (f.hop >= 0) {
-        quoted(os, obs::hop_name(f.hop));
-      } else {
-        os << "null";
-      }
-      hyp.key("held") << (f.held ? "true" : "false");
-      if (f.held) {
-        number(hyp.key("first_held_start_us"), f.first_held_start_us);
-        number(hyp.key("first_held_end_us"), f.first_held_end_us);
-        number(hyp.key("peak"), f.peak);
-        number(hyp.key("windows_held"), static_cast<double>(f.windows_held));
-      }
-      hyp.close();
-    }
-    os << "\n  ]";
-    doc.key("dominant_hop");
-    if (profile->dominant_hop >= 0) {
-      quoted(os, obs::hop_name(profile->dominant_hop));
-    } else {
-      os << "null";
-    }
+    obs::write_hypotheses_json(doc.key("bottlenecks"), *profile);
+    obs::write_hop_json(doc.key("dominant_hop"), profile->dominant_hop);
   }
 
   doc.close();

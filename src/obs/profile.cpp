@@ -691,12 +691,7 @@ void write_profile_json(std::ostream& os, const ProfileReport& report) {
   json::number(root.key("ts_min_us"), report.ts_min_us);
   json::number(root.key("ts_max_us"), report.ts_max_us);
   json::number(root.key("window_us"), report.window_us);
-  root.key("dominant_hop");
-  if (report.dominant_hop >= 0) {
-    json::quoted(os, hop_name(report.dominant_hop));
-  } else {
-    os << "null";
-  }
+  write_hop_json(root.key("dominant_hop"), report.dominant_hop);
 
   root.key("hops") << "[";
   for (int h = 0; h < kHopCount; ++h) {
@@ -746,8 +741,7 @@ void write_profile_json(std::ostream& os, const ProfileReport& report) {
     json::quoted(os, report.track_label(c.pid, c.origin_track));
     json::number(chain.key("start_us"), c.start_ts_us);
     json::number(chain.key("latency_us"), c.latency_us);
-    chain.key("dominant_hop");
-    json::quoted(os, hop_name(c.dominant_hop));
+    write_hop_json(chain.key("dominant_hop"), c.dominant_hop);
     chain.key("hops") << "{";
     for (int h = 0; h < kHopCount; ++h) {
       os << (h > 0 ? ", " : "");
@@ -760,7 +754,15 @@ void write_profile_json(std::ostream& os, const ProfileReport& report) {
   }
   os << "\n  ]";
 
-  root.key("hypotheses") << "[";
+  write_hypotheses_json(root.key("hypotheses"), report);
+
+  root.close();
+  os << '\n';
+}
+
+void write_hypotheses_json(std::ostream& os, const ProfileReport& report) {
+  namespace json = util::json;
+  os << "[";
   for (std::size_t i = 0; i < report.hypotheses.size(); ++i) {
     os << (i > 0 ? "," : "") << "\n    ";
     const HypothesisFinding& f = report.hypotheses[i];
@@ -769,12 +771,7 @@ void write_profile_json(std::ostream& os, const ProfileReport& report) {
     json::quoted(os, f.name);
     hyp.key("target");
     json::quoted(os, f.target);
-    hyp.key("hop");
-    if (f.hop >= 0) {
-      json::quoted(os, hop_name(f.hop));
-    } else {
-      os << "null";
-    }
+    write_hop_json(hyp.key("hop"), f.hop);
     hyp.key("held") << (f.held ? "true" : "false");
     if (f.held) {
       json::number(hyp.key("first_held_start_us"), f.first_held_start_us);
@@ -785,9 +782,14 @@ void write_profile_json(std::ostream& os, const ProfileReport& report) {
     hyp.close();
   }
   os << "\n  ]";
+}
 
-  root.close();
-  os << '\n';
+void write_hop_json(std::ostream& os, int hop) {
+  if (hop >= 0) {
+    util::json::quoted(os, hop_name(hop));
+  } else {
+    os << "null";
+  }
 }
 
 void write_profile_csv(std::ostream& os, const ProfileReport& report) {

@@ -219,6 +219,11 @@ void print_profile_report(std::ostream& os, const ProfileReport& report,
                           bool hypotheses_only = false);
 /// Structured outputs: JSON document, per-hop CSV, flamegraph-folded stacks.
 void write_profile_json(std::ostream& os, const ProfileReport& report);
+/// The four findings as a JSON array of objects at indent 4 — roccprof
+/// --json's `hypotheses` and --report-json's `bottlenecks`.
+void write_hypotheses_json(std::ostream& os, const ProfileReport& report);
+/// Hop `hop`'s name as a JSON string, or null for -1 (no hop).
+void write_hop_json(std::ostream& os, int hop);
 void write_profile_csv(std::ostream& os, const ProfileReport& report);
 void write_profile_folded(std::ostream& os, const ProfileReport& report);
 

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "rocc/main_paradyn.hpp"
-
 namespace paradyn::rocc {
 
 ParadynDaemon::ParadynDaemon(des::Engine& engine, const SystemConfig& config, CpuResource& cpu,
@@ -25,18 +23,8 @@ ParadynDaemon::ParadynDaemon(des::Engine& engine, const SystemConfig& config, Cp
 
 void ParadynDaemon::attach_pipe(Pipe& pipe) { pipes_.push_back(&pipe); }
 
-void ParadynDaemon::set_destination_main(MainParadyn& main) {
-  main_ = &main;
-  parent_ = nullptr;
-}
-
-void ParadynDaemon::set_destination_parent(ParadynDaemon& parent) {
-  parent_ = &parent;
-  main_ = nullptr;
-}
-
 void ParadynDaemon::start() {
-  if (main_ == nullptr && parent_ == nullptr && !forward_sink_) {
+  if (!forward_sink_) {
     throw std::logic_error("ParadynDaemon: no forwarding destination configured");
   }
   try_start();
@@ -235,7 +223,7 @@ void ParadynDaemon::on_forward_done() {
                              last_net_occupancy_us_);
     }
   }
-  deliver(std::move(op_batch_));
+  forward_sink_(std::move(op_batch_));
   busy_ = false;
   try_start();
 }
@@ -243,18 +231,6 @@ void ParadynDaemon::on_forward_done() {
 void ParadynDaemon::on_flush_due() {
   flush_due_ = true;
   try_start();
-}
-
-void ParadynDaemon::deliver(Batch batch) {
-  if (forward_sink_) {
-    // The router stamps the delivery time (now + uplink latency) and
-    // injects the batch at a window boundary.
-    forward_sink_(std::move(batch));
-  } else if (parent_ != nullptr) {
-    parent_->receive_from_child(std::move(batch));
-  } else {
-    main_->receive(batch);
-  }
 }
 
 }  // namespace paradyn::rocc

@@ -28,8 +28,6 @@
 
 namespace paradyn::rocc {
 
-class MainParadyn;
-
 class ParadynDaemon {
  public:
   ParadynDaemon(des::Engine& engine, const SystemConfig& config, CpuResource& cpu,
@@ -42,18 +40,11 @@ class ParadynDaemon {
   /// Register a pipe this daemon drains (one per instrumented process).
   void attach_pipe(Pipe& pipe);
 
-  /// Direct configuration: deliver to the main process.  Exactly one of
-  /// set_destination_main / set_destination_parent / set_forward_sink must
-  /// be called.
-  void set_destination_main(MainParadyn& main);
-  /// Tree configuration: deliver to the parent daemon.
-  void set_destination_parent(ParadynDaemon& parent);
-  /// Modeled uplink latency: hand completed forwards to an external router
-  /// (which turns them into timestamped ShardSet messages).  Overrides both
-  /// destinations — the router owns delivery timing.  Without a sink the
-  /// destination receives the batch inside the event that cleared the
-  /// network.  The sink takes the batch by value: the daemon moves it out
-  /// and keeps nothing of it.
+  /// The daemon's one destination: every completed forward goes to `sink`
+  /// inside the event that cleared the network.  Simulation routes it to
+  /// the tree parent or the main process, now or one uplink latency later.
+  /// The sink takes the batch by value: the daemon moves it out and keeps
+  /// nothing of it.  Must be set before start().
   void set_forward_sink(std::function<void(Batch)> sink) {
     forward_sink_ = std::move(sink);
   }
@@ -116,13 +107,12 @@ class ParadynDaemon {
   void on_collect_done();
   void start_merge(Batch batch);
   void on_merge_done();
-  /// Forward the current local batch (CF: single sample) to the destination.
+  /// Forward the current local batch (CF: single sample) to the sink.
   void begin_forward_local();
   /// CPU(forward) then network occupancy then delivery.
   void forward_batch(Batch batch);
   void on_forward_cpu_done();
   void on_forward_done();
-  void deliver(Batch batch);
 
   des::Engine& engine_;
   const SystemConfig& config_;
@@ -150,8 +140,6 @@ class ParadynDaemon {
   SimTime stalled_until_ = 0.0;
   double net_penalty_ = 1.0;
 
-  MainParadyn* main_ = nullptr;
-  ParadynDaemon* parent_ = nullptr;
   std::function<void(Batch)> forward_sink_;
 
   std::uint64_t samples_collected_ = 0;
@@ -164,7 +152,7 @@ class ParadynDaemon {
   /// its start time, its sample or batch, and the service times drawn for
   /// the profiler's hop markers.  Completions capture only `this`.  A
   /// crash or restart leaves these alone; the in-flight operation
-  /// completes.  deliver() moves the batch out.
+  /// completes.  on_forward_done() moves the batch out to the sink.
   SimTime op_started_at_ = 0.0;
   Sample op_sample_;
   Batch op_batch_;

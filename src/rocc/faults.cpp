@@ -1,7 +1,7 @@
 #include "rocc/faults.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <set>
@@ -15,26 +15,15 @@ namespace paradyn::rocc {
 namespace {
 
 using util::SpecCtx;
+using util::bad_spec;
 using util::parse_number;
 using util::parse_time_us;
-
-[[noreturn]] void bad(const SpecCtx& c, std::size_t local_pos, const std::string& why) {
-  util::bad_spec(c, local_pos, why);
-}
 
 std::int32_t parse_target(const SpecCtx& c, std::size_t pos, const std::string& text) {
   if (text == "all" || text == "-1") return -1;
   const double v = parse_number(c, pos, text);
-  const auto i = static_cast<std::int32_t>(v);
-  if (static_cast<double>(i) != v || i < 0) bad(c, pos, "target must be 'all' or >= 0");
-  return i;
-}
-
-std::int32_t parse_count(const SpecCtx& c, std::size_t pos, const std::string& text) {
-  const double v = parse_number(c, pos, text);
-  const auto i = static_cast<std::int32_t>(v);
-  if (static_cast<double>(i) != v || i < 1) bad(c, pos, "expected an integer >= 1: " + text);
-  return i;
+  if (!util::is_int32(v) || v < 0.0) bad_spec(c, pos, "target must be 'all' or >= 0");
+  return static_cast<std::int32_t>(v);
 }
 
 const std::set<std::string>& known_dist_names() {
@@ -60,8 +49,9 @@ stats::DistributionPtr parse_dist(const SpecCtx& c, std::size_t pos, const std::
   const std::string& name = parts[0];
   const auto need = [&](std::size_t n) {
     if (parts.size() != n + 1) {
-      bad(c, pos, name + " takes " + std::to_string(n) + " ':'-separated parameter(s), got " +
-                      std::to_string(parts.size() - 1));
+      bad_spec(c, pos,
+               name + " takes " + std::to_string(n) + " ':'-separated parameter(s), got " +
+                   std::to_string(parts.size() - 1));
     }
   };
   try {
@@ -92,9 +82,9 @@ stats::DistributionPtr parse_dist(const SpecCtx& c, std::size_t pos, const std::
     // clause position so the shell error still points at the token.
     const std::string what = e.what();
     if (what.rfind("FaultPlan:", 0) == 0) throw;
-    bad(c, pos, what);
+    bad_spec(c, pos, what);
   }
-  bad(c, pos, "unknown distribution: " + name + util::did_you_mean(name, known_dist_names()));
+  bad_spec(c, pos, "unknown distribution: " + name + util::did_you_mean(name, known_dist_names()));
 }
 
 const std::set<std::string>& known_fault_types() {
@@ -114,7 +104,7 @@ const std::set<std::string>& known_fault_keys() {
 FaultSpec parse_spec_impl(const SpecCtx& c) {
   const std::string& spec = c.spec;
   const auto colon = spec.find(':');
-  if (colon == std::string::npos) bad(c, 0, "expected TYPE:key=value,...");
+  if (colon == std::string::npos) bad_spec(c, 0, "expected TYPE:key=value,...");
   const std::string type_name = spec.substr(0, colon);
 
   FaultSpec f;
@@ -129,25 +119,15 @@ FaultSpec parse_spec_impl(const SpecCtx& c) {
   } else if (type_name == "pipe_backpressure") {
     f.type = FaultType::PipeBackpressure;
   } else {
-    bad(c, 0,
-        "unknown fault type: " + type_name + util::did_you_mean(type_name, known_fault_types()));
+    bad_spec(c, 0,
+             "unknown fault type: " + type_name +
+                 util::did_you_mean(type_name, known_fault_types()));
   }
 
   bool saw_start = false;
   bool saw_duration = false;
-  std::size_t pos = colon + 1;
-  while (pos < spec.size()) {
-    const auto comma = spec.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? spec.size() : comma;
-    const std::string kv = spec.substr(pos, end - pos);
-    const std::size_t kv_pos = pos;
-    pos = end + 1;
-    if (kv.empty()) continue;
-    const auto eq = kv.find('=');
-    if (eq == std::string::npos) bad(c, kv_pos, "expected key=value, got: " + kv);
-    const std::string key = kv.substr(0, eq);
-    const std::string value = kv.substr(eq + 1);
-    const std::size_t value_pos = kv_pos + eq + 1;
+  util::scan_keys(c, colon + 1, [&](const std::string& key, const std::string& value,
+                                    std::size_t kv_pos, std::size_t value_pos) {
     // `start` / `dur` values containing ':' are distribution specs.
     if (key == "start") {
       if (value.find(':') != std::string::npos) {
@@ -165,21 +145,23 @@ FaultSpec parse_spec_impl(const SpecCtx& c) {
       saw_duration = true;
     } else if (key == "daemon" || key == "node") {
       f.target = parse_target(c, value_pos, value);
-    } else if (key == "factor" || key == "p" || key == "capacity") {
+    } else if (key == "factor" || key == "p") {
       f.magnitude = parse_number(c, value_pos, value);
+    } else if (key == "capacity") {
+      f.magnitude = util::parse_integer(c, value_pos, value);
     } else if (key == "cascade") {
       f.cascade_p = parse_number(c, value_pos, value);
     } else if (key == "cascade_delay") {
       f.cascade_delay_us = parse_time_us(c, value_pos, value);
     } else if (key == "cascade_hops") {
-      f.cascade_hops = parse_count(c, value_pos, value);
+      f.cascade_hops = util::parse_count(c, value_pos, value);
     } else if (key == "cascade_factor") {
       f.cascade_factor = parse_number(c, value_pos, value);
     } else {
-      bad(c, kv_pos, "unknown key: " + key + util::did_you_mean(key, known_fault_keys()));
+      bad_spec(c, kv_pos, "unknown key: " + key + util::did_you_mean(key, known_fault_keys()));
     }
-  }
-  if (!saw_start || !saw_duration) bad(c, 0, "start and dur are required");
+  });
+  if (!saw_start || !saw_duration) bad_spec(c, 0, "start and dur are required");
   return f;
 }
 
@@ -244,22 +226,7 @@ FaultSpec FaultPlan::parse_spec(const std::string& spec) {
 
 FaultPlan FaultPlan::parse(const std::string& specs) {
   FaultPlan plan;
-  std::size_t at = 0;
-  std::size_t clause_no = 0;
-  while (at <= specs.size()) {
-    const auto semi = specs.find(';', at);
-    const std::size_t end = semi == std::string::npos ? specs.size() : semi;
-    const std::string one = specs.substr(at, end - at);
-    if (!one.empty()) {
-      ++clause_no;
-      plan.faults.push_back(parse_spec_impl(SpecCtx{"FaultPlan", one, clause_no, at}));
-    }
-    if (semi == std::string::npos) break;
-    at = semi + 1;
-  }
-  if (plan.faults.empty()) {
-    throw std::invalid_argument("FaultPlan: no fault specs in \"" + specs + "\"");
-  }
+  plan.faults = util::parse_clauses<FaultSpec>("FaultPlan", "fault", specs, parse_spec_impl);
   return plan;
 }
 
@@ -270,10 +237,10 @@ void FaultPlan::validate(std::int32_t daemon_count, std::int32_t nodes,
     // Stochastic windows are drawn (and clamped) at resolve time; only
     // fixed values can be range-checked here.
     if (f.start_dist == nullptr) {
-      if (f.start_us < 0.0) {
+      if (!(f.start_us >= 0.0)) {
         throw std::invalid_argument("FaultPlan: start must be >= 0: " + what);
       }
-      if (f.start_us >= sim_duration_us) {
+      if (!(f.start_us < sim_duration_us)) {
         throw std::invalid_argument("FaultPlan: window starts after sim end: " + what);
       }
     }
@@ -311,14 +278,18 @@ void FaultPlan::validate(std::int32_t daemon_count, std::int32_t nodes,
         }
         break;
       case FaultType::SampleDrop:
-        if (!(f.magnitude > 0.0) || f.magnitude > 1.0) {
+        if (!(f.magnitude > 0.0) || !(f.magnitude <= 1.0)) {
           throw std::invalid_argument("FaultPlan: sample_drop p must be in (0, 1]: " + what);
         }
         break;
       case FaultType::PipeBackpressure:
-        if (!(f.magnitude >= 1.0) || f.magnitude >= static_cast<double>(pipe_capacity)) {
+        if (!(f.magnitude >= 1.0) || !(f.magnitude < static_cast<double>(pipe_capacity))) {
           throw std::invalid_argument(
               "FaultPlan: pipe_backpressure capacity must be in [1, pipe_capacity): " + what);
+        }
+        if (f.magnitude != std::trunc(f.magnitude)) {
+          throw std::invalid_argument("FaultPlan: pipe_backpressure capacity must be an integer: " +
+                                      what);
         }
         break;
       case FaultType::DaemonStall:
@@ -334,7 +305,7 @@ void FaultPlan::validate(std::int32_t daemon_count, std::int32_t nodes,
         throw std::invalid_argument(
             "FaultPlan: cascade requires a concrete daemon target (not 'all'): " + what);
       }
-      if (!(f.cascade_p > 0.0) || f.cascade_p > 1.0) {
+      if (!(f.cascade_p > 0.0) || !(f.cascade_p <= 1.0)) {
         throw std::invalid_argument("FaultPlan: cascade p must be in (0, 1]: " + what);
       }
       if (!(f.cascade_delay_us > 0.0)) {
@@ -365,19 +336,6 @@ void FaultPlan::resolve(des::Pcg32& rng) {
       const auto sampler = stats::FrozenSampler::compile(f.duration_dist);
       f.duration_us = std::max(1.0, sampler(rng));
       f.duration_dist = nullptr;
-    }
-  }
-}
-
-void FaultGate::add_drop(std::int32_t node, double probability) {
-  windows_.emplace_back(node, probability);
-}
-
-void FaultGate::remove_drop(std::int32_t node, double probability) {
-  for (auto it = windows_.begin(); it != windows_.end(); ++it) {
-    if (it->first == node && it->second == probability) {
-      windows_.erase(it);
-      return;
     }
   }
 }

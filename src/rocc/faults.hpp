@@ -21,6 +21,7 @@
 //   pipe_backpressure:daemon=0,start=1s,dur=1s,capacity=2
 //
 // Durations accept us / ms / s suffixes (bare numbers are microseconds).
+// Every number must be finite; `capacity` and `cascade_hops` are integers.
 // `daemon=all` / `node=all` (or -1) targets every daemon / node.
 //
 // Stochastic windows: `start` and `dur` also accept a distribution spec
@@ -166,9 +167,11 @@ class FaultGate {
  public:
   explicit FaultGate(std::uint64_t seed) noexcept : seed_(seed) {}
 
-  /// Activate / deactivate a drop window (node -1 = all nodes).
-  void add_drop(std::int32_t node, double probability);
-  void remove_drop(std::int32_t node, double probability);
+  /// The open drop windows as (node, p) in opening order (node -1 = all
+  /// nodes); Simulation's fault-effect fold rewrites them at every edge.
+  [[nodiscard]] std::vector<std::pair<std::int32_t, double>>& windows() noexcept {
+    return windows_;
+  }
 
   [[nodiscard]] bool active() const noexcept { return !windows_.empty(); }
 

@@ -36,12 +36,11 @@ constexpr std::uint64_t app_entity_tag(std::int32_t node, std::int32_t index) no
   return static_cast<std::uint64_t>(node) * 4096 + static_cast<std::uint64_t>(index);
 }
 
-/// Remove `fault_index`'s entry from a (plan fault index, value) effect
-/// list; false when it was not there.
-template <class Value>
-bool erase_effect(std::vector<std::pair<std::size_t, Value>>& effects, std::size_t fault_index) {
+/// Remove outcome row `row` from an (outcome row, value) effect list; false
+/// when it was not there.
+bool erase_effect(std::vector<std::pair<std::size_t, double>>& effects, std::size_t row) {
   const auto it = std::find_if(effects.begin(), effects.end(),
-                               [fault_index](const auto& e) { return e.first == fault_index; });
+                               [row](const auto& e) { return e.first == row; });
   if (it == effects.end()) return false;
   effects.erase(it);
   return true;
@@ -135,37 +134,31 @@ void Simulation::build() {
           des::RngStream(config_.seed, static_cast<std::uint64_t>(d), kTagDaemon), host_node));
       daemon_shard_.push_back(partition_.shard_of(host_node));
     }
-    // Forwarding destinations: the main process, or the tree parent.
+    // Forwarding: every daemon hands each completed batch to one sink that
+    // routes it through send() to its tree parent or to the main process.
+    // With an uplink latency every forward — even one whose destination
+    // shares the sender's shard, or a one-shard run — becomes a timestamped
+    // ShardSet message, delivered L after the batch clears the sender's
+    // network.  Routing all traffic one way keeps the receiver-side event
+    // order identical for every shard count, which is what the bit-identity
+    // gate relies on.  At L = 0 the batch lands inside the event that
+    // cleared the network.
     for (std::size_t d = 0; d < daemons_.size(); ++d) {
-      ParadynDaemon* parent = (config_.topology == ForwardingTopology::BinaryTree && d > 0)
-                                  ? daemons_[(d - 1) / 2].get()
-                                  : nullptr;
-      if (uplink == 0.0) {
-        if (parent != nullptr) {
-          daemons_[d]->set_destination_parent(*parent);
-        } else {
-          daemons_[d]->set_destination_main(*main_);
-        }
-        continue;
-      }
-      // Every forward — even one whose destination shares the sender's
-      // shard, or a one-shard run — becomes a timestamped message through
-      // the ShardSet mailbox, delivered L after the batch clears the
-      // sender's network.  Routing all traffic one way keeps the
-      // receiver-side event order identical for every shard count, which is
-      // what the bit-identity gate relies on.
       const std::size_t src = daemon_shard_[d];
-      const std::size_t dst = parent != nullptr ? daemon_shard_[(d - 1) / 2] : 0;
-      MainParadyn* main = main_.get();
-      daemons_[d]->set_forward_sink([this, d, src, dst, parent, main](Batch batch) {
-        if (parent != nullptr) {
+      if (config_.topology == ForwardingTopology::BinaryTree && d > 0) {
+        ParadynDaemon* parent = daemons_[(d - 1) / 2].get();
+        const std::size_t dst = daemon_shard_[(d - 1) / 2];
+        daemons_[d]->set_forward_sink([this, d, src, dst, parent](Batch batch) {
           send(src, dst, d, [parent, batch = std::move(batch)]() mutable {
             parent->receive_from_child(std::move(batch));
           });
-        } else {
-          send(src, dst, d, [main, batch = std::move(batch)] { main->receive(batch); });
-        }
-      });
+        });
+      } else {
+        MainParadyn* main = main_.get();
+        daemons_[d]->set_forward_sink([this, d, src, main](Batch batch) {
+          send(src, 0, d, [main, batch = std::move(batch)] { main->receive(batch); });
+        });
+      }
     }
   }
 
@@ -293,11 +286,9 @@ void Simulation::build() {
     // events — see rocc/partition.hpp for the replay argument.
     cascade_hits_ = resolve_cascades(plan_, daemons_.size(), config_.topology, config_.seed,
                                      config_.duration_us);
-    if (!cascade_hits_.empty()) daemon_net_penalties_.assign(daemons_.size(), {});
   }
   if (!plan_.empty()) {
-    slowdowns_.assign(shard_count, {});
-    clamps_.assign(shard_count, {});
+    effects_.assign(shard_count, {});
     restart_dispatches_.assign(daemons_.size(), {});
     reset_dispatched_.assign(plan_.faults.size(), 0);
   }
@@ -309,14 +300,16 @@ std::size_t Simulation::cpu_shard(std::size_t n) const {
              : 0;
 }
 
+template <class Deliver>
 void Simulation::send(std::size_t from, std::size_t to, std::uint64_t sender_key,
-                      std::function<void()> deliver) {
+                      Deliver&& deliver) {
   const SimTime uplink = config_.uplink_latency_us;
   if (uplink == 0.0) {
     deliver();
     return;
   }
-  shards_->post(from, to, shards_->engine(from).now() + uplink, sender_key, std::move(deliver));
+  shards_->post(from, to, shards_->engine(from).now() + uplink, sender_key,
+                std::function<void()>(std::forward<Deliver>(deliver)));
 }
 
 void Simulation::trace_marker(std::size_t shard, const char* category, const char* name,
@@ -326,16 +319,32 @@ void Simulation::trace_marker(std::size_t shard, const char* category, const cha
                           arg_name, arg);
 }
 
-void Simulation::recompute_slowdown(std::size_t shard) {
-  // Factors multiply in insertion order, so reverting one fault leaves the
-  // exact double the remaining set would have produced on its own.
-  double factor = 1.0;
-  for (const auto& [fault_index, f] : slowdowns_[shard]) factor *= f;
-  networks_[shard]->set_slowdown(factor);
-}
+void Simulation::fold_effects(std::size_t shard) {
+  const auto& effects = effects_[shard];
+  const std::size_t plan_rows = plan_.faults.size();
+  const auto plan_row = [&](std::size_t row, FaultType type) {
+    return row < plan_rows && plan_.faults[row].type == type;
+  };
 
-void Simulation::recompute_pipe_clamps(std::size_t shard) {
-  // Per-pipe limit = min over active clamps covering it, for the pipes this
+  // Slowdown factors multiply in opening order, so closing one window
+  // leaves exactly the double the remaining set would have produced alone.
+  double slowdown = 1.0;
+  for (const auto& [row, value] : effects) {
+    if (plan_row(row, FaultType::LinkSlowdown)) slowdown *= value;
+  }
+  networks_[shard]->set_slowdown(slowdown);
+
+  // Cascade penalties on this shard's daemons, multiplied the same way.
+  for (std::size_t d = 0; d < daemons_.size(); ++d) {
+    if (daemon_shard_[d] != shard) continue;
+    double penalty = 1.0;
+    for (const auto& [row, value] : effects) {
+      if (row >= plan_rows && cascade_hits_[row - plan_rows].daemon == d) penalty *= value;
+    }
+    daemons_[d]->set_net_penalty(penalty);
+  }
+
+  // Per-pipe limit = min over the clamps covering it, for the pipes this
   // shard owns (capacity changes fire producer wake-ups, which must stay on
   // the owner shard's engine).  Only touch pipes whose effective capacity
   // actually changes: set/clear fire a pending space callback
@@ -344,10 +353,11 @@ void Simulation::recompute_pipe_clamps(std::size_t shard) {
   for (std::size_t p = 0; p < pipes_.size(); ++p) {
     if (partition_.shard_of(apps_[p]->node()) != shard) continue;
     std::int32_t limit = INT32_MAX;
-    for (const auto& [fault_index, cap] : clamps_[shard]) {
-      const FaultSpec& f = plan_.faults[fault_index];
-      if (f.target >= 0 && pipe_daemon_[p] != static_cast<std::size_t>(f.target)) continue;
-      limit = std::min(limit, cap);
+    for (const auto& [row, value] : effects) {
+      if (!plan_row(row, FaultType::PipeBackpressure)) continue;
+      const std::int32_t target = plan_.faults[row].target;
+      if (target >= 0 && pipe_daemon_[p] != static_cast<std::size_t>(target)) continue;
+      limit = std::min(limit, static_cast<std::int32_t>(value));
     }
     const std::int32_t desired = std::min(pipes_[p]->capacity(), limit);
     if (desired == pipes_[p]->effective_capacity()) continue;
@@ -357,12 +367,16 @@ void Simulation::recompute_pipe_clamps(std::size_t shard) {
       pipes_[p]->set_capacity_limit(limit);
     }
   }
-}
 
-void Simulation::recompute_net_penalty(std::size_t daemon) {
-  double factor = 1.0;
-  for (const auto& [fault_index, f] : daemon_net_penalties_[daemon]) factor *= f;
-  daemons_[daemon]->set_net_penalty(factor);
+  // Drop windows each draw independently, in opening order.
+  if (!gates_.empty()) {
+    auto& windows = gates_[shard]->windows();
+    windows.clear();
+    for (const auto& [row, value] : effects) {
+      if (!plan_row(row, FaultType::SampleDrop)) continue;
+      windows.emplace_back(plan_.faults[row].target, value);
+    }
+  }
 }
 
 void Simulation::schedule_faults() {
@@ -439,16 +453,13 @@ void Simulation::schedule_faults() {
     const std::size_t row = plan_.faults.size() + k;
     const std::size_t s = daemon_shard_[h.daemon];
     shards_->engine(s).schedule_at(h.at_us, [this, h, row, s] {
-      daemon_net_penalties_[h.daemon].emplace_back(h.fault_index,
-                                                   plan_.faults[h.fault_index].cascade_factor);
-      recompute_net_penalty(h.daemon);
+      effects_[s].emplace_back(row, plan_.faults[h.fault_index].cascade_factor);
+      fold_effects(s);
       fault_outcomes_[row].injected = true;
       trace_marker(s, "fault", "cascade", "daemon", static_cast<double>(h.daemon));
     });
-    shards_->engine(s).schedule_at(plan_.faults[h.fault_index].end_us(), [this, h] {
-      if (erase_effect(daemon_net_penalties_[h.daemon], h.fault_index)) {
-        recompute_net_penalty(h.daemon);
-      }
+    shards_->engine(s).schedule_at(plan_.faults[h.fault_index].end_us(), [this, row, s] {
+      if (erase_effect(effects_[s], row)) fold_effects(s);
     });
   }
 }
@@ -460,35 +471,13 @@ void Simulation::fault_edge(std::size_t fault_index, std::size_t shard, bool ope
     if (opening) fault_outcomes_[fault_index].injected = true;
     trace_marker(0, "fault", to_string(f.type), "window", opening ? 1.0 : 0.0);
   }
-  switch (f.type) {
-    case FaultType::LinkSlowdown:
-      if (opening) {
-        slowdowns_[shard].emplace_back(fault_index, f.magnitude);
-      } else {
-        erase_effect(slowdowns_[shard], fault_index);
-      }
-      recompute_slowdown(shard);
-      break;
-    case FaultType::SampleDrop:
-      if (opening) {
-        gates_[shard]->add_drop(f.target, f.magnitude);
-      } else {
-        gates_[shard]->remove_drop(f.target, f.magnitude);
-      }
-      break;
-    case FaultType::PipeBackpressure:
-      if (opening) {
-        clamps_[shard].emplace_back(fault_index, static_cast<std::int32_t>(f.magnitude));
-        recompute_pipe_clamps(shard);
-      } else if (erase_effect(clamps_[shard], fault_index)) {
-        // (A reset_pipe repair may have lifted the clamp already; the window
-        // end is then a no-op, with no spurious pipe callbacks.)
-        recompute_pipe_clamps(shard);
-      }
-      break;
-    case FaultType::DaemonStall:
-    case FaultType::DaemonCrash:
-      break;  // per-daemon events, see schedule_faults()
+  if (opening) {
+    effects_[shard].emplace_back(fault_index, f.magnitude);
+    fold_effects(shard);
+  } else if (erase_effect(effects_[shard], fault_index)) {
+    // (A reset_pipe repair may have erased the row already; the window end
+    // is then a no-op, with no spurious pipe callbacks.)
+    fold_effects(shard);
   }
 }
 
@@ -548,10 +537,10 @@ bool Simulation::repair_reroute_link(std::size_t fault_index, double penalty_fac
   for (std::size_t s = 0; s < partition_.shards; ++s) {
     send(0, s, kRepairEffectKeyBase + fault_index, [this, s, fault_index, penalty_factor] {
       ++control_fired_[s];
-      for (auto& [index, factor] : slowdowns_[s]) {
-        if (index != fault_index) continue;
-        factor = penalty_factor;
-        recompute_slowdown(s);
+      for (auto& [row, value] : effects_[s]) {
+        if (row != fault_index) continue;
+        value = penalty_factor;
+        fold_effects(s);
         break;
       }
     });
@@ -570,7 +559,7 @@ bool Simulation::repair_reset_pipe(std::size_t fault_index) {
   for (std::size_t s = 0; s < partition_.shards; ++s) {
     send(0, s, kRepairEffectKeyBase + fault_index, [this, s, fault_index] {
       ++control_fired_[s];
-      if (erase_effect(clamps_[s], fault_index)) recompute_pipe_clamps(s);
+      if (erase_effect(effects_[s], fault_index)) fold_effects(s);
       const FaultSpec& spec = plan_.faults[fault_index];
       std::uint64_t drained = 0;
       for (std::size_t p = 0; p < pipes_.size(); ++p) {

@@ -131,9 +131,10 @@ class Simulation {
   /// Open or close plan fault `fault_index`'s window on `shard`'s replica
   /// of a replicated resource (link slowdown, drop gate, pipe clamp).
   void fault_edge(std::size_t fault_index, std::size_t shard, bool opening);
-  void recompute_slowdown(std::size_t shard);
-  void recompute_pipe_clamps(std::size_t shard);
-  void recompute_net_penalty(std::size_t daemon);
+  /// Fold `shard`'s open effects into what they act on: the shard's network
+  /// slowdown, its own daemons' uplink penalties and pipes' clamps, and its
+  /// drop gate's windows.
+  void fold_effects(std::size_t shard);
   /// Deterministic mirror of a daemon's stalled-until deadline as of shard
   /// 0 time `t`, folded from the plan's stall/crash windows and the restart
   /// deliveries this run dispatched (window starts win ties, restarts
@@ -143,8 +144,8 @@ class Simulation {
   /// Run `deliver` on shard `to` one uplink latency after shard `from`'s
   /// now: inside the calling event when the latency is 0 (one shard, one
   /// window), else as a ShardSet mailbox message.
-  void send(std::size_t from, std::size_t to, std::uint64_t sender_key,
-            std::function<void()> deliver);
+  template <class Deliver>
+  void send(std::size_t from, std::size_t to, std::uint64_t sender_key, Deliver&& deliver);
   /// A fault/repair marker on `shard`'s engine track (no-op untraced).
   void trace_marker(std::size_t shard, const char* category, const char* name,
                     const char* arg_name, double arg);
@@ -185,23 +186,22 @@ class Simulation {
   std::vector<std::unique_ptr<SamplingRegulator>> regulators_;
   std::vector<std::int32_t> daemon_domain_;
 
-  /// Runtime fault state.  Effects are keyed by plan fault index so
-  /// overlapping same-target windows revert exactly what they applied and
-  /// repairs can retarget a single fault.
+  /// Runtime fault state.  fault_outcomes_ has one row per plan fault, then
+  /// one per cascade hit.
   FaultPlan plan_;
   std::vector<FaultOutcome> fault_outcomes_;
   /// Per-shard drop gates (allocated only when the plan drops samples).
   std::vector<std::unique_ptr<FaultGate>> gates_;
-  /// Per-shard active link slowdowns as (plan fault index, factor); the
-  /// factor of a rerouted fault is replaced by the fallback penalty in place.
-  std::vector<std::vector<std::pair<std::size_t, double>>> slowdowns_;
-  /// Per-shard active pipe clamps as (plan fault index, capacity); a pipe's
-  /// limit is the min over clamps covering it.
-  std::vector<std::vector<std::pair<std::size_t, std::int32_t>>> clamps_;
-  /// Build-time resolved cascade hits (partition.hpp), in engine order, and
-  /// per-daemon active uplink penalties as (plan fault index, factor).
+  /// Build-time resolved cascade hits (partition.hpp), in engine order; hit
+  /// k is outcome row plan_.faults.size() + k.
   std::vector<CascadeHit> cascade_hits_;
-  std::vector<std::vector<std::pair<std::size_t, double>>> daemon_net_penalties_;
+  /// Per-shard open effects as (outcome row, value) in opening order: plan
+  /// link_slow, sample_drop and pipe_backpressure rows on every shard, and
+  /// cascade rows on the hit daemon's shard.  A window's close and
+  /// reset_pipe erase their row, reroute_link rewrites its value, and every
+  /// change refolds the list (fold_effects), so overlapping windows revert
+  /// exactly what they applied.
+  std::vector<std::vector<std::pair<std::size_t, double>>> effects_;
   /// Control events that fired per shard: effects replicated onto every
   /// shard (link/drop/clamp edges, repair broadcasts) plus regulator ticks.
   /// collect() reports sum(engines) - sum(control) + control[0], which is

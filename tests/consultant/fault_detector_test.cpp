@@ -41,18 +41,15 @@ std::vector<rocc::FaultOutcome> outcomes_for(const rocc::FaultPlan& plan) {
   return out;
 }
 
-DetectorConfig quick_config() {
-  DetectorConfig c;
-  c.sampling_period_us = 10'000.0;
-  c.starvation_factor = 4.0;  // starved after 40 ms of silence
-  return c;
-}
+/// Sampling period of the synthetic traces: starved after 4 x 10 ms = 40 ms
+/// of silence.
+constexpr rocc::SimTime kSamplingPeriodUs = 10'000.0;
 
 TEST(FaultDetector, StarvationDetectionAndRecovery) {
   // Nodes 0 and 1 deliver every 10 ms; node 0 goes silent during the fault
   // window [1.0 s, 1.5 s) and resumes afterwards.
   const auto plan = stall_plan(1e6, 5e5);
-  FaultDetector det(plan, quick_config());
+  FaultDetector det(plan, kSamplingPeriodUs);
   for (double t = 0.0; t < 2e6; t += 10'000.0) {
     const bool stalled = t >= 1e6 && t < 1.5e6;
     if (!stalled) det.observe(make_sample(0), t);
@@ -76,7 +73,7 @@ TEST(FaultDetector, NoBehavioralChangeMeansNoDetection) {
   // The fault window passes but every node keeps delivering normally:
   // nothing to detect, latencies stay at the "not observed" sentinel.
   const auto plan = stall_plan(1e6, 2e5);
-  FaultDetector det(plan, quick_config());
+  FaultDetector det(plan, kSamplingPeriodUs);
   for (double t = 0.0; t < 2e6; t += 10'000.0) {
     det.observe(make_sample(0), t);
     det.observe(make_sample(1), t);
@@ -95,7 +92,7 @@ TEST(FaultDetector, ConsultantFindingChangeTriggersDetection) {
   // the window, so detection comes from the consultant's findings
   // fingerprint, not starvation.
   const auto plan = stall_plan(1e6, 1e6);
-  FaultDetector det(plan, quick_config());
+  FaultDetector det(plan, kSamplingPeriodUs);
   for (double t = 0.0; t < 2e6; t += 10'000.0) {
     const double cpu = t >= 1e6 ? 0.98 : 0.30;
     det.observe(make_sample(0, cpu, 0.01), t);
@@ -112,7 +109,7 @@ TEST(FaultDetector, DetectionNeverPrecedesInjection) {
   // Signature churn *before* the window refreshes the baseline instead of
   // counting as a detection.
   const auto plan = stall_plan(1.5e6, 2e5);
-  FaultDetector det(plan, quick_config());
+  FaultDetector det(plan, kSamplingPeriodUs);
   for (double t = 0.0; t < 1.4e6; t += 10'000.0) {
     // Node 1 flaps in and out of starvation pre-fault.
     det.observe(make_sample(0), t);
@@ -128,7 +125,7 @@ TEST(FaultDetector, FaultAtTimeZeroDetectsAgainstEmptyBaseline) {
   // stays the empty signature, and the first starved/diverged signature
   // counts as the detection.  Latency must be a sane non-negative value.
   const auto plan = stall_plan(0.0, 5e5);
-  FaultDetector det(plan, quick_config());
+  FaultDetector det(plan, kSamplingPeriodUs);
   for (double t = 0.0; t < 1e6; t += 10'000.0) {
     const bool stalled = t < 5e5;
     if (!stalled) det.observe(make_sample(0), t);
@@ -146,7 +143,7 @@ TEST(FaultDetector, WindowPastSimEndReportsSentinelRecovery) {
   // The fault outlives the run: no post-window sample can ever arrive, so
   // recovery must stay at the -1 sentinel (not garbage, not "recovered").
   const auto plan = stall_plan(1.5e6, 1e6);  // ends at 2.5e6, run ends at 2e6
-  FaultDetector det(plan, quick_config());
+  FaultDetector det(plan, kSamplingPeriodUs);
   for (double t = 0.0; t < 2e6; t += 10'000.0) {
     const bool stalled = t >= 1.5e6;
     if (!stalled) det.observe(make_sample(0), t);
@@ -171,7 +168,7 @@ TEST(FaultDetector, BackToBackFaultsKeepSentinelsSane) {
     second.start_us = 1.2e6;
     plan.faults.push_back(second);
   }
-  FaultDetector det(plan, quick_config());
+  FaultDetector det(plan, kSamplingPeriodUs);
   // The run ends while the second window is still silent, so neither a
   // fresh divergence (fault 2) nor a return to baseline (fault 1) is ever
   // observable.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -89,6 +90,44 @@ TEST(RepairSpecParse, RangeAndShapeErrors) {
                std::invalid_argument);
   EXPECT_THROW((void)RepairPolicy::parse(""), std::invalid_argument);
   EXPECT_THROW((void)RepairPolicy::parse(";;"), std::invalid_argument);
+}
+
+TEST(RepairSpecParse, NumbersMustBeFinite) {
+  for (const char* spec : {"restart_daemon:backoff=exp:nan", "restart_daemon:jitter=nan",
+                           "restart_daemon:timeout=inf", "reroute_link:penalty=inf",
+                           "reroute_link:threshold=nan", "restart_daemon:success_p=nan"}) {
+    try {
+      (void)RepairPolicy::parse(spec);
+      ADD_FAILURE() << spec << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("RepairPolicy: bad spec", 0), 0u) << what;
+      EXPECT_NE(what.find("not a finite number"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(RepairPolicyValidate, NaNFieldsFail) {
+  // A policy built in code skips the parser; every bound still rejects NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [](const RepairSpec& r) {
+    RepairPolicy policy;
+    policy.actions = {r};
+    try {
+      policy.validate();
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_FALSE(rejects(RepairSpec{}));
+  for (double RepairSpec::*field : {&RepairSpec::timeout_us, &RepairSpec::backoff_base_us,
+                                    &RepairSpec::jitter, &RepairSpec::success_p,
+                                    &RepairSpec::penalty, &RepairSpec::threshold}) {
+    RepairSpec r;
+    r.*field = nan;
+    EXPECT_TRUE(rejects(r));
+  }
 }
 
 rocc::FaultSpec fault_of(rocc::FaultType t, double magnitude = 0.0) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace paradyn::des {
@@ -40,6 +41,16 @@ TEST(Engine, SchedulingInThePastThrows) {
     EXPECT_THROW((void)e.schedule_at(5.0, [] {}), std::invalid_argument);
   });
   (void)e.run();
+}
+
+TEST(Engine, SchedulingAtNaNThrows) {
+  // NaN compares false against every time, so it must not slip past the
+  // past-time guard into the calendar queue.
+  Engine e;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)e.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW((void)e.schedule_after(nan, [] {}), std::invalid_argument);
+  EXPECT_EQ(e.pending_events(), 0u);
 }
 
 TEST(Engine, RunUntilStopsAtHorizonAndSetsClock) {

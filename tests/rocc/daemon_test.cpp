@@ -39,6 +39,12 @@ class DaemonFixture : public ::testing::Test {
 
   Sample sample(double t = 0.0) { return Sample{t, 0, 0, 0.5, 0.1}; }
 
+  /// Forward straight to the main process, inside the event that cleared
+  /// the network (what Simulation's sink does at zero uplink latency).
+  void forward_to_main(ParadynDaemon& daemon) {
+    daemon.set_forward_sink([main = main_.get()](Batch batch) { main->receive(batch); });
+  }
+
   SystemConfig config_;
   des::Engine engine_;
   MetricsCollector metrics_;
@@ -56,7 +62,7 @@ TEST_F(DaemonFixture, CfForwardsEachSampleIndividually) {
   auto daemon = make_daemon(1);
   Pipe pipe(16);
   daemon.attach_pipe(pipe);
-  daemon.set_destination_main(*main_);
+  forward_to_main(daemon);
   daemon.start();
 
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(pipe.try_put(sample()));
@@ -76,7 +82,7 @@ TEST_F(DaemonFixture, BfAmortizesForwardCost) {
   auto daemon = make_daemon(5);
   Pipe pipe(16);
   daemon.attach_pipe(pipe);
-  daemon.set_destination_main(*main_);
+  forward_to_main(daemon);
   daemon.start();
 
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(pipe.try_put(sample()));
@@ -94,7 +100,7 @@ TEST_F(DaemonFixture, PartialBatchWaitsForMoreSamples) {
   auto daemon = make_daemon(4);
   Pipe pipe(16);
   daemon.attach_pipe(pipe);
-  daemon.set_destination_main(*main_);
+  forward_to_main(daemon);
   daemon.start();
 
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(pipe.try_put(sample()));
@@ -115,7 +121,7 @@ TEST_F(DaemonFixture, LatencyExcludesBatchingWait) {
   auto daemon = make_daemon(2);
   Pipe pipe(16);
   daemon.attach_pipe(pipe);
-  daemon.set_destination_main(*main_);
+  forward_to_main(daemon);
   daemon.start();
 
   ASSERT_TRUE(pipe.try_put(sample(0.0)));
@@ -134,7 +140,7 @@ TEST_F(DaemonFixture, RoundRobinAcrossPipes) {
   Pipe pipe_b(4);
   daemon.attach_pipe(pipe_a);
   daemon.attach_pipe(pipe_b);
-  daemon.set_destination_main(*main_);
+  forward_to_main(daemon);
   daemon.start();
 
   for (int i = 0; i < 3; ++i) {
@@ -151,7 +157,7 @@ TEST_F(DaemonFixture, TreeParentMergesChildBatches) {
   auto parent = make_daemon(1);
   Pipe parent_pipe(8);
   parent.attach_pipe(parent_pipe);
-  parent.set_destination_main(*main_);
+  forward_to_main(parent);
   parent.start();
 
   // A child batch arrives; it must NOT be forwarded standalone — it rides
@@ -181,7 +187,7 @@ TEST_F(DaemonFixture, FlushTimerBoundsMergedContentAge) {
   auto parent = make_daemon(64);
   Pipe parent_pipe(8);
   parent.attach_pipe(parent_pipe);
-  parent.set_destination_main(*main_);
+  forward_to_main(parent);
   parent.start();
 
   Batch child;

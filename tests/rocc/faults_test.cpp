@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "rocc/simulation.hpp"
 
@@ -75,6 +77,52 @@ TEST(FaultSpecParse, MalformedSpecsThrow) {
   EXPECT_THROW((void)FaultPlan::parse(""), std::invalid_argument);
 }
 
+/// The message `parse` throws for `spec`, or "" when it parses.
+std::string parse_error(const std::string& spec) {
+  try {
+    (void)FaultPlan::parse(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FaultSpecParse, NumbersMustBeFinite) {
+  // start=nan slipped past validate and into the calendar queue (SIGSEGV);
+  // factor=inf stopped all network traffic; the others were accepted.
+  for (const char* spec : {
+           "daemon_stall:daemon=0,start=nan,dur=500ms",
+           "link_slow:start=1s,dur=500ms,factor=inf",
+           "daemon_stall:daemon=0,start=1s,dur=inf",
+           "daemon_stall:daemon=0,start=1s,dur=500ms,cascade=0.5,cascade_delay=inf",
+           "daemon_stall:daemon=0,start=uniform:0:inf,dur=500ms",
+           "sample_drop:node=all,start=1s,dur=1s,p=nan",
+           "daemon_stall:daemon=0,start=1e306s,dur=500ms",  // finite, but not in us
+       }) {
+    const std::string what = parse_error(spec);
+    EXPECT_NE(what.find("not a finite number"), std::string::npos) << spec << " -> " << what;
+    EXPECT_EQ(what.rfind("FaultPlan: bad spec", 0), 0u) << what;
+  }
+  EXPECT_NE(parse_error("daemon_stall:daemon=0,start=nan,dur=500ms").find("(clause 1, char 28)"),
+            std::string::npos);
+}
+
+TEST(FaultSpecParse, CapacityAndCountsAreIntegers) {
+  // capacity=1.5 used to be cut to a clamp of 1 without a word.
+  EXPECT_NE(parse_error("pipe_backpressure:daemon=0,start=1s,dur=1s,capacity=1.5")
+                .find("expected an integer: 1.5"),
+            std::string::npos);
+  EXPECT_DOUBLE_EQ(
+      FaultPlan::parse_spec("pipe_backpressure:daemon=0,start=1s,dur=1s,capacity=2").magnitude,
+      2.0);
+  // Out-of-range integers fail by message instead of an undefined cast.
+  EXPECT_NE(parse_error("daemon_stall:daemon=0,start=1s,dur=1s,cascade=0.5,cascade_hops=1e300")
+                .find("expected an integer >= 1"),
+            std::string::npos);
+  EXPECT_NE(parse_error("daemon_stall:daemon=3e9,start=1s,dur=1s").find("target must be"),
+            std::string::npos);
+}
+
 TEST(FaultPlanValidate, WindowAndTargetChecks) {
   FaultPlan plan;
   FaultSpec f;
@@ -86,15 +134,21 @@ TEST(FaultPlanValidate, WindowAndTargetChecks) {
   EXPECT_NO_THROW(plan.validate(2, 2, 2e6, 16));
 
   // Start at/after sim end can never fire; a negative start is malformed.
+  // A plan built in code skips the parser, so NaN must fail every bound.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   plan.faults[0].start_us = 2e6;
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
   plan.faults[0].start_us = -1.0;
+  EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
+  plan.faults[0].start_us = nan;
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
   // Degenerate or negative window.
   plan.faults[0].start_us = 0.0;
   plan.faults[0].duration_us = 0.0;
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
   plan.faults[0].duration_us = -1.0;
+  EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
+  plan.faults[0].duration_us = nan;
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
   // Daemon target out of range; and no daemons at all when
   // instrumentation is disabled.
@@ -112,6 +166,8 @@ TEST(FaultPlanValidate, WindowAndTargetChecks) {
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
   plan.faults[0].magnitude = 1.5;
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
+  plan.faults[0].magnitude = nan;
+  EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
   plan.faults[0].magnitude = 0.5;
   plan.faults[0].target = 7;
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
@@ -121,12 +177,18 @@ TEST(FaultPlanValidate, WindowAndTargetChecks) {
   plan.faults[0].type = FaultType::LinkSlowdown;
   plan.faults[0].magnitude = 0.5;
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
+  plan.faults[0].magnitude = nan;
+  EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
 
-  // pipe_backpressure: clamped capacity in [1, pipe_capacity).
+  // pipe_backpressure: an integer clamped capacity in [1, pipe_capacity).
   plan.faults[0].type = FaultType::PipeBackpressure;
   plan.faults[0].magnitude = 16.0;
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
   plan.faults[0].magnitude = 0.0;
+  EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
+  plan.faults[0].magnitude = 1.5;
+  EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
+  plan.faults[0].magnitude = nan;
   EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument);
   plan.faults[0].magnitude = 2.0;
   EXPECT_NO_THROW(plan.validate(2, 2, 2e6, 16));
@@ -204,6 +266,15 @@ TEST(FaultPlanValidate, CascadeChecks) {
   const auto ok = FaultPlan::parse(
       "daemon_crash:daemon=1,start=1s,dur=500ms,cascade=1,cascade_hops=2");
   EXPECT_NO_THROW(ok.validate(2, 2, 2e6, 16));
+
+  // Built in code, a NaN cascade parameter fails too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double FaultSpec::*field :
+       {&FaultSpec::cascade_p, &FaultSpec::cascade_delay_us, &FaultSpec::cascade_factor}) {
+    FaultPlan bad = ok;
+    bad.faults[0].*field = nan;
+    EXPECT_THROW(bad.validate(2, 2, 2e6, 16), std::invalid_argument);
+  }
 }
 
 TEST(FaultSpecParse, ErrorsNameClauseAndPositionWithSuggestion) {
@@ -241,23 +312,23 @@ TEST(FaultGate, DrawsOnlyInsideWindowsAndRespectsTarget) {
   FaultGate gate(/*seed=*/7);
   EXPECT_FALSE(gate.active());
 
-  gate.add_drop(/*node=*/1, /*probability=*/1.0);
+  gate.windows().emplace_back(/*node=*/1, /*probability=*/1.0);
   EXPECT_TRUE(gate.active());
   EXPECT_TRUE(gate.should_drop(1));
   EXPECT_FALSE(gate.should_drop(0));  // other node untouched
 
-  gate.remove_drop(1, 1.0);
+  gate.windows().clear();
   EXPECT_FALSE(gate.active());
 
   // node -1 covers everyone.
-  gate.add_drop(-1, 1.0);
+  gate.windows().emplace_back(-1, 1.0);
   EXPECT_TRUE(gate.should_drop(0));
   EXPECT_TRUE(gate.should_drop(3));
 }
 
 TEST(FaultGate, BernoulliRateTracksProbability) {
   FaultGate gate(/*seed=*/11);
-  gate.add_drop(-1, 0.25);
+  gate.windows().emplace_back(-1, 0.25);
   int dropped = 0;
   constexpr int kTrials = 20'000;
   for (int i = 0; i < kTrials; ++i) {

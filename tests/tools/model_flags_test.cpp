@@ -12,7 +12,7 @@ CliArgs parse(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "prog");
   return CliArgs(static_cast<int>(argv.size()), argv.data(),
                  {"arch", "nodes", "apps", "daemons", "topology", "sampling-ms", "batch",
-                  "seconds", "seed", "shards", "uplink-ms"});
+                  "seconds", "seed", "shards", "uplink-ms", "metrics-tick-ms"});
 }
 
 TEST(ModelConfig, SharedFlagsBuildTheConfig) {
@@ -42,6 +42,22 @@ TEST(ModelConfig, CountsOutsideInt32Fail) {
   EXPECT_THROW((void)model_config(parse({"--nodes", "4294967298"}), 1.0), std::invalid_argument);
   EXPECT_THROW((void)model_config(parse({"--batch=-4294967295"}), 1.0), std::invalid_argument);
   EXPECT_THROW((void)model_config(parse({"--arch", "vax"}), 1.0), std::invalid_argument);
+}
+
+TEST(MetricsTick, PositiveFiniteAndAtMostAMillionRows) {
+  constexpr double kTwoSecondsUs = 2e6;
+  EXPECT_DOUBLE_EQ(metrics_tick_us(parse({}), kTwoSecondsUs), 100'000.0);
+  EXPECT_DOUBLE_EQ(metrics_tick_us(parse({"--metrics-tick-ms", "0.0025"}), kTwoSecondsUs), 2.5);
+  // 0.002 ms over 2 s is a row at t = 0 plus 1,000,000 ticks; 1e-9 ms is a
+  // 1 ps probe period that ran until killed.
+  for (const char* bad : {"0", "-1", "nan", "inf", "0.002", "1e-9"}) {
+    try {
+      (void)metrics_tick_us(parse({"--metrics-tick-ms", bad}), kTwoSecondsUs);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--metrics-tick-ms"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(SweepValues, EachEntryParsesWhole) {

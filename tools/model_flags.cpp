@@ -55,6 +55,22 @@ std::int32_t* integer_field(rocc::SystemConfig& cfg, const std::string& axis) {
 
 }  // namespace
 
+double metrics_tick_us(const CliArgs& args, rocc::SimTime duration_us) {
+  constexpr double kMaxRows = 1e6;
+  const double tick_ms = args.get_double("metrics-tick-ms", 100.0);
+  const std::string text = args.get_string("metrics-tick-ms", "100");
+  if (!(tick_ms > 0.0) || !std::isfinite(tick_ms)) {
+    throw std::invalid_argument("flag --metrics-tick-ms: must be > 0 and finite: " + text);
+  }
+  const double tick_us = tick_ms * 1'000.0;
+  // A row at t = 0, then one per tick: floor(duration / tick) + 1 rows.
+  if (!(duration_us / tick_us < kMaxRows)) {
+    throw std::invalid_argument("flag --metrics-tick-ms: " + text +
+                                " ms records more than 1000000 probe rows over the run");
+  }
+  return tick_us;
+}
+
 std::vector<double> parse_values(const std::string& axis, const std::string& csv) {
   rocc::SystemConfig probe;
   const bool integers = integer_field(probe, axis) != nullptr;

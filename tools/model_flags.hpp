@@ -1,6 +1,6 @@
 // Model flags shared by roccsim and roccsweep: the SystemConfig both tools
-// build from the same spellings, roccsweep's axis values, and the
-// fault-outcome tally both tools print.
+// build from the same spellings, roccsim's metrics tick, roccsweep's axis
+// values, and the fault-outcome tally both tools print.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +17,11 @@ namespace paradyn::tools {
 /// --topology, --sampling-ms, --batch, --seconds (default
 /// `default_seconds`), --seed, --shards and --uplink-ms.
 [[nodiscard]] rocc::SystemConfig model_config(const CliArgs& args, double default_seconds);
+
+/// roccsim's --metrics-tick-ms (default 100) in simulated us.  It must be
+/// positive and finite, and record at most 1,000,000 probe rows over a run
+/// of `duration_us`.
+[[nodiscard]] double metrics_tick_us(const CliArgs& args, rocc::SimTime duration_us);
 
 /// roccsweep's --values list for `axis`: every non-empty entry must parse
 /// whole as a finite number, and as an int32 on the integer axes (batch,

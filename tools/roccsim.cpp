@@ -255,12 +255,15 @@ int main(int argc, char** argv) {
     const auto trace_events =
         static_cast<std::size_t>(args.get_long("trace-events", 1L << 18, 0, tools::kCountMax));
     const std::string metrics_file = args.get_string("metrics", "");
-    const double metrics_tick_us = args.get_double("metrics-tick-ms", 100.0) * 1'000.0;
     const std::string report_file = args.get_string("report-json", "");
     const bool profile = args.get_bool("profile");
     const std::string metrics_json_file = args.get_string("metrics-json", "");
     // --metrics-json wants the probes armed even without a CSV destination.
     const bool want_metrics = !metrics_file.empty() || !metrics_json_file.empty();
+    // Checked whenever it is given or used, before any output.
+    const double metrics_tick_us = args.has("metrics-tick-ms") || want_metrics
+                                       ? tools::metrics_tick_us(args, cfg.duration_us)
+                                       : 0.0;
     if (cfg.shards > 1 && want_metrics) {
       throw std::invalid_argument(
           "--metrics/--metrics-json need one shard (the probes read cross-shard state "
