@@ -43,7 +43,6 @@ inline void print_variation(const experiments::FactorialExperiment& exp,
   const auto analysis = exp.analyze(metric);
   experiments::TablePrinter table(title, {"effect", "factors", "variation explained (%)"});
   double rest = 100.0 * analysis.error_fraction;
-  for (const auto& e : exp.factors()) (void)e;
   for (const auto& effect : analysis.effects) {
     const double pct = 100.0 * effect.variation_fraction;
     if (pct < 3.0) {

@@ -122,17 +122,6 @@ double PerformanceConsultant::node_mean(Hypothesis h, std::int32_t node) const {
   return metric_of(it->second, h);
 }
 
-double PerformanceConsultant::process_mean(Hypothesis h, std::int32_t node,
-                                           std::int32_t process) const {
-  const auto it = per_process_.find({node, process});
-  if (it == per_process_.end()) return 0.0;
-  return metric_of(it->second, h);
-}
-
-double PerformanceConsultant::global_mean(Hypothesis h) const {
-  return metric_of(global_, h);
-}
-
 std::vector<std::int32_t> PerformanceConsultant::known_nodes() const {
   std::vector<std::int32_t> nodes;
   nodes.reserve(per_node_.size());

@@ -106,10 +106,6 @@ class PerformanceConsultant {
   /// Windowed mean of a hypothesis metric for a node (NaN-free; 0 if no
   /// evidence).  Exposed for tests and reporting.
   [[nodiscard]] double node_mean(Hypothesis h, std::int32_t node) const;
-  /// Same at the process level.
-  [[nodiscard]] double process_mean(Hypothesis h, std::int32_t node,
-                                    std::int32_t process) const;
-  [[nodiscard]] double global_mean(Hypothesis h) const;
   [[nodiscard]] std::uint64_t samples_observed() const noexcept { return observed_; }
   [[nodiscard]] std::vector<std::int32_t> known_nodes() const;
 

@@ -231,17 +231,6 @@ void EventQueue::fire(const Fired& fired) {
 
 void EventQueue::discard(const Fired& fired) noexcept { recycle(fired.slot); }
 
-std::optional<SimTime> EventQueue::peek_time() {
-  for (;;) {
-    const std::uint32_t slot = sweep_to_head();
-    if (slot == kNpos) {
-      if (!advance_window()) return std::nullopt;
-      continue;
-    }
-    return time_[slot];
-  }
-}
-
 void EventQueue::cancel(EventHandle& handle) noexcept {
   // A handle issued by a different queue is left untouched: resetting it
   // here would silently detach a still-live event.

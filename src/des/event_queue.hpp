@@ -136,9 +136,6 @@ class EventQueue {
   /// Recycle a popped event's record without invoking the callback.
   void discard(const Fired& fired) noexcept;
 
-  /// Time of the earliest live event, if any.
-  [[nodiscard]] std::optional<SimTime> peek_time();
-
   /// Number of live (pending, non-cancelled) events.
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }

@@ -8,28 +8,4 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t a, std::uint64_t b) 
   return mix.next();
 }
 
-std::uint64_t hash_label(std::string_view label) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : label) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-std::uint32_t Pcg32::next_below(std::uint32_t bound) noexcept {
-  if (bound == 0) return 0;
-  // Lemire's nearly-divisionless method.
-  std::uint64_t m = static_cast<std::uint64_t>(next_u32()) * bound;
-  auto lo = static_cast<std::uint32_t>(m);
-  if (lo < bound) {
-    const std::uint32_t threshold = (0U - bound) % bound;
-    while (lo < threshold) {
-      m = static_cast<std::uint64_t>(next_u32()) * bound;
-      lo = static_cast<std::uint32_t>(m);
-    }
-  }
-  return static_cast<std::uint32_t>(m >> 32U);
-}
-
 }  // namespace paradyn::des

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace paradyn::des {
 
@@ -34,9 +33,6 @@ class SplitMix64 {
 /// derive_seed(global, node_id, role_tag).
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t base, std::uint64_t a,
                                         std::uint64_t b = 0) noexcept;
-
-/// Hash a string label to a 64-bit tag (FNV-1a), so streams can be named.
-[[nodiscard]] std::uint64_t hash_label(std::string_view label) noexcept;
 
 /// PCG32 (XSH-RR): small, fast, statistically solid generator with 2^64
 /// period and 2^63 selectable streams.
@@ -75,9 +71,6 @@ class Pcg32 {
   /// sampling (never returns 0).
   [[nodiscard]] double next_open_double() noexcept { return 1.0 - next_double(); }
 
-  /// Uniform integer in [0, bound) using Lemire rejection.
-  [[nodiscard]] std::uint32_t next_below(std::uint32_t bound) noexcept;
-
  private:
   std::uint64_t state_;
   std::uint64_t inc_;
@@ -94,10 +87,6 @@ class RngStream : public Pcg32 {
   /// independent streams.
   RngStream(std::uint64_t global_seed, std::uint64_t a, std::uint64_t b = 0) noexcept
       : Pcg32(derive_seed(global_seed, a, b), derive_seed(global_seed, b + 1, a + 1)) {}
-
-  /// Create a stream from a human-readable label, e.g. "app/node3".
-  RngStream(std::uint64_t global_seed, std::string_view label) noexcept
-      : RngStream(global_seed, hash_label(label)) {}
 };
 
 }  // namespace paradyn::des

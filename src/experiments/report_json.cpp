@@ -238,25 +238,6 @@ void write_report_json(std::ostream& os, const obs::ReproStamp& stamp,
 void write_metrics_json(std::ostream& os, const obs::MetricsRegistry& metrics) {
   Obj doc(os, 0);
 
-  doc.key("histograms") << "{";
-  bool first_hist = true;
-  metrics.for_each_histogram([&](const std::string& name, const obs::Histogram& h) {
-    os << (first_hist ? "" : ",") << "\n    ";
-    first_hist = false;
-    quoted(os, name);
-    os << ": ";
-    Obj hist(os, 4);
-    hist.key("count") << h.count();
-    number(hist.key("mean"), h.mean());
-    number(hist.key("min"), h.min());
-    number(hist.key("p50"), h.percentile(0.50));
-    number(hist.key("p90"), h.percentile(0.90));
-    number(hist.key("p99"), h.percentile(0.99));
-    number(hist.key("max"), h.max());
-    hist.close();
-  });
-  os << (first_hist ? "}" : "\n  }");
-
   doc.key("columns") << "[";
   const auto& columns = metrics.column_names();
   for (std::size_t i = 0; i < columns.size(); ++i) {

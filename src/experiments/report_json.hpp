@@ -35,8 +35,8 @@ void write_report_json(std::ostream& os, const obs::ReproStamp& stamp,
                        const std::vector<rocc::SimulationResult>& results,
                        const RunReport* report, const obs::ProfileReport* profile = nullptr);
 
-/// The metrics registry as structured JSON (--metrics-json): histogram
-/// summaries plus the probe time series, mirroring MetricsRegistry's CSV.
+/// The metrics registry as structured JSON (--metrics-json): the probe
+/// columns and rows, mirroring MetricsRegistry's CSV.
 void write_metrics_json(std::ostream& os, const obs::MetricsRegistry& metrics);
 
 }  // namespace paradyn::experiments

@@ -44,8 +44,6 @@ stats::ConfidenceInterval ReplicationSet::metric(const MetricFn& fn, double leve
   return stats::mean_confidence_interval(s, level);
 }
 
-double ReplicationSet::mean(const MetricFn& fn) const { return mean_of(results_, fn); }
-
 Sweep::Sweep(std::vector<double> xs, std::vector<std::string> variants, const MakeFn& make,
              std::size_t replications, std::size_t jobs, RunHook hook)
     : xs_(std::move(xs)), variants_(std::move(variants)) {

@@ -34,9 +34,6 @@ class ReplicationSet {
   /// observation.
   [[nodiscard]] stats::ConfidenceInterval metric(const MetricFn& fn, double level = 0.90) const;
 
-  /// Plain mean of a metric.
-  [[nodiscard]] double mean(const MetricFn& fn) const;
-
   [[nodiscard]] const std::vector<rocc::SimulationResult>& results() const noexcept {
     return results_;
   }
@@ -74,7 +71,7 @@ class Sweep {
         std::size_t replications, std::size_t jobs = 0, RunHook hook = {});
 
   /// means(fn)[v][i]: the mean of `fn` over the runs of variant v at xs[i],
-  /// accumulated as ReplicationSet::mean accumulates it.
+  /// accumulated as ReplicationSet::metric accumulates its mean.
   [[nodiscard]] std::vector<std::vector<double>> means(const MetricFn& fn) const;
 
   /// One print_series block per panel: x rows, one column per variant.

@@ -67,59 +67,21 @@ double Histogram::percentile(double p) const noexcept {
   return max_;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(name, std::make_unique<Counter>()).first;
-    Counter* c = it->second.get();
-    column_readers_.push_back({name, [c] { return static_cast<double>(c->value()); }});
-    columns_.push_back(name);
-  }
-  return *it->second;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(name, std::make_unique<Gauge>()).first;
-    Gauge* g = it->second.get();
-    column_readers_.push_back({name, [g] { return g->value(); }});
-    columns_.push_back(name);
-  }
-  return *it->second;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, std::make_unique<Histogram>()).first;
-    histogram_order_.emplace_back(name, it->second.get());
-  }
-  return *it->second;
-}
-
 void MetricsRegistry::add_probe(std::string name, std::function<double()> probe) {
-  column_readers_.push_back({name, std::move(probe)});
+  probes_.push_back(std::move(probe));
   columns_.push_back(std::move(name));
 }
 
 void MetricsRegistry::sample(double t_us) {
   std::vector<double> row;
-  row.reserve(column_readers_.size());
-  for (const auto& col : column_readers_) row.push_back(col.read());
+  row.reserve(probes_.size());
+  for (const auto& probe : probes_) row.push_back(probe());
   row_times_.push_back(t_us);
   rows_.push_back(std::move(row));
 }
 
 void MetricsRegistry::write_csv(std::ostream& os) const {
   char buf[512];
-  for (const auto& [name, h] : histogram_order_) {
-    std::snprintf(buf, sizeof(buf),
-                  "count=%llu mean=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f",
-                  static_cast<unsigned long long>(h->count()), h->mean(), h->min(),
-                  h->percentile(0.50), h->percentile(0.90), h->percentile(0.99), h->max());
-    os << "# histogram " << name << ": " << buf << '\n';
-  }
   os << "time_us";
   for (const auto& name : columns_) os << ',' << name;
   os << '\n';

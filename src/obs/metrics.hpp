@@ -1,5 +1,6 @@
-// Metrics registry: named counters, gauges, and histograms plus periodic
-// time-series probes sampled on a simulated-time tick.
+// Metrics registry: periodic time-series probes sampled on a
+// simulated-time tick, plus the log-linear Histogram the profiler and
+// trace summaries use.
 //
 // The registry is the numeric companion to the trace recorder: where the
 // trace answers "what happened when", the probe time series answers "how
@@ -15,32 +16,11 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace paradyn::obs {
-
-/// Monotonic event counter.
-class Counter {
- public:
-  void inc(std::uint64_t by = 1) noexcept { value_ += by; }
-  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Last-written point-in-time value.
-class Gauge {
- public:
-  void set(double v) noexcept { value_ = v; }
-  [[nodiscard]] double value() const noexcept { return value_; }
-
- private:
-  double value_ = 0.0;
-};
 
 /// Streaming histogram over non-negative values with HDR-style log-linear
 /// buckets: each power-of-two range [2^(i-1), 2^i) is split into 16 equal
@@ -76,24 +56,19 @@ class Histogram {
   double max_ = 0.0;
 };
 
-/// Insertion-ordered collection of named metrics + the probe time series.
+/// The probe time series: named probes in registration order, one row of
+/// their values per sample() tick.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Get-or-create.  References stay valid for the registry's lifetime.
-  /// Counters and gauges are automatically included as time-series columns.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
-
   /// Register a callback probe evaluated at every sample() tick.
   void add_probe(std::string name, std::function<double()> probe);
 
-  /// Record one time-series row at simulated time `t_us`: every probe,
-  /// counter, and gauge in registration order.
+  /// Record one time-series row at simulated time `t_us`: every probe in
+  /// registration order.
   void sample(double t_us);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
@@ -104,27 +79,11 @@ class MetricsRegistry {
   }
 
   /// The probe time series as CSV: "time_us,<col>,..." then one row per
-  /// tick.  Lines starting with '#' carry the histogram/counter summaries.
+  /// tick.
   void write_csv(std::ostream& os) const;
 
-  /// Visit every histogram in registration order (structured exporters).
-  void for_each_histogram(
-      const std::function<void(const std::string& name, const Histogram& h)>& fn) const {
-    for (const auto& [name, h] : histogram_order_) fn(name, *h);
-  }
-
  private:
-  struct Column {
-    std::string name;
-    std::function<double()> read;
-  };
-
-  // std::map for deterministic name lookup; deques/uniques for stable refs.
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  std::vector<std::pair<std::string, const Histogram*>> histogram_order_;
-  std::vector<Column> column_readers_;
+  std::vector<std::function<double()>> probes_;
   std::vector<std::string> columns_;
   std::vector<double> row_times_;
   std::vector<std::vector<double>> rows_;

@@ -263,11 +263,6 @@ TraceRecorder::track_labels() const {
   return track_names_;
 }
 
-std::vector<std::string> TraceRecorder::process_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return process_names_;
-}
-
 void TraceRecorder::write_chrome_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mutex_);
   JsonOut out(os);

@@ -192,9 +192,6 @@ class TraceRecorder {
   [[nodiscard]] std::vector<std::pair<std::pair<std::int32_t, std::int32_t>, std::string>>
   track_labels() const;
 
-  /// Per-shard process names, indexed by pid.
-  [[nodiscard]] std::vector<std::string> process_names() const;
-
  private:
   friend class Tracer;
 

@@ -87,18 +87,35 @@ stats::DistributionPtr parse_dist(const SpecCtx& c, std::size_t pos, const std::
   bad_spec(c, pos, "unknown distribution: " + name + util::did_you_mean(name, known_dist_names()));
 }
 
-const std::set<std::string>& known_fault_types() {
-  static const std::set<std::string> names = {"daemon_stall", "daemon_crash", "link_slow",
-                                              "sample_drop", "pipe_backpressure"};
-  return names;
-}
+/// One row per fault type: its spelling, and the keys it takes besides
+/// start and dur: a target key and a magnitude key (nullptr for none), and
+/// the cascade keys for stall and crash.
+struct FaultTypeRow {
+  const char* name;
+  FaultType type;
+  const char* target_key;
+  const char* magnitude_key;
+  bool cascades;
+};
 
-const std::set<std::string>& known_fault_keys() {
-  static const std::set<std::string> names = {
-      "start",   "dur",     "duration",      "daemon",        "node",
-      "factor",  "p",       "capacity",      "cascade",       "cascade_delay",
-      "cascade_hops", "cascade_factor"};
-  return names;
+constexpr FaultTypeRow kFaultTypes[] = {
+    {"daemon_stall", FaultType::DaemonStall, "daemon", nullptr, true},
+    {"daemon_crash", FaultType::DaemonCrash, "daemon", nullptr, true},
+    {"link_slow", FaultType::LinkSlowdown, nullptr, "factor", false},
+    {"sample_drop", FaultType::SampleDrop, "node", "p", false},
+    {"pipe_backpressure", FaultType::PipeBackpressure, "daemon", "capacity", false},
+};
+
+constexpr const char* kCascadeKeys[] = {"cascade", "cascade_delay", "cascade_hops",
+                                        "cascade_factor"};
+
+/// The keys `row` accepts, for did-you-mean suggestions.
+std::set<std::string> keys_of(const FaultTypeRow& row) {
+  std::set<std::string> keys = {"start", "dur", "duration"};
+  if (row.target_key != nullptr) keys.insert(row.target_key);
+  if (row.magnitude_key != nullptr) keys.insert(row.magnitude_key);
+  if (row.cascades) keys.insert(std::begin(kCascadeKeys), std::end(kCascadeKeys));
+  return keys;
 }
 
 FaultSpec parse_spec_impl(const SpecCtx& c) {
@@ -106,23 +123,16 @@ FaultSpec parse_spec_impl(const SpecCtx& c) {
   const auto colon = spec.find(':');
   if (colon == std::string::npos) bad_spec(c, 0, "expected TYPE:key=value,...");
   const std::string type_name = spec.substr(0, colon);
+  const auto* row = std::find_if(std::begin(kFaultTypes), std::end(kFaultTypes),
+                                 [&](const FaultTypeRow& r) { return type_name == r.name; });
+  if (row == std::end(kFaultTypes)) {
+    std::set<std::string> types;
+    for (const FaultTypeRow& r : kFaultTypes) types.insert(r.name);
+    bad_spec(c, 0, "unknown fault type: " + type_name + util::did_you_mean(type_name, types));
+  }
 
   FaultSpec f;
-  if (type_name == "daemon_stall") {
-    f.type = FaultType::DaemonStall;
-  } else if (type_name == "daemon_crash") {
-    f.type = FaultType::DaemonCrash;
-  } else if (type_name == "link_slow") {
-    f.type = FaultType::LinkSlowdown;
-  } else if (type_name == "sample_drop") {
-    f.type = FaultType::SampleDrop;
-  } else if (type_name == "pipe_backpressure") {
-    f.type = FaultType::PipeBackpressure;
-  } else {
-    bad_spec(c, 0,
-             "unknown fault type: " + type_name +
-                 util::did_you_mean(type_name, known_fault_types()));
-  }
+  f.type = row->type;
 
   bool saw_start = false;
   bool saw_duration = false;
@@ -143,22 +153,21 @@ FaultSpec parse_spec_impl(const SpecCtx& c) {
         f.duration_us = parse_time_us(c, value_pos, value);
       }
       saw_duration = true;
-    } else if (key == "daemon" || key == "node") {
+    } else if (row->target_key != nullptr && key == row->target_key) {
       f.target = parse_target(c, value_pos, value);
-    } else if (key == "factor" || key == "p") {
-      f.magnitude = parse_number(c, value_pos, value);
-    } else if (key == "capacity") {
-      f.magnitude = util::parse_integer(c, value_pos, value);
-    } else if (key == "cascade") {
+    } else if (row->magnitude_key != nullptr && key == row->magnitude_key) {
+      f.magnitude = key == "capacity" ? util::parse_integer(c, value_pos, value)
+                                      : parse_number(c, value_pos, value);
+    } else if (row->cascades && key == "cascade") {
       f.cascade_p = parse_number(c, value_pos, value);
-    } else if (key == "cascade_delay") {
+    } else if (row->cascades && key == "cascade_delay") {
       f.cascade_delay_us = parse_time_us(c, value_pos, value);
-    } else if (key == "cascade_hops") {
+    } else if (row->cascades && key == "cascade_hops") {
       f.cascade_hops = util::parse_count(c, value_pos, value);
-    } else if (key == "cascade_factor") {
+    } else if (row->cascades && key == "cascade_factor") {
       f.cascade_factor = parse_number(c, value_pos, value);
     } else {
-      bad_spec(c, kv_pos, "unknown key: " + key + util::did_you_mean(key, known_fault_keys()));
+      bad_spec(c, kv_pos, "unknown key: " + key + util::did_you_mean(key, keys_of(*row)));
     }
   });
   if (!saw_start || !saw_duration) bad_spec(c, 0, "start and dur are required");
@@ -168,17 +177,8 @@ FaultSpec parse_spec_impl(const SpecCtx& c) {
 }  // namespace
 
 const char* to_string(FaultType t) noexcept {
-  switch (t) {
-    case FaultType::DaemonStall:
-      return "daemon_stall";
-    case FaultType::DaemonCrash:
-      return "daemon_crash";
-    case FaultType::LinkSlowdown:
-      return "link_slow";
-    case FaultType::SampleDrop:
-      return "sample_drop";
-    case FaultType::PipeBackpressure:
-      return "pipe_backpressure";
+  for (const FaultTypeRow& row : kFaultTypes) {
+    if (row.type == t) return row.name;
   }
   return "?";
 }
@@ -358,16 +358,6 @@ bool FaultGate::should_drop(std::int32_t node) {
     if ((target < 0 || target == node) && rng.next_double() < p) drop = true;
   }
   return drop;
-}
-
-std::vector<SimTime> FaultPlan::schedule_points() const {
-  std::vector<SimTime> points;
-  points.reserve(faults.size() * 2);
-  for (const FaultSpec& f : faults) {
-    points.push_back(f.start_us);
-    points.push_back(f.end_us());
-  }
-  return points;
 }
 
 }  // namespace paradyn::rocc

@@ -148,11 +148,6 @@ struct FaultPlan {
   /// start >= 0, duration >= 1 us.  A drawn start at/past the run length
   /// leaves a window that never fires (outcome stays `injected = false`).
   void resolve(des::Pcg32& rng);
-
-  /// Injection schedule boundaries (start and end of every window) in
-  /// declaration order — what Simulation compiles into events, and what the
-  /// differential queue tests replay against both queue implementations.
-  [[nodiscard]] std::vector<SimTime> schedule_points() const;
 };
 
 /// Runtime sample-drop gate shared by the application processes of one

@@ -7,11 +7,6 @@
 
 namespace paradyn::stats {
 
-double ConfidenceInterval::relative_half_width() const noexcept {
-  if (mean == 0.0) return 0.0;
-  return half_width / std::fabs(mean);
-}
-
 ConfidenceInterval mean_confidence_interval(const SummaryStats& stats, double level) {
   if (stats.count() < 2) {
     throw std::invalid_argument("mean_confidence_interval: need at least 2 observations");

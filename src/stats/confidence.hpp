@@ -22,8 +22,6 @@ struct ConfidenceInterval {
   [[nodiscard]] bool contains(double x) const noexcept {
     return x >= lower() && x <= upper();
   }
-  /// Half-width as a fraction of |mean| (0 when mean is ~0).
-  [[nodiscard]] double relative_half_width() const noexcept;
 };
 
 /// Student-t confidence interval for the mean of `data` at `level`

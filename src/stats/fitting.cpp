@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "stats/ks_test.hpp"
-#include "stats/special_functions.hpp"
 #include "stats/summary.hpp"
 
 namespace paradyn::stats {
@@ -77,43 +76,6 @@ Weibull fit_weibull(std::span<const double> data) {
 
 double ks_statistic(std::span<const double> data, const Distribution& dist) {
   return ks_test(data, dist).statistic;
-}
-
-ChiSquareResult chi_square_test(std::span<const double> data, const Distribution& dist,
-                                std::size_t bins, std::size_t params_estimated) {
-  if (bins < 2) throw std::invalid_argument("chi_square_test: need at least 2 bins");
-  if (data.size() < 5 * bins) {
-    throw std::invalid_argument("chi_square_test: need >= 5 observations per bin");
-  }
-  if (params_estimated + 1 >= bins) {
-    throw std::invalid_argument("chi_square_test: no degrees of freedom left");
-  }
-
-  // Equal-probability cells: boundaries at the model's quantiles.
-  std::vector<double> boundaries;
-  boundaries.reserve(bins - 1);
-  for (std::size_t i = 1; i < bins; ++i) {
-    boundaries.push_back(dist.quantile(static_cast<double>(i) / static_cast<double>(bins)));
-  }
-  std::vector<std::size_t> observed(bins, 0);
-  for (const double x : data) {
-    const auto it = std::upper_bound(boundaries.begin(), boundaries.end(), x);
-    ++observed[static_cast<std::size_t>(it - boundaries.begin())];
-  }
-
-  const double expected = static_cast<double>(data.size()) / static_cast<double>(bins);
-  ChiSquareResult result;
-  result.bins = bins;
-  for (const std::size_t o : observed) {
-    const double d = static_cast<double>(o) - expected;
-    result.statistic += d * d / expected;
-  }
-  result.degrees_of_freedom =
-      static_cast<double>(bins - 1 - params_estimated);
-  // P(X^2 >= stat) = 1 - P(df/2, stat/2) via the regularized gamma.
-  result.p_value =
-      1.0 - regularized_gamma_p(result.degrees_of_freedom / 2.0, result.statistic / 2.0);
-  return result;
 }
 
 std::vector<FitResult> fit_candidates(std::span<const double> data) {

@@ -27,22 +27,6 @@ namespace paradyn::stats {
 /// Kolmogorov-Smirnov statistic: sup |F_empirical - F_model|.
 [[nodiscard]] double ks_statistic(std::span<const double> data, const Distribution& dist);
 
-/// Chi-square goodness-of-fit against equal-probability bins.
-struct ChiSquareResult {
-  double statistic = 0.0;
-  std::size_t bins = 0;
-  double degrees_of_freedom = 0.0;  ///< bins - 1 - params_estimated.
-  double p_value = 0.0;             ///< P(X^2 >= statistic) under H0.
-};
-
-/// Partition the model's support into `bins` equal-probability cells and
-/// compare observed vs expected counts.  `params_estimated` reduces the
-/// degrees of freedom when the model was fitted to the same data (2 for
-/// lognormal/Weibull, 1 for exponential).
-[[nodiscard]] ChiSquareResult chi_square_test(std::span<const double> data,
-                                              const Distribution& dist, std::size_t bins = 20,
-                                              std::size_t params_estimated = 0);
-
 /// Result of fitting one candidate family.
 struct FitResult {
   DistributionPtr distribution;

@@ -47,10 +47,6 @@ double beta_cf(double x, double a, double b) {
 
 }  // namespace
 
-double normal_pdf(double z) {
-  return std::exp(-0.5 * z * z) / std::sqrt(2.0 * kPi);
-}
-
 double normal_cdf(double z) {
   return 0.5 * std::erfc(-z / std::sqrt(2.0));
 }
@@ -93,46 +89,6 @@ double normal_quantile(double p) {
   const double u = e * std::sqrt(2.0 * kPi) * std::exp(0.5 * x * x);
   x = x - u / (1.0 + 0.5 * x * u);
   return x;
-}
-
-double regularized_gamma_p(double a, double x) {
-  if (a <= 0.0) throw std::invalid_argument("regularized_gamma_p: a must be > 0");
-  if (x < 0.0) throw std::invalid_argument("regularized_gamma_p: x must be >= 0");
-  if (x == 0.0) return 0.0;
-
-  if (x < a + 1.0) {
-    // Series representation.
-    double ap = a;
-    double sum = 1.0 / a;
-    double del = sum;
-    for (int n = 0; n < 500; ++n) {
-      ap += 1.0;
-      del *= x / ap;
-      sum += del;
-      if (std::fabs(del) < std::fabs(sum) * 1e-15) break;
-    }
-    return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
-  }
-  // Continued fraction for Q(a,x), then P = 1 - Q.
-  constexpr double kTiny = 1e-300;
-  double b = x + 1.0 - a;
-  double c = 1.0 / kTiny;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i <= 500; ++i) {
-    const double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::fabs(d) < kTiny) d = kTiny;
-    c = b + an / c;
-    if (std::fabs(c) < kTiny) c = kTiny;
-    d = 1.0 / d;
-    const double del = d * c;
-    h *= del;
-    if (std::fabs(del - 1.0) < 1e-15) break;
-  }
-  const double q = std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
-  return 1.0 - q;
 }
 
 double regularized_beta(double x, double a, double b) {

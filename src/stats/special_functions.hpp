@@ -1,14 +1,11 @@
 // Special functions needed by the distribution / inference code.
 //
 // Self-contained implementations (no external math library): standard
-// normal pdf/cdf/quantile, regularized incomplete beta and gamma functions,
-// and Student-t distribution functions built on them.
+// normal cdf/quantile, the regularized incomplete beta function, and the
+// Student-t distribution functions built on it.
 #pragma once
 
 namespace paradyn::stats {
-
-/// Standard normal probability density.
-[[nodiscard]] double normal_pdf(double z);
 
 /// Standard normal CDF, accurate over the full double range.
 [[nodiscard]] double normal_cdf(double z);
@@ -16,9 +13,6 @@ namespace paradyn::stats {
 /// Inverse standard normal CDF (Acklam's rational approximation refined by
 /// one Halley step; |error| < 1e-12 for p in (0, 1)).
 [[nodiscard]] double normal_quantile(double p);
-
-/// Regularized lower incomplete gamma P(a, x).
-[[nodiscard]] double regularized_gamma_p(double a, double x);
 
 /// Regularized incomplete beta I_x(a, b) via continued fraction.
 [[nodiscard]] double regularized_beta(double x, double a, double b);

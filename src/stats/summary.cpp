@@ -20,23 +20,6 @@ void SummaryStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void SummaryStats::merge(const SummaryStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += delta * nb / n_total;
-  m2_ += other.m2_ + delta * delta * na * nb / n_total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double SummaryStats::variance() const noexcept {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);

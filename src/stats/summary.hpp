@@ -15,7 +15,6 @@ namespace paradyn::stats {
 class SummaryStats {
  public:
   void add(double x) noexcept;
-  void merge(const SummaryStats& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }

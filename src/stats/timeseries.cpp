@@ -1,6 +1,5 @@
 #include "stats/timeseries.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "stats/summary.hpp"
@@ -28,13 +27,6 @@ double autocorrelation(std::span<const double> series, std::size_t lag) {
   return num / denom;
 }
 
-std::vector<double> autocorrelations(std::span<const double> series, std::size_t max_lag) {
-  std::vector<double> out;
-  out.reserve(max_lag);
-  for (std::size_t k = 1; k <= max_lag; ++k) out.push_back(autocorrelation(series, k));
-  return out;
-}
-
 BatchMeansResult batch_means(std::span<const double> series, std::size_t batches, double level) {
   if (batches < 2) throw std::invalid_argument("batch_means: need at least 2 batches");
   const std::size_t batch_size = series.size() / batches;
@@ -59,10 +51,6 @@ BatchMeansResult batch_means(std::span<const double> series, std::size_t batches
   result.lag1_of_batch_means =
       (batches >= 3 && !constant) ? autocorrelation(result.batch_means, 1) : 0.0;
   return result;
-}
-
-bool batches_look_independent(const BatchMeansResult& result, double threshold) {
-  return std::fabs(result.lag1_of_batch_means) < threshold;
 }
 
 }  // namespace paradyn::stats

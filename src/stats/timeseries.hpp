@@ -3,8 +3,8 @@
 // The replication CIs in confidence.hpp assume independent observations —
 // valid across seed-varied runs, but not within one run where successive
 // latency or utilization observations are autocorrelated.  This module
-// provides the standard machinery (Law & Kelton ch. 9): autocorrelation
-// estimates, and the batch-means method that groups a long correlated
+// provides the standard machinery (Law & Kelton ch. 9): the autocorrelation
+// estimate, and the batch-means method that groups a long correlated
 // series into nearly-independent batch averages before applying a
 // Student-t interval.
 #pragma once
@@ -21,10 +21,6 @@ namespace paradyn::stats {
 /// time-series estimator).  Throws if k >= n or the series is constant.
 [[nodiscard]] double autocorrelation(std::span<const double> series, std::size_t lag);
 
-/// Autocorrelations for lags 1..max_lag.
-[[nodiscard]] std::vector<double> autocorrelations(std::span<const double> series,
-                                                   std::size_t max_lag);
-
 /// Batch-means analysis of one long run.
 struct BatchMeansResult {
   std::size_t batch_count = 0;
@@ -39,10 +35,4 @@ struct BatchMeansResult {
 /// Requires at least 2 batches with at least 1 observation each.
 [[nodiscard]] BatchMeansResult batch_means(std::span<const double> series, std::size_t batches,
                                            double level = 0.90);
-
-/// Heuristic check that a batch size is large enough: the lag-1
-/// autocorrelation of the batch means is below `threshold` in magnitude.
-[[nodiscard]] bool batches_look_independent(const BatchMeansResult& result,
-                                            double threshold = 0.2);
-
 }  // namespace paradyn::stats

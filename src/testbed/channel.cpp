@@ -68,34 +68,9 @@ void SampleChannel::write_all(const void* data, std::size_t len) {
   }
 }
 
-void SampleChannel::write_sample(const WireSample& sample) {
-  write_all(&sample, sizeof(sample));
-}
-
 void SampleChannel::write_batch(std::span<const WireSample> batch) {
   if (batch.empty()) return;
   write_all(batch.data(), batch.size_bytes());
-}
-
-bool SampleChannel::read_all(void* data, std::size_t len) {
-  auto* p = static_cast<unsigned char*>(data);
-  while (len > 0) {
-    const ssize_t n = ::read(read_fd_, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::system_error(errno, std::generic_category(), "read");
-    }
-    if (n == 0) return false;  // EOF mid-record only legal at record start
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-std::optional<WireSample> SampleChannel::read_sample() {
-  WireSample s;
-  if (!read_all(&s, sizeof(s))) return std::nullopt;
-  return s;
 }
 
 std::vector<WireSample> SampleChannel::read_some(std::size_t max) {

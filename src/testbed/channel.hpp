@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -54,16 +53,9 @@ class SampleChannel {
   SampleChannel(SampleChannel&& other) noexcept;
   SampleChannel& operator=(SampleChannel&&) = delete;
 
-  /// Write one sample (one write(2) system call — the CF policy's cost).
-  void write_sample(const WireSample& sample);
-
-  /// Write a whole batch with a single write(2) system call — the BF
-  /// policy's amortization.
+  /// Write a whole batch with a single write(2) system call — one sample
+  /// under CF, the BF policy's amortization under BF.
   void write_batch(std::span<const WireSample> batch);
-
-  /// Blocking read of one sample; nullopt on EOF.  Short reads are
-  /// completed internally (pipes may split records at any byte).
-  [[nodiscard]] std::optional<WireSample> read_sample();
 
   /// Blocking read of up to `max` samples in one read(2) call; empty on
   /// EOF.  On a packet channel one call returns one packet, and `max` must
@@ -85,7 +77,6 @@ class SampleChannel {
 
  private:
   void write_all(const void* data, std::size_t len);
-  [[nodiscard]] bool read_all(void* data, std::size_t len);
 
   int read_fd_ = -1;
   int write_fd_ = -1;

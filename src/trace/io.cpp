@@ -1,6 +1,7 @@
 #include "trace/io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -28,23 +29,31 @@ std::vector<std::string_view> split_fields(std::string_view line) {
   return fields;
 }
 
-double parse_double(std::string_view s, int line_no) {
+[[noreturn]] void bad_line(int line_no, const std::string& why) {
+  throw std::runtime_error("trace CSV line " + std::to_string(line_no) + ": " + why);
+}
+
+/// A time field (microseconds): finite and >= 0.
+double parse_time(std::string_view s, int line_no) {
   double out = 0.0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
   if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw std::runtime_error("trace CSV line " + std::to_string(line_no) +
-                             ": bad numeric field '" + std::string(s) + "'");
+    bad_line(line_no, "bad numeric field '" + std::string(s) + "'");
+  }
+  if (!std::isfinite(out) || out < 0.0) {
+    bad_line(line_no, "time field must be finite and >= 0: '" + std::string(s) + "'");
   }
   return out;
 }
 
-std::int32_t parse_int(std::string_view s, int line_no) {
+/// A node or process id: a whole number >= 0.
+std::int32_t parse_id(std::string_view s, int line_no) {
   std::int32_t out = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
   if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw std::runtime_error("trace CSV line " + std::to_string(line_no) +
-                             ": bad integer field '" + std::string(s) + "'");
+    bad_line(line_no, "bad integer field '" + std::string(s) + "'");
   }
+  if (out < 0) bad_line(line_no, "id field must be >= 0: '" + std::string(s) + "'");
   return out;
 }
 
@@ -68,9 +77,7 @@ void write_csv_file(const std::string& path, const std::vector<TraceRecord>& rec
 
 std::vector<TraceRecord> read_csv(std::istream& is) {
   std::string line;
-  if (!std::getline(is, line) || line != kHeader) {
-    throw std::runtime_error("trace CSV: missing or wrong header");
-  }
+  if (!std::getline(is, line) || line != kHeader) bad_line(1, "missing or wrong header");
   std::vector<TraceRecord> records;
   int line_no = 1;
   while (std::getline(is, line)) {
@@ -78,20 +85,19 @@ std::vector<TraceRecord> read_csv(std::istream& is) {
     if (line.empty()) continue;
     const auto fields = split_fields(line);
     if (fields.size() != 6) {
-      throw std::runtime_error("trace CSV line " + std::to_string(line_no) +
-                               ": expected 6 fields, got " + std::to_string(fields.size()));
+      bad_line(line_no, "expected 6 fields, got " + std::to_string(fields.size()));
     }
     TraceRecord r;
-    r.timestamp_us = parse_double(fields[0], line_no);
-    r.node = parse_int(fields[1], line_no);
-    r.pid = parse_int(fields[2], line_no);
+    r.timestamp_us = parse_time(fields[0], line_no);
+    r.node = parse_id(fields[1], line_no);
+    r.pid = parse_id(fields[2], line_no);
     try {
       r.pclass = process_class_from_string(fields[3]);
       r.resource = resource_kind_from_string(fields[4]);
     } catch (const std::invalid_argument& e) {
-      throw std::runtime_error("trace CSV line " + std::to_string(line_no) + ": " + e.what());
+      bad_line(line_no, e.what());
     }
-    r.duration_us = parse_double(fields[5], line_no);
+    r.duration_us = parse_time(fields[5], line_no);
     records.push_back(r);
   }
   return records;

@@ -18,8 +18,9 @@ void write_csv(std::ostream& os, const std::vector<TraceRecord>& records);
 /// Write records as CSV to a file; throws std::runtime_error on I/O failure.
 void write_csv_file(const std::string& path, const std::vector<TraceRecord>& records);
 
-/// Parse CSV produced by write_csv; throws std::runtime_error on malformed
-/// input (wrong header, bad field count, unparsable numbers).
+/// Parse CSV produced by write_csv; throws std::runtime_error naming the
+/// line on malformed input (wrong header, bad field count, unparsable
+/// numbers, a negative or non-finite time, a negative id).
 [[nodiscard]] std::vector<TraceRecord> read_csv(std::istream& is);
 
 /// Read a CSV trace file; throws std::runtime_error if unreadable.

@@ -68,7 +68,6 @@ TEST(Consultant, RefinesToHotProcessOnNode) {
     pc.observe(make_sample(1, 0.99, 0.01, 3));
     pc.observe(make_sample(1, 0.80, 0.05, 4));
   }
-  EXPECT_NEAR(pc.process_mean(Hypothesis::CpuBound, 1, 3), 0.99, 1e-9);
   const auto findings = pc.search();
   bool node_level = false;
   bool process_level = false;
@@ -78,6 +77,7 @@ TEST(Consultant, RefinesToHotProcessOnNode) {
     if (f.focus.process == 3 && f.focus.node == 1) {
       process_level = true;
       EXPECT_EQ(f.focus.describe(), "node 1 / process 3");
+      EXPECT_NEAR(f.observed, 0.99, 1e-9);  // the process's windowed mean
     }
     EXPECT_NE(f.focus.process, 4);  // the well-behaved sibling stays unflagged
   }
@@ -104,10 +104,11 @@ TEST(Consultant, DetectsSyncWaiting) {
   const auto findings = pc.search();
   bool sync = false;
   for (const auto& f : findings) {
-    if (f.hypothesis == Hypothesis::SyncWaiting) sync = true;
+    if (f.hypothesis != Hypothesis::SyncWaiting || !f.focus.whole_program) continue;
+    sync = true;
+    EXPECT_NEAR(f.observed, 0.6, 1e-9);  // the whole program's windowed mean
   }
   EXPECT_TRUE(sync);
-  EXPECT_NEAR(pc.global_mean(Hypothesis::SyncWaiting), 0.6, 1e-9);
 }
 
 TEST(Consultant, DetectsCommunicationBound) {

@@ -6,6 +6,8 @@
 #include <set>
 #include <vector>
 
+#include "support/hash_label.hpp"
+
 namespace paradyn::des {
 namespace {
 
@@ -74,31 +76,12 @@ TEST(Pcg32, MeanOfUniformsNearHalf) {
   EXPECT_NEAR(sum / kN, 0.5, 0.005);
 }
 
-TEST(Pcg32, NextBelowRespectsBound) {
-  Pcg32 rng(5, 5);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_LT(rng.next_below(17), 17u);
-  }
-  EXPECT_EQ(rng.next_below(0), 0u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.next_below(1), 0u);
-}
-
-TEST(Pcg32, NextBelowApproximatelyUniform) {
-  Pcg32 rng(11, 13);
-  std::vector<int> counts(8, 0);
-  constexpr int kN = 80000;
-  for (int i = 0; i < kN; ++i) ++counts[rng.next_below(8)];
-  for (const int c : counts) {
-    EXPECT_NEAR(static_cast<double>(c), kN / 8.0, 0.05 * kN / 8.0);
-  }
-}
-
 TEST(RngStream, LabeledStreamsReproducible) {
-  RngStream a(1, "app/node3");
-  RngStream b(1, "app/node3");
-  RngStream c(1, "app/node4");
+  RngStream a(1, hash_label("app/node3"));
+  RngStream b(1, hash_label("app/node3"));
+  RngStream c(1, hash_label("app/node4"));
   EXPECT_EQ(a.next_u64(), b.next_u64());
-  RngStream a2(1, "app/node3");
+  RngStream a2(1, hash_label("app/node3"));
   EXPECT_NE(a2.next_u64(), c.next_u64());
 }
 

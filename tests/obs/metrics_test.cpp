@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "rocc/config.hpp"
@@ -11,21 +12,6 @@
 
 namespace paradyn::obs {
 namespace {
-
-TEST(Counter, MonotonicIncrements) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42u);
-}
-
-TEST(Gauge, HoldsLastValue) {
-  Gauge g;
-  g.set(3.5);
-  g.set(-1.25);
-  EXPECT_DOUBLE_EQ(g.value(), -1.25);
-}
 
 TEST(Histogram, ExactMomentsAndBoundedPercentiles) {
   Histogram h;
@@ -73,31 +59,23 @@ TEST(Histogram, EmptyIsAllZero) {
   EXPECT_DOUBLE_EQ(h.max(), 0.0);
 }
 
-TEST(MetricsRegistry, GetOrCreateReturnsStableReferences) {
-  MetricsRegistry reg;
-  Counter& a = reg.counter("samples");
-  Counter& b = reg.counter("samples");
-  EXPECT_EQ(&a, &b);
-  a.inc(3);
-  EXPECT_EQ(reg.counter("samples").value(), 3u);
-  Gauge& g = reg.gauge("depth");
-  g.set(9.0);
-  EXPECT_EQ(&g, &reg.gauge("depth"));
-}
-
 TEST(MetricsRegistry, SampleRecordsProbesCountersAndGauges) {
+  // Counters and gauges are probes too: one reads a running total, the
+  // other the last value written.
   MetricsRegistry reg;
   double probe_value = 1.0;
+  std::uint64_t events = 0;
+  double depth = 0.0;
   reg.add_probe("probe", [&probe_value] { return probe_value; });
-  Counter& c = reg.counter("events");
-  Gauge& g = reg.gauge("depth");
+  reg.add_probe("events", [&events] { return static_cast<double>(events); });
+  reg.add_probe("depth", [&depth] { return depth; });
 
-  c.inc(10);
-  g.set(2.0);
+  events += 10;
+  depth = 2.0;
   reg.sample(0.0);
   probe_value = 5.0;
-  c.inc(10);
-  g.set(4.0);
+  events += 10;
+  depth = 4.0;
   reg.sample(100.0);
 
   ASSERT_EQ(reg.rows(), 2u);
@@ -122,17 +100,13 @@ TEST(MetricsRegistry, SampleRecordsProbesCountersAndGauges) {
 TEST(MetricsRegistry, CsvHasHeaderAndOneLinePerRow) {
   MetricsRegistry reg;
   reg.add_probe("queue", [] { return 1.5; });
-  reg.histogram("latency").observe(2.0);
   reg.sample(0.0);
   reg.sample(50.0);
 
   std::ostringstream os;
   reg.write_csv(os);
   const std::string csv = os.str();
-  EXPECT_NE(csv.find("time_us,queue"), std::string::npos);
-  EXPECT_NE(csv.find("\n0.000,1.5"), std::string::npos);
-  EXPECT_NE(csv.find("\n50.000,1.5"), std::string::npos);
-  EXPECT_NE(csv.find("latency"), std::string::npos);  // histogram summary line
+  EXPECT_EQ(csv, "time_us,queue\n0.000,1.5\n50.000,1.5\n");
 }
 
 TEST(MetricsRegistry, SimulationProbesTickOnSimulatedTime) {

@@ -18,6 +18,7 @@
 #include "experiments/runner.hpp"
 #include "rocc/faults.hpp"
 #include "rocc/simulation.hpp"
+#include "support/fault_points.hpp"
 #include "support/heap_event_queue.hpp"
 
 namespace paradyn::rocc {
@@ -223,7 +224,7 @@ TEST(FaultDeterminism, RepairEventPatternPopsIdenticallyFromBothQueues) {
       "daemon_stall:daemon=1,start=200ms,dur=800ms");
 
   LockstepReplay replay;
-  for (const des::SimTime t : plan.schedule_points()) replay.push(t);
+  for (const des::SimTime t : schedule_points(plan)) replay.push(t);
   for (double t = 0.0; t <= 1'000'000.0; t += 10'000.0) replay.push(t);
   // Two interleaved retry chains (timeout = 50 ms, exp backoff base 20 ms),
   // one starting on a tick boundary, one off-grid.
@@ -254,12 +255,12 @@ TEST(FaultDeterminism, SchedulePointsPopIdenticallyFromBothQueues) {
       "pipe_backpressure:daemon=0,start=0,dur=500ms,capacity=1");
 
   LockstepReplay replay;
-  for (const des::SimTime t : plan.schedule_points()) replay.push(t);
+  for (const des::SimTime t : schedule_points(plan)) replay.push(t);
   // Sampling ticks every 10 ms across the horizon; several land exactly on
   // fault boundaries.
   for (double t = 0.0; t <= 500'000.0; t += 10'000.0) replay.push(t);
   // A second copy of the schedule points exercises FIFO among duplicates.
-  for (const des::SimTime t : plan.schedule_points()) replay.push(t);
+  for (const des::SimTime t : schedule_points(plan)) replay.push(t);
   replay.drain_and_compare();
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "rocc/simulation.hpp"
+#include "support/fault_points.hpp"
 
 namespace paradyn::rocc {
 namespace {
@@ -250,13 +251,18 @@ TEST(FaultSpecParse, CascadeClause) {
 
 TEST(FaultPlanValidate, CascadeChecks) {
   // Cascades need a stall/crash with a concrete daemon target and sane
-  // parameters; the shape checks live in validate() (parse is per-clause
-  // and cannot see the target/type combination rules).
+  // parameters.  Only stall and crash take the cascade keys, so parse
+  // rejects them on another type; validate() checks the rest, and the type
+  // too for a plan built in code.
+  EXPECT_THROW((void)FaultPlan::parse("link_slow:start=1s,dur=1s,factor=2,cascade=0.5"),
+               std::invalid_argument);
+  FaultPlan slow = FaultPlan::parse("link_slow:start=1s,dur=1s,factor=2");
+  slow.faults[0].cascade_p = 0.5;
+  EXPECT_THROW(slow.validate(2, 2, 2e6, 16), std::invalid_argument);
   const auto reject = [](const std::string& spec) {
     const auto plan = FaultPlan::parse(spec);
     EXPECT_THROW(plan.validate(2, 2, 2e6, 16), std::invalid_argument) << spec;
   };
-  reject("link_slow:start=1s,dur=1s,factor=2,cascade=0.5");
   reject("daemon_stall:daemon=all,start=1s,dur=1s,cascade=0.5");
   reject("daemon_stall:daemon=0,start=1s,dur=1s,cascade=1.5");
   reject("daemon_stall:daemon=0,start=1s,dur=1s,cascade=-0.5");
@@ -297,10 +303,60 @@ TEST(FaultSpecParse, ErrorsNameClauseAndPositionWithSuggestion) {
   }
 }
 
+TEST(FaultSpecParse, EachTypeTakesOnlyItsOwnKeys) {
+  // A key of another type is an error, not a silent alias: factor=, p= and
+  // capacity= each belong to one type, the target key is daemon= or node=,
+  // and only stall and crash cascade.
+  for (const char* spec : {"sample_drop:node=0,start=1s,dur=1s,factor=0.3",
+                           "link_slow:start=1s,dur=1s,capacity=3",
+                           "daemon_stall:daemon=0,start=1s,dur=1s,p=0.5,capacity=3",
+                           "daemon_crash:daemon=0,start=1s,dur=1s,factor=2",
+                           "link_slow:daemon=0,start=1s,dur=1s,factor=2",
+                           "sample_drop:daemon=0,start=1s,dur=1s,p=0.5",
+                           "pipe_backpressure:node=0,start=1s,dur=1s,capacity=2",
+                           "pipe_backpressure:daemon=0,start=1s,dur=1s,p=0.5",
+                           "sample_drop:node=0,start=1s,dur=1s,p=0.5,cascade=0.5"}) {
+    try {
+      (void)FaultPlan::parse_spec(spec);
+      ADD_FAILURE() << "accepted: " << spec;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("(clause 1, char "), std::string::npos) << msg;
+      EXPECT_NE(msg.find("unknown key: "), std::string::npos) << msg;
+    }
+  }
+  // The suggestion comes from the type's own keys.
+  const auto message = [](const std::string& spec) {
+    try {
+      (void)FaultPlan::parse_spec(spec);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(message("sample_drop:nod=0,start=1s,dur=1s,p=0.5").find("did you mean 'node'"),
+            std::string::npos);
+  EXPECT_NE(message("link_slow:start=1s,dur=1s,facter=2").find("did you mean 'factor'"),
+            std::string::npos);
+  EXPECT_EQ(message("daemon_stall:node=0,start=1s,dur=1s").find("did you mean"),
+            std::string::npos);
+  // Each type's own keys still parse.
+  const auto magnitude = [](const std::string& spec) {
+    return FaultPlan::parse_spec(spec).magnitude;
+  };
+  EXPECT_DOUBLE_EQ(magnitude("sample_drop:node=1,start=1s,dur=1s,p=0.3"), 0.3);
+  EXPECT_DOUBLE_EQ(magnitude("link_slow:start=1s,dur=1s,factor=3"), 3.0);
+  EXPECT_DOUBLE_EQ(magnitude("pipe_backpressure:daemon=1,start=1s,dur=1s,capacity=3"), 3.0);
+  EXPECT_EQ(FaultPlan::parse_spec("daemon_crash:daemon=1,start=1s,dur=1s,cascade=0.5,"
+                                  "cascade_delay=5ms,cascade_hops=2,cascade_factor=1.5")
+                .cascade_hops,
+            2);
+}
+
 TEST(FaultPlan, SchedulePointsInDeclarationOrder) {
   const auto plan = FaultPlan::parse(
       "daemon_stall:daemon=0,start=1s,dur=100ms;link_slow:start=500ms,dur=1s,factor=2");
-  const auto pts = plan.schedule_points();
+  const auto pts = schedule_points(plan);
   ASSERT_EQ(pts.size(), 4u);
   EXPECT_DOUBLE_EQ(pts[0], 1e6);
   EXPECT_DOUBLE_EQ(pts[1], 1.1e6);

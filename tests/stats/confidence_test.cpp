@@ -39,7 +39,7 @@ TEST(ConfidenceInterval, Validation) {
 TEST(ConfidenceInterval, RelativeHalfWidth) {
   const std::vector<double> data{10.0, 10.0, 10.0, 10.0};
   const auto ci = mean_confidence_interval(data, 0.90);
-  EXPECT_DOUBLE_EQ(ci.relative_half_width(), 0.0);  // zero variance
+  EXPECT_DOUBLE_EQ(ci.half_width / std::fabs(ci.mean), 0.0);  // zero variance
 }
 
 TEST(ConfidenceInterval, CoverageNearNominal) {

@@ -9,6 +9,7 @@
 
 #include "des/random.hpp"
 #include "stats/summary.hpp"
+#include "support/hash_label.hpp"
 
 namespace paradyn::stats {
 namespace {

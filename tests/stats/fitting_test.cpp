@@ -109,42 +109,6 @@ TEST(FitCandidates, ReturnsAllThreeSortedByLikelihood) {
   }
 }
 
-TEST(ChiSquare, AcceptsTrueModel) {
-  Exponential truth(100.0);
-  const auto data = draw(truth, 10000, 20);
-  const auto r = chi_square_test(data, truth, 20, 0);
-  EXPECT_EQ(r.bins, 20u);
-  EXPECT_DOUBLE_EQ(r.degrees_of_freedom, 19.0);
-  // Under H0 the statistic is ~chi^2(19): p should not be extreme.
-  EXPECT_GT(r.p_value, 0.01);
-}
-
-TEST(ChiSquare, RejectsWrongModel) {
-  const auto truth = Lognormal::from_mean_stddev(100.0, 300.0);
-  const auto data = draw(truth, 10000, 21);
-  const Exponential wrong(100.0);
-  const auto r = chi_square_test(data, wrong, 20, 0);
-  EXPECT_LT(r.p_value, 1e-6);
-  EXPECT_GT(r.statistic, 100.0);
-}
-
-TEST(ChiSquare, DegreesOfFreedomAccountForFitting) {
-  Exponential truth(50.0);
-  const auto data = draw(truth, 5000, 22);
-  const auto fitted = fit_exponential(data);
-  const auto r = chi_square_test(data, fitted, 10, 1);
-  EXPECT_DOUBLE_EQ(r.degrees_of_freedom, 8.0);
-}
-
-TEST(ChiSquare, Validation) {
-  Exponential e(1.0);
-  const auto data = draw(e, 100, 23);
-  EXPECT_THROW((void)chi_square_test(data, e, 1), std::invalid_argument);
-  EXPECT_THROW((void)chi_square_test(data, e, 50), std::invalid_argument);  // < 5/bin
-  const auto big = draw(e, 1000, 24);
-  EXPECT_THROW((void)chi_square_test(big, e, 10, 9), std::invalid_argument);  // df = 0
-}
-
 class FitRoundTrip : public ::testing::TestWithParam<double> {};
 
 TEST_P(FitRoundTrip, ExponentialMeanSweep) {

@@ -40,37 +40,6 @@ TEST(SummaryStats, KnownSmallSample) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(SummaryStats, MergeEqualsPooledComputation) {
-  des::RngStream rng(3, 3);
-  SummaryStats all;
-  SummaryStats a;
-  SummaryStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.next_double() * 100.0;
-    all.add(x);
-    (i % 3 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(SummaryStats, MergeWithEmptySides) {
-  SummaryStats a;
-  SummaryStats b;
-  b.add(1.0);
-  b.add(3.0);
-  a.merge(b);  // empty.merge(nonempty)
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  SummaryStats c;
-  a.merge(c);  // nonempty.merge(empty)
-  EXPECT_EQ(a.count(), 2u);
-}
-
 TEST(SummaryStats, NumericallyStableAroundLargeOffset) {
   SummaryStats s;
   const double offset = 1e12;

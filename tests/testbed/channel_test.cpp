@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,10 +20,20 @@ WireSample make(int id, double value) {
   return s;
 }
 
+/// One sample in one write(2), as the CF policy sends it.
+void write_one(SampleChannel& ch, const WireSample& s) { ch.write_batch({&s, 1}); }
+
+/// The next sample of a byte-stream channel; nullopt on EOF.
+std::optional<WireSample> read_one(SampleChannel& ch) {
+  const auto got = ch.read_some(1);
+  if (got.empty()) return std::nullopt;
+  return got.front();
+}
+
 TEST(SampleChannel, SingleSampleRoundTrip) {
   SampleChannel ch;
-  ch.write_sample(make(7, 3.25));
-  const auto got = ch.read_sample();
+  write_one(ch, make(7, 3.25));
+  const auto got = read_one(ch);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->app_id, 7);
   EXPECT_EQ(got->metric_id, 14);
@@ -36,7 +47,7 @@ TEST(SampleChannel, BatchRoundTrip) {
   for (int i = 0; i < 20; ++i) batch.push_back(make(i, i * 0.5));
   ch.write_batch(batch);
   for (int i = 0; i < 20; ++i) {
-    const auto got = ch.read_sample();
+    const auto got = read_one(ch);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->app_id, i);
     EXPECT_DOUBLE_EQ(got->value, i * 0.5);
@@ -58,10 +69,10 @@ TEST(SampleChannel, ReadSomeDrainsInBulk) {
 
 TEST(SampleChannel, EofAfterCloseWrite) {
   SampleChannel ch;
-  ch.write_sample(make(1, 1.0));
+  write_one(ch, make(1, 1.0));
   ch.close_write();
-  EXPECT_TRUE(ch.read_sample().has_value());
-  EXPECT_FALSE(ch.read_sample().has_value());       // EOF
+  EXPECT_TRUE(read_one(ch).has_value());
+  EXPECT_FALSE(read_one(ch).has_value());       // EOF
   EXPECT_TRUE(ch.read_some(16).empty());            // still EOF
 }
 
@@ -69,14 +80,14 @@ TEST(SampleChannel, EmptyBatchIsNoop) {
   SampleChannel ch;
   ch.write_batch({});
   ch.close_write();
-  EXPECT_FALSE(ch.read_sample().has_value());
+  EXPECT_FALSE(read_one(ch).has_value());
 }
 
 TEST(SampleChannel, CrossThreadTransfer) {
   SampleChannel ch;
   constexpr int kCount = 20000;  // > pipe capacity: exercises backpressure
   std::thread writer([&] {
-    for (int i = 0; i < kCount; ++i) ch.write_sample(make(i & 0xFFFF, i));
+    for (int i = 0; i < kCount; ++i) write_one(ch, make(i & 0xFFFF, i));
     ch.close_write();
   });
   int received = 0;
@@ -96,9 +107,9 @@ TEST(SampleChannel, CrossThreadTransfer) {
 
 TEST(SampleChannel, MoveTransfersOwnership) {
   SampleChannel a;
-  a.write_sample(make(5, 5.0));
+  write_one(a, make(5, 5.0));
   SampleChannel b(std::move(a));
-  const auto got = b.read_sample();
+  const auto got = read_one(b);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->app_id, 5);
 }
@@ -110,7 +121,7 @@ TEST(SampleChannel, PacketReadReturnsOneWrite) {
   const std::vector<WireSample> pair{make(0, 0.0), make(1, 1.0)};
   const std::vector<WireSample> triple{make(3, 3.0), make(4, 4.0), make(5, 5.0)};
   ch.write_batch(pair);
-  ch.write_sample(make(2, 2.0));
+  write_one(ch, make(2, 2.0));
   ch.write_batch(triple);
   ch.close_write();
   const std::size_t max = SampleChannel::min_packet_read();
@@ -150,7 +161,7 @@ TEST(SampleChannel, PacketBatchOverPipeBufArrivesWhole) {
 TEST(SampleChannel, ShortPacketReadThrows) {
   // A read(2) shorter than the packet discards the packet's rest.
   SampleChannel ch(SampleChannel::Framing::kPacket);
-  ch.write_sample(make(1, 1.0));
+  write_one(ch, make(1, 1.0));
   EXPECT_THROW((void)ch.read_some(100), std::invalid_argument);
   EXPECT_THROW((void)ch.read_some(SampleChannel::min_packet_read() - 1),
                std::invalid_argument);

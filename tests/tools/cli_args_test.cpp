@@ -5,11 +5,11 @@
 namespace paradyn::tools {
 namespace {
 
-CliArgs parse(std::initializer_list<const char*> argv_list,
-              std::set<std::string> known = {"alpha", "beta", "flag"}) {
-  std::vector<const char*> argv{"prog"};
-  argv.insert(argv.end(), argv_list.begin(), argv_list.end());
-  return CliArgs(static_cast<int>(argv.size()), argv.data(), std::move(known));
+// --alpha and --beta take values; --flag is a switch.
+CliArgs parse(std::vector<const char*> argv, std::size_t max_positionals = 0) {
+  argv.insert(argv.begin(), "prog");
+  return CliArgs(static_cast<int>(argv.size()), argv.data(), {"alpha", "beta"}, {"flag"},
+                 max_positionals);
 }
 
 TEST(CliArgs, SpaceSeparatedValues) {
@@ -75,10 +75,7 @@ TEST(CliArgs, NoSuggestionWhenNothingIsClose) {
 }
 
 TEST(CliArgs, PositionalsAcceptedUpToLimit) {
-  // (= form: a bare "--flag out.json" would consume the file as its value)
-  std::vector<const char*> argv{"prog", "in.json", "--flag=true", "out.json"};
-  const CliArgs args(static_cast<int>(argv.size()), argv.data(), {"flag"},
-                     /*max_positionals=*/2);
+  const auto args = parse({"in.json", "--flag=true", "out.json"}, /*max_positionals=*/2);
   ASSERT_EQ(args.positionals().size(), 2u);
   EXPECT_EQ(args.positionals()[0], "in.json");
   EXPECT_EQ(args.positionals()[1], "out.json");
@@ -86,9 +83,43 @@ TEST(CliArgs, PositionalsAcceptedUpToLimit) {
 }
 
 TEST(CliArgs, PositionalBeyondLimitRejected) {
-  std::vector<const char*> argv{"prog", "a", "b"};
-  EXPECT_THROW(CliArgs(static_cast<int>(argv.size()), argv.data(), {}, /*max_positionals=*/1),
-               std::invalid_argument);
+  EXPECT_THROW(parse({"a", "b"}, /*max_positionals=*/1), std::invalid_argument);
+}
+
+TEST(CliArgs, ValueFlagWithoutValueFails) {
+  // Given last, or followed by another flag, a value flag has no value: it
+  // must fail, not read "true" (roccprof t.json --json wrote ./true).
+  for (const auto& argv : {std::vector<const char*>{"--alpha"},
+                           std::vector<const char*>{"--alpha", "--flag"},
+                           std::vector<const char*>{"--alpha", "--beta", "x"}}) {
+    try {
+      (void)parse(argv);
+      ADD_FAILURE() << "accepted a bare --alpha";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "flag --alpha needs a value");
+    }
+  }
+  EXPECT_EQ(parse({"--alpha="}).get_string("alpha", "dflt"), "");  // explicit empty value
+  EXPECT_EQ(parse({"--alpha", "-3"}).get_long("alpha", 0), -3);    // one dash is a value
+}
+
+TEST(CliArgs, SwitchNeverTakesTheNextArgument) {
+  // roccprof --hypotheses t.json: the file is the positional, not the
+  // switch's value.
+  const auto args = parse({"--flag", "t.json"}, /*max_positionals=*/1);
+  EXPECT_TRUE(args.get_bool("flag"));
+  ASSERT_EQ(args.positionals().size(), 1u);
+  EXPECT_EQ(args.positionals()[0], "t.json");
+  try {
+    (void)parse({"--flag", "7"});  // no positionals allowed
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unexpected positional argument: 7 (--flag is a switch; a value goes as "
+                 "--flag=7)");
+  }
+  // An explicit value still reaches a switch (--adaptive-sampling=X).
+  EXPECT_EQ(parse({"--flag=0.5"}).get_string("flag", ""), "0.5");
 }
 
 TEST(CliArgs, RejectsMalformedNumbers) {

@@ -12,7 +12,8 @@ CliArgs parse(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "prog");
   return CliArgs(static_cast<int>(argv.size()), argv.data(),
                  {"arch", "nodes", "apps", "daemons", "topology", "sampling-ms", "batch",
-                  "seconds", "seed", "shards", "uplink-ms", "metrics-tick-ms"});
+                  "seconds", "seed", "shards", "uplink-ms", "metrics-tick-ms"},
+                 {});
 }
 
 TEST(ModelConfig, SharedFlagsBuildTheConfig) {

@@ -7,8 +7,8 @@
 
 namespace paradyn::tools {
 
-CliArgs::CliArgs(int argc, const char* const argv[], std::set<std::string> known_flags,
-                 std::size_t max_positionals) {
+CliArgs::CliArgs(int argc, const char* const argv[], const std::set<std::string>& value_flags,
+                 const std::set<std::string>& switches, std::size_t max_positionals) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -16,25 +16,35 @@ CliArgs::CliArgs(int argc, const char* const argv[], std::set<std::string> known
         positionals_.push_back(std::move(arg));
         continue;
       }
-      throw std::invalid_argument("unexpected positional argument: " + arg);
+      std::string message = "unexpected positional argument: " + arg;
+      const std::string prev = i > 1 ? argv[i - 1] : "";
+      if (prev.rfind("--", 0) == 0 && switches.count(prev.substr(2)) != 0) {
+        message += " (" + prev + " is a switch; a value goes as " + prev + "=" + arg + ")";
+      }
+      throw std::invalid_argument(message);
     }
     arg = arg.substr(2);
-    std::string value = "true";  // bare switch
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      value = argv[++i];
-    }
-    if (known_flags.count(arg) == 0) {
-      std::string message = "unknown flag: --" + arg;
-      const std::string close = util::suggestion(arg, known_flags);
+    const std::string name = arg.substr(0, eq);
+    const bool is_switch = switches.count(name) != 0;
+    if (!is_switch && value_flags.count(name) == 0) {
+      std::set<std::string> known = value_flags;
+      known.insert(switches.begin(), switches.end());
+      std::string message = "unknown flag: --" + name;
+      const std::string close = util::suggestion(name, known);
       if (!close.empty()) message += " (did you mean --" + close + "?)";
       message += "; see --help";
       throw std::invalid_argument(message);
     }
-    values_[arg] = value;
+    if (eq != std::string::npos) {
+      values_[name] = arg.substr(eq + 1);
+    } else if (is_switch) {
+      values_[name] = "true";
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      values_[name] = argv[++i];
+    } else {
+      throw std::invalid_argument("flag --" + name + " needs a value");
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 // Minimal command-line flag parser shared by the CLI tools.
 //
-// Supports --name value and --name=value forms, plus boolean switches.
+// A value flag takes --name value or --name=value; a switch takes --name
+// (or --name=value) and never consumes the next argument, so a value flag
+// given last or before another --flag is an error, not the value "true".
 // Unknown flags are an error with a "did you mean --X?" suggestion when a
 // known flag is close — a mistyped --trce must fail loudly, not silently
 // run untraced.  Positional arguments are rejected unless the tool opts in
@@ -26,12 +28,13 @@ inline constexpr long kCountMax = std::numeric_limits<std::int32_t>::max();
 
 class CliArgs {
  public:
-  /// Parse argv.  `known_flags` lists the accepted --names (without the
-  /// leading dashes); anything else throws std::invalid_argument.  Up to
-  /// `max_positionals` non-flag arguments are collected into positionals()
-  /// (0, the default, rejects them).
-  CliArgs(int argc, const char* const argv[], std::set<std::string> known_flags,
-          std::size_t max_positionals = 0);
+  /// Parse argv.  `value_flags` and `switches` list the accepted --names
+  /// (without the leading dashes); anything else, and a value flag without
+  /// a value, throws std::invalid_argument.  A bare switch reads "true".
+  /// Up to `max_positionals` non-flag arguments are collected into
+  /// positionals() (0, the default, rejects them).
+  CliArgs(int argc, const char* const argv[], const std::set<std::string>& value_flags,
+          const std::set<std::string>& switches, std::size_t max_positionals = 0);
 
   [[nodiscard]] bool has(const std::string& name) const { return values_.count(name) != 0; }
 

@@ -44,10 +44,8 @@ void print_help() {
 int main(int argc, char** argv) {
   using namespace paradyn;
   try {
-    const tools::CliArgs args(argc, argv,
-                              {"top-paths", "window-ms", "hypotheses", "json", "csv", "folded",
-                               "help"},
-                              /*max_positionals=*/1);
+    const tools::CliArgs args(argc, argv, {"top-paths", "window-ms", "json", "csv", "folded"},
+                              {"hypotheses", "help"}, /*max_positionals=*/1);
     if (args.get_bool("help") || args.positionals().empty()) {
       print_help();
       return args.get_bool("help") ? 0 : 1;

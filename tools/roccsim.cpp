@@ -71,7 +71,7 @@ void print_help() {
       "                          keys: timeout max_retries backoff jitter success_p\n"
       "                          penalty threshold; see EXPERIMENTS.md).\n"
       "                          Reports time-to-repair, attempts, and gave_up per fault\n"
-      "  --adaptive-sampling [X] regulate the sampling period, per-daemon scope: each\n"
+      "  --adaptive-sampling[=X] regulate the sampling period, per-daemon scope: each\n"
       "                          daemon's period stretches up to 16x while its\n"
       "                          predicted perturbation (its CPU plus its apps'\n"
       "                          pipe-blocked time) tops X% of its host's CPUs\n"
@@ -97,7 +97,7 @@ void print_help() {
       "                          critical paths, and W3 bottleneck hypotheses (records\n"
       "                          an in-memory trace when --trace is absent); adds a\n"
       "                          bottlenecks[] block to --report-json\n"
-      "  --metrics-json FILE     metrics registry (histograms + probe series) as JSON\n"
+      "  --metrics-json FILE     probe time series (columns + rows) as JSON\n"
       "  --help                  this text\n");
 }
 
@@ -204,9 +204,9 @@ int main(int argc, char** argv) {
         argc, argv,
         {"arch", "nodes", "apps", "daemons", "sampling-ms", "batch", "topology", "barrier-ms",
          "pipe", "seconds", "warmup", "shards", "uplink-ms", "seed", "reps", "jobs",
-         "uninstrumented", "dedicated-main", "adaptive-budget", "fault", "repair",
-         "adaptive-sampling", "trace", "trace-events", "metrics", "metrics-tick-ms", "progress",
-         "report-json", "profile", "metrics-json", "help"});
+         "adaptive-budget", "fault", "repair", "trace", "trace-events", "metrics",
+         "metrics-tick-ms", "report-json", "metrics-json"},
+        {"uninstrumented", "dedicated-main", "adaptive-sampling", "progress", "profile", "help"});
     if (args.get_bool("help")) {
       print_help();
       return 0;
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
     }
     if (args.has("adaptive-sampling")) {
       cfg.regulator.scope = rocc::RegulatorScope::PerDaemon;
-      // Bare switch uses the default budget; --adaptive-sampling=X sets it.
+      // A switch: bare uses the default budget; --adaptive-sampling=X sets it.
       cfg.regulator.budget_pct = args.get_string("adaptive-sampling", "true") == "true"
                                      ? 5.0
                                      : args.get_double("adaptive-sampling", 5.0);

@@ -225,8 +225,8 @@ int main(int argc, char** argv) {
     const tools::CliArgs args(
         argc, argv,
         {"axis", "values", "arch", "nodes", "apps", "daemons", "sampling-ms", "batch",
-         "topology", "seconds", "reps", "seed", "shards", "uplink-ms", "jobs", "progress",
-         "report-json", "fault-grid", "repair-grid", "help"});
+         "topology", "seconds", "reps", "seed", "shards", "uplink-ms", "jobs", "report-json"},
+        {"progress", "fault-grid", "repair-grid", "help"});
     const bool grid_mode = args.get_bool("fault-grid");
     const bool repair_grid_mode = args.get_bool("repair-grid");
     if (args.get_bool("help") ||

@@ -72,7 +72,7 @@ paradyn::obs::TraceSummary filter_summary(paradyn::obs::TraceSummary summary,
 int main(int argc, char** argv) {
   using namespace paradyn;
   try {
-    const tools::CliArgs args(argc, argv, {"top", "event", "cat", "help"},
+    const tools::CliArgs args(argc, argv, {"top", "event", "cat"}, {"help"},
                               /*max_positionals=*/1);
     if (args.get_bool("help") || args.positionals().empty()) {
       print_help();

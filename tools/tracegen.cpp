@@ -35,9 +35,8 @@ void print_help() {
 int main(int argc, char** argv) {
   using namespace paradyn;
   try {
-    const tools::CliArgs args(
-        argc, argv,
-        {"seconds", "nodes", "seed", "out", "in", "stats", "fit", "help"});
+    const tools::CliArgs args(argc, argv, {"seconds", "nodes", "seed", "out", "in"},
+                              {"stats", "fit", "help"});
     if (args.get_bool("help")) {
       print_help();
       return 0;
