@@ -10,14 +10,12 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("ablation_cpu_quantum");
+  bench::start("ablation_cpu_quantum", argc, argv, {bench::kJobs});
   constexpr std::size_t kReps = 3;
 
   const experiments::Sweep sweep({0.5, 1, 2, 5, 10, 20, 50}, {"CF", "BF(32)"},

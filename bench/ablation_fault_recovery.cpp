@@ -10,14 +10,12 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("ablation_fault_recovery");
+  bench::start("ablation_fault_recovery", argc, argv, {bench::kJobs});
 
   const experiments::Sweep sweep(
       {0, 100, 250, 500, 1000}, {"CF", "BF(32)"},

@@ -6,15 +6,13 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace paradyn;
   using experiments::paper_panels;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("ablation_merge_cost");
+  bench::start("ablation_merge_cost", argc, argv, {bench::kJobs});
   constexpr std::size_t kReps = 2;
 
   // The direct-forwarding reference does not depend on the merge cost, so

@@ -10,14 +10,12 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("ablation_pipe_capacity");
+  bench::start("ablation_pipe_capacity", argc, argv, {bench::kJobs});
   constexpr std::size_t kReps = 3;
 
   const experiments::Sweep sweep(

@@ -9,15 +9,13 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace paradyn;
   using experiments::paper_panels;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("ablation_tracing_vs_sampling");
+  bench::start("ablation_tracing_vs_sampling", argc, argv, {bench::kJobs});
   constexpr std::size_t kReps = 3;
 
   const experiments::Sweep sweep(

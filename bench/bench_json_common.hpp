@@ -1,13 +1,10 @@
-// Shared --bench-json handling for the bench/experiment binaries.
-//
-// A harness invoked with --bench-json=PATH appends machine-measured
-// metrics (wall seconds, throughputs) to its normal output contract: it
-// still prints its table/figure, and additionally writes a flat JSON
-// object consumed by tools/bench_compare in the CI bench-smoke job.
+// Output of a harness invoked with --bench-json PATH: beside its usual
+// table/figure it writes machine-measured metrics (wall seconds,
+// throughputs) as a flat JSON object, which tools/bench_compare reads in
+// the CI bench-smoke job.
 #pragma once
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -15,17 +12,6 @@
 #include <vector>
 
 namespace paradyn::bench {
-
-/// The PATH of a --bench-json=PATH argument, or empty if absent.
-inline std::string bench_json_path(int argc, char** argv) {
-  constexpr const char* kFlag = "--bench-json=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
-      return std::string(argv[i] + std::strlen(kFlag));
-    }
-  }
-  return {};
-}
 
 class WallTimer {
  public:

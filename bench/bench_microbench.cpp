@@ -13,11 +13,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_json_common.hpp"
 #include "des/engine.hpp"
 #include "des/event_queue.hpp"
 #include "des/random.hpp"
@@ -399,29 +400,13 @@ double median_mops(int reps, Fn&& fn) {
   return mops[mops.size() / 2];
 }
 
-struct Metric {
-  std::string key;
-  double value;
-};
-
-void write_json(const std::string& path, const std::vector<Metric>& metrics) {
-  std::ofstream out(path);
-  out << "{\n";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    out << "  \"" << metrics[i].key << "\": " << metrics[i].value
-        << (i + 1 < metrics.size() ? ",\n" : "\n");
-  }
-  out << "}\n";
-  std::cout << "wrote " << metrics.size() << " metrics to " << path << "\n";
-}
-
 /// Deterministic medians for the CI gate.  Absolute `*_meps` numbers are
 /// machine-dependent and informational; the `speedup_*` ratios
 /// (calendar/heap on the same machine in the same run) are what
 /// tools/bench_compare gates, so the baseline transfers across runners.
 int emit_bench_json(const std::string& path) {
   constexpr int kReps = 5;
-  std::vector<Metric> metrics;
+  std::vector<std::pair<std::string, double>> metrics;
   const auto record = [&metrics](const std::string& name, double calendar, double heap) {
     metrics.push_back({"calendar_" + name + "_meps", calendar});
     metrics.push_back({"heap_" + name + "_meps", heap});
@@ -472,7 +457,7 @@ int emit_bench_json(const std::string& path) {
          median_mops(kReps, [] { return workload_drain<CalendarDriver>(65'536, 4); }),
          median_mops(kReps, [] { return workload_drain<HeapDriver>(65'536, 4); }));
 
-  write_json(path, metrics);
+  bench::write_bench_json(path, metrics);
   return 0;
 }
 

@@ -8,7 +8,6 @@
 
 #include "experiments/runner.hpp"
 #include "experiments/table.hpp"
-#include "jobs_common.hpp"
 
 namespace paradyn::bench {
 

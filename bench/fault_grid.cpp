@@ -56,10 +56,8 @@ double run_detect_eps(const paradyn::rocc::SystemConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  paradyn::bench::print_stamp("fault_grid");
   using namespace paradyn;
-
-  const std::string json_path = bench::bench_json_path(argc, argv);
+  const std::string json_path = bench::start("fault_grid", argc, argv, {bench::kBenchJson});
   const bench::WallTimer total;
 
   const auto plain = base_config();

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
@@ -24,8 +23,7 @@ paradyn::rocc::SystemConfig base_config(std::size_t policy) {
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("fig17_now_local");
+  bench::start("fig17_now_local", argc, argv, {bench::kJobs});
   constexpr std::size_t kReps = 3;
   const std::vector<std::string> names{"CF", "BF(32)"};
   const std::vector<experiments::Panel> panels{

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
@@ -38,8 +37,7 @@ void sweep(const std::vector<double>& xs, const char* x_label, const char* title
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("fig18_now_global");
+  bench::start("fig18_now_global", argc, argv, {bench::kJobs});
   constexpr std::size_t kReps = 3;
 
   sweep({2, 4, 8, 16, 32}, "nodes", "a: sampling period = 40 ms", [](double nodes) {

@@ -7,14 +7,12 @@
 
 #include "experiments/runner.hpp"
 #include "experiments/table.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("fig19_now_batchsize");
+  bench::start("fig19_now_batchsize", argc, argv, {bench::kJobs});
   constexpr std::size_t kReps = 3;
 
   const std::vector<double> batches{1, 2, 4, 8, 16, 32, 64, 128};

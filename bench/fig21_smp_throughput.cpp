@@ -11,14 +11,12 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("fig21_smp_throughput");
+  bench::start("fig21_smp_throughput", argc, argv, {bench::kJobs});
   constexpr std::size_t kReps = 3;
 
   for (const int batch : {1, 32}) {

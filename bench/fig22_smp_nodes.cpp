@@ -8,8 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  paradyn::bench::print_stamp("fig22_smp_nodes");
+  bench::start("fig22_smp_nodes", argc, argv, {bench::kJobs});
   const std::vector<double> cpus{2, 4, 8, 16, 32};
   bench::smp_daemon_sweep(
       "Figure 22", cpus, "nodes (CPUs)",

@@ -8,8 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  paradyn::bench::print_stamp("fig23_smp_sampling");
+  bench::start("fig23_smp_sampling", argc, argv, {bench::kJobs});
   const std::vector<double> periods_ms{1, 2, 5, 10, 20, 40, 64};
   bench::smp_daemon_sweep(
       "Figure 23", periods_ms, "sampling period (ms)",

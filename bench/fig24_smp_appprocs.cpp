@@ -6,8 +6,7 @@
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  paradyn::bench::print_stamp("fig24_smp_appprocs");
+  bench::start("fig24_smp_appprocs", argc, argv, {bench::kJobs});
   const std::vector<double> apps{4, 8, 16, 32, 64};
   bench::smp_daemon_sweep(
       "Figure 24", apps, "application processes",

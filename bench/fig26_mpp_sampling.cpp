@@ -7,14 +7,12 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("fig26_mpp_sampling");
+  bench::start("fig26_mpp_sampling", argc, argv, {bench::kJobs});
   constexpr std::size_t kReps = 2;
   constexpr std::int32_t kNodes = 64;
 

@@ -5,14 +5,12 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("fig27_mpp_nodes");
+  bench::start("fig27_mpp_nodes", argc, argv, {bench::kJobs});
   constexpr std::size_t kReps = 2;
 
   const experiments::Sweep sweep(

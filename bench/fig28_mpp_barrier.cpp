@@ -11,15 +11,13 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 #include "repro_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace paradyn;
   using experiments::paper_panels;
-  bench::init_jobs(argc, argv);
-  bench::print_stamp("fig28_mpp_barrier");
+  bench::start("fig28_mpp_barrier", argc, argv, {bench::kJobs});
   constexpr std::size_t kReps = 2;
   constexpr std::int32_t kNodes = 64;
 

@@ -100,8 +100,8 @@ Spread spread(std::vector<double> values) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  paradyn::bench::print_stamp("pdes_shards");
   using namespace paradyn;
+  const std::string json = bench::start("pdes_shards", argc, argv, {bench::kBenchJson});
 
   const std::size_t lanes =
       std::min<std::size_t>(4, experiments::ThreadPool::hardware_jobs());
@@ -141,7 +141,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r4.events_processed), kRounds, wall1.median,
               wall1.iqr, wall4.median, wall4.iqr, lanes, speedup.median, speedup.iqr);
 
-  const std::string json = bench::bench_json_path(argc, argv);
   if (!json.empty()) {
     bench::write_bench_json(json, {
                                       {"pdes_shard1_wall_seconds", wall1.median},

@@ -63,10 +63,8 @@ double run_profile_off_eps(const paradyn::rocc::SystemConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  paradyn::bench::print_stamp("profile_overhead");
   using namespace paradyn;
-
-  const std::string json_path = bench::bench_json_path(argc, argv);
+  const std::string json_path = bench::start("profile_overhead", argc, argv, {bench::kBenchJson});
   const bench::WallTimer total;
 
   const auto cfg = base_config();

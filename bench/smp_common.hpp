@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "jobs_common.hpp"
 #include "rocc/config.hpp"
 
 namespace paradyn::bench {

@@ -16,10 +16,9 @@
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  const std::string json_path = bench::bench_json_path(argc, argv);
+  const std::string json_path =
+      bench::start("table04_fig16_now_factorial", argc, argv, {bench::kJobs, bench::kBenchJson});
   const bench::WallTimer wall;
-  bench::init_jobs(argc, argv);
-  paradyn::bench::print_stamp("table04_fig16_now_factorial");
   using experiments::Factor;
 
   auto base = rocc::SystemConfig::now(2);

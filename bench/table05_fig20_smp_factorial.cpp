@@ -10,8 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  paradyn::bench::print_stamp("table05_fig20_smp_factorial");
+  bench::start("table05_fig20_smp_factorial", argc, argv, {bench::kJobs});
   using experiments::Factor;
 
   auto base = rocc::SystemConfig::smp(4, 4, 1);

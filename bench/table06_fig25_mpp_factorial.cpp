@@ -9,8 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace paradyn;
-  bench::init_jobs(argc, argv);
-  paradyn::bench::print_stamp("table06_fig25_mpp_factorial");
+  bench::start("table06_fig25_mpp_factorial", argc, argv, {bench::kJobs});
   using experiments::Factor;
 
   auto base = rocc::SystemConfig::mpp(2);

@@ -136,10 +136,6 @@ std::string RepairSpec::describe() const {
   return out;
 }
 
-RepairSpec RepairPolicy::parse_spec(const std::string& spec) {
-  return parse_spec_impl(SpecCtx{"RepairPolicy", spec, 1, 0});
-}
-
 RepairPolicy RepairPolicy::parse(const std::string& specs) {
   RepairPolicy policy;
   policy.actions =

@@ -88,12 +88,10 @@ struct RepairPolicy {
 
   [[nodiscard]] bool empty() const noexcept { return actions.empty(); }
 
-  /// Parse one action spec (the grammar above, without ';').  Throws
-  /// std::invalid_argument naming the offending token, its character
-  /// position, and — for misspelled actions/keys — the nearest known name.
-  [[nodiscard]] static RepairSpec parse_spec(const std::string& spec);
-
-  /// Parse a ';'-joined action list (the --repair flag payload).
+  /// Parse a ';'-joined action list (the --repair flag payload).  Throws
+  /// std::invalid_argument naming the offending token, its clause and
+  /// character position, and — for misspelled actions/keys — the nearest
+  /// known name.
   [[nodiscard]] static RepairPolicy parse(const std::string& specs);
 
   /// Range-check every action (parse() already did; for programmatic

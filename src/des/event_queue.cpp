@@ -229,8 +229,6 @@ void EventQueue::fire(const Fired& fired) {
   recycle(fired.slot);
 }
 
-void EventQueue::discard(const Fired& fired) noexcept { recycle(fired.slot); }
-
 void EventQueue::cancel(EventHandle& handle) noexcept {
   // A handle issued by a different queue is left untouched: resetting it
   // here would silently detach a still-live event.

@@ -116,8 +116,7 @@ class EventQueue {
   void cancel(EventHandle& handle) noexcept;
 
   /// The earliest live event, removed from the pending set and marked
-  /// Firing.  Pass it to fire() to run the callback and recycle the slot,
-  /// or discard() to recycle without running.
+  /// Firing.  Pass it to fire() to run the callback and recycle the slot.
   struct Fired {
     SimTime time = 0;
     std::uint32_t slot = 0;
@@ -132,9 +131,6 @@ class EventQueue {
 
   /// Invoke the popped event's callback, then recycle its record.
   void fire(const Fired& fired);
-
-  /// Recycle a popped event's record without invoking the callback.
-  void discard(const Fired& fired) noexcept;
 
   /// Number of live (pending, non-cancelled) events.
   [[nodiscard]] std::size_t size() const noexcept { return live_; }

@@ -220,10 +220,6 @@ std::string FaultSpec::describe() const {
   return out;
 }
 
-FaultSpec FaultPlan::parse_spec(const std::string& spec) {
-  return parse_spec_impl(SpecCtx{"FaultPlan", spec, 1, 0});
-}
-
 FaultPlan FaultPlan::parse(const std::string& specs) {
   FaultPlan plan;
   plan.faults = util::parse_clauses<FaultSpec>("FaultPlan", "fault", specs, parse_spec_impl);

@@ -121,11 +121,6 @@ struct FaultPlan {
 
   [[nodiscard]] bool empty() const noexcept { return faults.empty(); }
 
-  /// Parse one spec (the grammar above, without ';').  Throws
-  /// std::invalid_argument naming the offending token, its character
-  /// position, and — for misspelled types/keys — the nearest known name.
-  [[nodiscard]] static FaultSpec parse_spec(const std::string& spec);
-
   /// Parse a ';'-joined spec list (the --fault flag payload).  Errors cite
   /// the clause number and the token's position within the full string.
   [[nodiscard]] static FaultPlan parse(const std::string& specs);

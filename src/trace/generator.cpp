@@ -1,6 +1,7 @@
 #include "trace/generator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -79,8 +80,9 @@ Sp2TraceModel Sp2TraceModel::paper_pvmbt(double duration_us) {
 std::vector<TraceRecord> generate_trace(const Sp2TraceModel& model, std::int32_t nodes,
                                         std::uint64_t seed) {
   if (nodes <= 0) throw std::invalid_argument("generate_trace: nodes must be > 0");
-  if (!(model.duration_us > 0.0)) {
-    throw std::invalid_argument("generate_trace: duration must be > 0");
+  // An infinite duration never ends: records pile up until allocation fails.
+  if (!(model.duration_us > 0.0) || !std::isfinite(model.duration_us)) {
+    throw std::invalid_argument("generate_trace: duration must be > 0 and finite");
   }
 
   std::vector<TraceRecord> records;

@@ -18,8 +18,9 @@ namespace paradyn::consultant {
 namespace {
 
 TEST(RepairSpecParse, FullGrammar) {
-  const auto r = RepairPolicy::parse_spec(
-      "restart_daemon:timeout=500ms,max_retries=5,backoff=exp:200ms,jitter=0.1,success_p=0.9");
+  const auto r = RepairPolicy::parse(
+      "restart_daemon:timeout=500ms,max_retries=5,backoff=exp:200ms,jitter=0.1,success_p=0.9")
+                     .actions.front();
   EXPECT_EQ(r.action, RepairAction::RestartDaemon);
   EXPECT_DOUBLE_EQ(r.timeout_us, 5e5);
   EXPECT_EQ(r.max_retries, 5);
@@ -30,7 +31,7 @@ TEST(RepairSpecParse, FullGrammar) {
 }
 
 TEST(RepairSpecParse, BareActionUsesDefaults) {
-  const auto r = RepairPolicy::parse_spec("reset_pipe");
+  const auto r = RepairPolicy::parse("reset_pipe").actions.front();
   EXPECT_EQ(r.action, RepairAction::ResetPipe);
   EXPECT_DOUBLE_EQ(r.timeout_us, 5e5);
   EXPECT_EQ(r.max_retries, 3);
@@ -38,8 +39,9 @@ TEST(RepairSpecParse, BareActionUsesDefaults) {
 }
 
 TEST(RepairSpecParse, FixedBackoffAndRerouteKeys) {
-  const auto r = RepairPolicy::parse_spec(
-      "reroute_link:backoff=fixed:50ms,penalty=2.5,threshold=4");
+  const auto r = RepairPolicy::parse(
+      "reroute_link:backoff=fixed:50ms,penalty=2.5,threshold=4")
+                     .actions.front();
   EXPECT_EQ(r.action, RepairAction::RerouteLink);
   EXPECT_EQ(r.backoff, BackoffKind::Fixed);
   EXPECT_DOUBLE_EQ(r.backoff_base_us, 5e4);
@@ -50,7 +52,7 @@ TEST(RepairSpecParse, FixedBackoffAndRerouteKeys) {
 TEST(RepairSpecParse, ErrorsNameClauseAndPosition) {
   // Misspelled action: did-you-mean plus clause/char coordinates.
   try {
-    (void)RepairPolicy::parse_spec("restart_deamon:timeout=1s");
+    (void)RepairPolicy::parse("restart_deamon:timeout=1s");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -71,22 +73,22 @@ TEST(RepairSpecParse, ErrorsNameClauseAndPosition) {
 }
 
 TEST(RepairSpecParse, RangeAndShapeErrors) {
-  EXPECT_THROW((void)RepairPolicy::parse_spec("restart_daemon:timeout=0"),
+  EXPECT_THROW((void)RepairPolicy::parse("restart_daemon:timeout=0"),
                std::invalid_argument);
-  EXPECT_THROW((void)RepairPolicy::parse_spec("restart_daemon:max_retries=0"),
+  EXPECT_THROW((void)RepairPolicy::parse("restart_daemon:max_retries=0"),
                std::invalid_argument);
-  EXPECT_THROW((void)RepairPolicy::parse_spec("restart_daemon:success_p=1.5"),
+  EXPECT_THROW((void)RepairPolicy::parse("restart_daemon:success_p=1.5"),
                std::invalid_argument);
-  EXPECT_THROW((void)RepairPolicy::parse_spec("restart_daemon:jitter=2"),
+  EXPECT_THROW((void)RepairPolicy::parse("restart_daemon:jitter=2"),
                std::invalid_argument);
-  EXPECT_THROW((void)RepairPolicy::parse_spec("restart_daemon:backoff=200ms"),
+  EXPECT_THROW((void)RepairPolicy::parse("restart_daemon:backoff=200ms"),
                std::invalid_argument);  // missing kind
-  EXPECT_THROW((void)RepairPolicy::parse_spec("restart_daemon:backoff=cubic:1ms"),
+  EXPECT_THROW((void)RepairPolicy::parse("restart_daemon:backoff=cubic:1ms"),
                std::invalid_argument);
   // penalty / threshold are reroute-only.
-  EXPECT_THROW((void)RepairPolicy::parse_spec("restart_daemon:penalty=2"),
+  EXPECT_THROW((void)RepairPolicy::parse("restart_daemon:penalty=2"),
                std::invalid_argument);
-  EXPECT_THROW((void)RepairPolicy::parse_spec("reset_pipe:threshold=1"),
+  EXPECT_THROW((void)RepairPolicy::parse("reset_pipe:threshold=1"),
                std::invalid_argument);
   EXPECT_THROW((void)RepairPolicy::parse(""), std::invalid_argument);
   EXPECT_THROW((void)RepairPolicy::parse(";;"), std::invalid_argument);

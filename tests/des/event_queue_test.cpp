@@ -54,7 +54,7 @@ TEST(EventQueue, PeekReportsEarliestLiveTime) {
   const auto head = q.pop_until(2.0, true);
   ASSERT_TRUE(head.has_value());
   EXPECT_DOUBLE_EQ(head->time, 2.0);
-  q.discard(*head);
+  q.fire(*head);
 }
 
 TEST(EventQueue, CancelRemovesEvent) {
@@ -96,17 +96,6 @@ TEST(EventQueue, SizeCountsOnlyLiveEvents) {
   EXPECT_EQ(q.size(), 2u);
   q.cancel(h1);
   EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, DiscardRecyclesWithoutInvoking) {
-  EventQueue q;
-  bool invoked = false;
-  (void)q.push(1.0, [&] { invoked = true; });
-  auto fired = q.pop();
-  ASSERT_TRUE(fired.has_value());
-  q.discard(*fired);
-  EXPECT_FALSE(invoked);
-  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ManyInterleavedOperations) {

@@ -24,7 +24,7 @@ SystemConfig quick_now(std::int32_t nodes, std::int32_t batch) {
 }
 
 TEST(FaultSpecParse, DaemonStallWithUnits) {
-  const auto f = FaultPlan::parse_spec("daemon_stall:daemon=0,start=1s,dur=500ms");
+  const auto f = FaultPlan::parse("daemon_stall:daemon=0,start=1s,dur=500ms").faults.front();
   EXPECT_EQ(f.type, FaultType::DaemonStall);
   EXPECT_EQ(f.target, 0);
   EXPECT_DOUBLE_EQ(f.start_us, 1e6);
@@ -33,23 +33,24 @@ TEST(FaultSpecParse, DaemonStallWithUnits) {
 }
 
 TEST(FaultSpecParse, BareNumbersAreMicroseconds) {
-  const auto f = FaultPlan::parse_spec("daemon_crash:daemon=1,start=250000,dur=125us");
+  const auto f = FaultPlan::parse("daemon_crash:daemon=1,start=250000,dur=125us").faults.front();
   EXPECT_EQ(f.type, FaultType::DaemonCrash);
   EXPECT_DOUBLE_EQ(f.start_us, 250'000.0);
   EXPECT_DOUBLE_EQ(f.duration_us, 125.0);
 }
 
 TEST(FaultSpecParse, LinkSlowFactorAndAllTargets) {
-  const auto f = FaultPlan::parse_spec("link_slow:start=2s,dur=1s,factor=8");
+  const auto f = FaultPlan::parse("link_slow:start=2s,dur=1s,factor=8").faults.front();
   EXPECT_EQ(f.type, FaultType::LinkSlowdown);
   EXPECT_DOUBLE_EQ(f.magnitude, 8.0);
 
-  const auto d = FaultPlan::parse_spec("sample_drop:node=all,start=1s,dur=2s,p=0.25");
+  const auto d = FaultPlan::parse("sample_drop:node=all,start=1s,dur=2s,p=0.25").faults.front();
   EXPECT_EQ(d.type, FaultType::SampleDrop);
   EXPECT_EQ(d.target, -1);
   EXPECT_DOUBLE_EQ(d.magnitude, 0.25);
 
-  const auto b = FaultPlan::parse_spec("pipe_backpressure:daemon=0,start=1s,dur=1s,capacity=2");
+  const auto b =
+      FaultPlan::parse("pipe_backpressure:daemon=0,start=1s,dur=1s,capacity=2").faults.front();
   EXPECT_EQ(b.type, FaultType::PipeBackpressure);
   EXPECT_DOUBLE_EQ(b.magnitude, 2.0);
 }
@@ -63,17 +64,17 @@ TEST(FaultSpecParse, SemicolonJoinsSpecs) {
 }
 
 TEST(FaultSpecParse, MalformedSpecsThrow) {
-  EXPECT_THROW((void)FaultPlan::parse_spec(""), std::invalid_argument);
-  EXPECT_THROW((void)FaultPlan::parse_spec("bogus_type:start=0,dur=1"), std::invalid_argument);
-  EXPECT_THROW((void)FaultPlan::parse_spec("daemon_stall"), std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse(""), std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("bogus_type:start=0,dur=1"), std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("daemon_stall"), std::invalid_argument);
   // Missing required start/dur.
-  EXPECT_THROW((void)FaultPlan::parse_spec("daemon_stall:daemon=0"), std::invalid_argument);
-  EXPECT_THROW((void)FaultPlan::parse_spec("daemon_stall:daemon=0,start=1s"),
+  EXPECT_THROW((void)FaultPlan::parse("daemon_stall:daemon=0"), std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("daemon_stall:daemon=0,start=1s"),
                std::invalid_argument);
   // Unknown key and unparsable value.
-  EXPECT_THROW((void)FaultPlan::parse_spec("daemon_stall:start=1s,dur=1s,frobnicate=3"),
+  EXPECT_THROW((void)FaultPlan::parse("daemon_stall:start=1s,dur=1s,frobnicate=3"),
                std::invalid_argument);
-  EXPECT_THROW((void)FaultPlan::parse_spec("daemon_stall:daemon=x,start=1s,dur=1s"),
+  EXPECT_THROW((void)FaultPlan::parse("daemon_stall:daemon=x,start=1s,dur=1s"),
                std::invalid_argument);
   EXPECT_THROW((void)FaultPlan::parse(""), std::invalid_argument);
 }
@@ -113,9 +114,10 @@ TEST(FaultSpecParse, CapacityAndCountsAreIntegers) {
   EXPECT_NE(parse_error("pipe_backpressure:daemon=0,start=1s,dur=1s,capacity=1.5")
                 .find("expected an integer: 1.5"),
             std::string::npos);
-  EXPECT_DOUBLE_EQ(
-      FaultPlan::parse_spec("pipe_backpressure:daemon=0,start=1s,dur=1s,capacity=2").magnitude,
-      2.0);
+  EXPECT_DOUBLE_EQ(FaultPlan::parse("pipe_backpressure:daemon=0,start=1s,dur=1s,capacity=2")
+                       .faults.front()
+                       .magnitude,
+                   2.0);
   // Out-of-range integers fail by message instead of an undefined cast.
   EXPECT_NE(parse_error("daemon_stall:daemon=0,start=1s,dur=1s,cascade=0.5,cascade_hops=1e300")
                 .find("expected an integer >= 1"),
@@ -196,19 +198,21 @@ TEST(FaultPlanValidate, WindowAndTargetChecks) {
 }
 
 TEST(FaultSpecParse, StochasticWindows) {
-  const auto f = FaultPlan::parse_spec("daemon_stall:daemon=0,start=exp:1s,dur=uniform:200ms:800ms");
+  const auto f =
+      FaultPlan::parse("daemon_stall:daemon=0,start=exp:1s,dur=uniform:200ms:800ms").faults.front();
   EXPECT_TRUE(f.stochastic());
   ASSERT_NE(f.start_dist, nullptr);
   ASSERT_NE(f.duration_dist, nullptr);
 
-  const auto g = FaultPlan::parse_spec("link_slow:start=1s,dur=lognormal:500ms:100ms,factor=4");
+  const auto g =
+      FaultPlan::parse("link_slow:start=1s,dur=lognormal:500ms:100ms,factor=4").faults.front();
   EXPECT_TRUE(g.stochastic());
   EXPECT_EQ(g.start_dist, nullptr);
   EXPECT_DOUBLE_EQ(g.start_us, 1e6);
 
-  EXPECT_THROW((void)FaultPlan::parse_spec("daemon_stall:daemon=0,start=exp:,dur=1s"),
+  EXPECT_THROW((void)FaultPlan::parse("daemon_stall:daemon=0,start=exp:,dur=1s"),
                std::invalid_argument);
-  EXPECT_THROW((void)FaultPlan::parse_spec("daemon_stall:daemon=0,start=zipf:2,dur=1s"),
+  EXPECT_THROW((void)FaultPlan::parse("daemon_stall:daemon=0,start=zipf:2,dur=1s"),
                std::invalid_argument);
 }
 
@@ -240,9 +244,10 @@ TEST(FaultPlan, ResolveDrawsAndClampsStochasticWindows) {
 }
 
 TEST(FaultSpecParse, CascadeClause) {
-  const auto f = FaultPlan::parse_spec(
+  const auto f = FaultPlan::parse(
       "daemon_stall:daemon=0,start=1s,dur=500ms,cascade=0.5,cascade_delay=100ms,"
-      "cascade_hops=2,cascade_factor=8");
+      "cascade_hops=2,cascade_factor=8")
+                    .faults.front();
   EXPECT_DOUBLE_EQ(f.cascade_p, 0.5);
   EXPECT_DOUBLE_EQ(f.cascade_delay_us, 1e5);
   EXPECT_EQ(f.cascade_hops, 2);
@@ -295,7 +300,7 @@ TEST(FaultSpecParse, ErrorsNameClauseAndPositionWithSuggestion) {
     EXPECT_NE(msg.find("daemon_crash"), std::string::npos) << msg;
   }
   try {
-    (void)FaultPlan::parse_spec("daemon_stall:daemon=0,strat=1s,dur=1s");
+    (void)FaultPlan::parse("daemon_stall:daemon=0,strat=1s,dur=1s");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -317,7 +322,7 @@ TEST(FaultSpecParse, EachTypeTakesOnlyItsOwnKeys) {
                            "pipe_backpressure:daemon=0,start=1s,dur=1s,p=0.5",
                            "sample_drop:node=0,start=1s,dur=1s,p=0.5,cascade=0.5"}) {
     try {
-      (void)FaultPlan::parse_spec(spec);
+      (void)FaultPlan::parse(spec);
       ADD_FAILURE() << "accepted: " << spec;
     } catch (const std::invalid_argument& e) {
       const std::string msg = e.what();
@@ -328,7 +333,7 @@ TEST(FaultSpecParse, EachTypeTakesOnlyItsOwnKeys) {
   // The suggestion comes from the type's own keys.
   const auto message = [](const std::string& spec) {
     try {
-      (void)FaultPlan::parse_spec(spec);
+      (void)FaultPlan::parse(spec);
     } catch (const std::invalid_argument& e) {
       return std::string(e.what());
     }
@@ -342,13 +347,14 @@ TEST(FaultSpecParse, EachTypeTakesOnlyItsOwnKeys) {
             std::string::npos);
   // Each type's own keys still parse.
   const auto magnitude = [](const std::string& spec) {
-    return FaultPlan::parse_spec(spec).magnitude;
+    return FaultPlan::parse(spec).faults.front().magnitude;
   };
   EXPECT_DOUBLE_EQ(magnitude("sample_drop:node=1,start=1s,dur=1s,p=0.3"), 0.3);
   EXPECT_DOUBLE_EQ(magnitude("link_slow:start=1s,dur=1s,factor=3"), 3.0);
   EXPECT_DOUBLE_EQ(magnitude("pipe_backpressure:daemon=1,start=1s,dur=1s,capacity=3"), 3.0);
-  EXPECT_EQ(FaultPlan::parse_spec("daemon_crash:daemon=1,start=1s,dur=1s,cascade=0.5,"
-                                  "cascade_delay=5ms,cascade_hops=2,cascade_factor=1.5")
+  EXPECT_EQ(FaultPlan::parse("daemon_crash:daemon=1,start=1s,dur=1s,cascade=0.5,"
+                             "cascade_delay=5ms,cascade_hops=2,cascade_factor=1.5")
+                .faults.front()
                 .cascade_hops,
             2);
 }
@@ -395,7 +401,7 @@ TEST(FaultGate, BernoulliRateTracksProbability) {
 }
 
 TEST(FaultDescribe, MentionsTypeAndWindow) {
-  const auto f = FaultPlan::parse_spec("daemon_stall:daemon=0,start=1s,dur=500ms");
+  const auto f = FaultPlan::parse("daemon_stall:daemon=0,start=1s,dur=500ms").faults.front();
   const std::string d = f.describe();
   EXPECT_NE(d.find("daemon_stall"), std::string::npos) << d;
   EXPECT_NE(d.find('0'), std::string::npos) << d;

@@ -3,24 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace paradyn::tools {
 namespace {
 
-CliArgs parse(std::vector<const char*> argv) {
+CliArgs parse(std::vector<const char*> argv, std::string_view default_seconds = "10") {
   argv.insert(argv.begin(), "prog");
   return CliArgs(static_cast<int>(argv.size()), argv.data(),
-                 {"arch", "nodes", "apps", "daemons", "topology", "sampling-ms", "batch",
-                  "seconds", "seed", "shards", "uplink-ms", "metrics-tick-ms"},
-                 {});
+                 model_flags(default_seconds, {kMetricsTickMs}));
 }
 
 TEST(ModelConfig, SharedFlagsBuildTheConfig) {
   const auto c = model_config(parse({"--arch", "mpp", "--nodes", "16", "--topology", "tree",
                                      "--sampling-ms", "5", "--batch", "8", "--seed", "7",
-                                     "--shards", "4", "--uplink-ms", "0.5"}),
-                              10.0);
+                                     "--shards", "4", "--uplink-ms", "0.5"}));
   EXPECT_EQ(c.arch, rocc::Architecture::Mpp);
   EXPECT_EQ(c.nodes, 16);
   EXPECT_EQ(c.topology, rocc::ForwardingTopology::BinaryTree);
@@ -31,7 +30,7 @@ TEST(ModelConfig, SharedFlagsBuildTheConfig) {
   EXPECT_EQ(c.shards, 4);
   EXPECT_EQ(c.uplink_latency_us, 500.0);
 
-  const auto smp = model_config(parse({"--arch=smp", "--nodes=8", "--daemons=2"}), 5.0);
+  const auto smp = model_config(parse({"--arch=smp", "--nodes=8", "--daemons=2"}, "5"));
   EXPECT_EQ(smp.app_processes_per_node, 8);  // SMP apps default to the CPU count
   EXPECT_EQ(smp.daemons, 2);
   EXPECT_EQ(smp.duration_us, 5e6);
@@ -40,9 +39,41 @@ TEST(ModelConfig, SharedFlagsBuildTheConfig) {
 TEST(ModelConfig, CountsOutsideInt32Fail) {
   // An out-of-range count must fail, not wrap into the int32 field
   // (4294967298 would run 2 nodes, -4294967295 CF(1)).
-  EXPECT_THROW((void)model_config(parse({"--nodes", "4294967298"}), 1.0), std::invalid_argument);
-  EXPECT_THROW((void)model_config(parse({"--batch=-4294967295"}), 1.0), std::invalid_argument);
-  EXPECT_THROW((void)model_config(parse({"--arch", "vax"}), 1.0), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--nodes", "4294967298"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--batch=-4294967295"}), std::invalid_argument);
+  EXPECT_THROW((void)model_config(parse({"--arch", "vax"})), std::invalid_argument);
+}
+
+TEST(ModelConfig, RowDefaultsAreTheAbsentReads) {
+  // Every default lives in its row; --apps alone is computed where it is
+  // read: 1 per node, and on SMP one app per CPU.
+  const auto now = model_config(parse({}));
+  EXPECT_EQ(now.arch, rocc::Architecture::Now);
+  EXPECT_EQ(now.nodes, 8);
+  EXPECT_EQ(now.app_processes_per_node, 1);
+  EXPECT_EQ(now.sampling_period_us, 40'000.0);
+  EXPECT_EQ(now.batch_size, 1);
+  EXPECT_EQ(now.duration_us, 10e6);
+  EXPECT_EQ(now.seed, 1u);
+  EXPECT_EQ(now.shards, 0);
+  EXPECT_EQ(now.uplink_latency_us, 0.0);
+  const auto args = parse({});
+  EXPECT_EQ(args.get_long("reps"), 1);
+  EXPECT_EQ(args.get_long("jobs"), 0);
+  EXPECT_EQ(model_config(parse({"--arch", "smp"})).app_processes_per_node, 8);
+  EXPECT_EQ(model_config(parse({"--arch", "smp", "--apps", "3"})).app_processes_per_node, 3);
+  EXPECT_EQ(model_config(parse({"--arch", "mpp"})).topology, rocc::ForwardingTopology::Direct);
+}
+
+TEST(ModelConfig, RunFlagsRejectOutOfRangeAtParseTime) {
+  // --reps 0 --help used to print the help; --jobs -1 is no thread count.
+  for (const auto& argv : {std::vector<const char*>{"--reps", "0"},
+                           std::vector<const char*>{"--jobs=-1"},
+                           std::vector<const char*>{"--jobs", "2147483648"},
+                           std::vector<const char*>{"--seconds", "abc"}}) {
+    EXPECT_THROW((void)parse(argv), std::invalid_argument) << argv.front();
+  }
+  EXPECT_EQ(parse({"--jobs", "2147483647"}).get_long("jobs"), kCountMax);
 }
 
 TEST(MetricsTick, PositiveFiniteAndAtMostAMillionRows) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "stats/summary.hpp"
@@ -105,6 +106,13 @@ TEST(Generator, Validation) {
   auto bad = model;
   bad.duration_us = 0.0;
   EXPECT_THROW((void)generate_trace(bad, 1, 1), std::invalid_argument);
+  // tracegen --seconds inf (or 1e400, which strtod reads as inf) appended
+  // records until allocation failed.
+  for (const double d : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    bad.duration_us = d;
+    EXPECT_THROW((void)generate_trace(bad, 1, 1), std::invalid_argument) << d;
+  }
 }
 
 }  // namespace

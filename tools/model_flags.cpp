@@ -8,15 +8,53 @@
 
 namespace paradyn::tools {
 
-rocc::SystemConfig model_config(const CliArgs& args, double default_seconds) {
-  const auto int32_flag = [&](const char* name, long fallback) {
-    return static_cast<std::int32_t>(args.get_long(name, fallback, kInt32Min, kCountMax));
+std::vector<Flag> model_flags(std::string_view default_seconds,
+                              std::initializer_list<Flag> own) {
+  std::vector<Flag> rows = {
+      {"arch", Kind::Text, "now|smp|mpp", "now", "architecture"},
+      {"nodes", Kind::Integer, "N", "8", "nodes (NOW/MPP) or CPUs (SMP)", kInt32Min, kCountMax},
+      {"apps", Kind::Integer, "N", "",
+       "app processes per node; default 1, or on SMP\n"
+       "the total, default --nodes", kInt32Min, kCountMax},
+      {"daemons", Kind::Integer, "N", "1", "Paradyn daemons (SMP only)", kInt32Min, kCountMax},
+      {"sampling-ms", Kind::Number, "X", "40", "sampling period in ms"},
+      {"batch", Kind::Integer, "N", "1", "batch size (1 = CF)", kInt32Min, kCountMax},
+      {"topology", Kind::Text, "direct|tree", "direct", "MPP forwarding configuration"},
+      {"seconds", Kind::Number, "X", default_seconds, "simulated seconds"},
+      {"seed", Kind::Integer, "N", "1", "RNG seed"},
+      {"shards", Kind::Integer, "N", "0",
+       "run the model on N conservative-window DES shards\n"
+       "(PDES); results are bit-identical for every N, and\n"
+       "0 and 1 both mean one shard.  N >= 2 needs\n"
+       "--uplink-ms > 0 and rejects SMP and barriers, and in\n"
+       "roccsim --adaptive-budget and --metrics", kInt32Min, kCountMax},
+      {"uplink-ms", Kind::Number, "X", "0",
+       "daemon uplink delivery latency in ms — part of the\n"
+       "model, and the cross-shard lookahead"},
+      {"reps", Kind::Integer, "N", "1",
+       "seed-varied replications: roccsim prints 90% CIs\n"
+       "over them, roccsweep their means", 1, kCountMax},
+      {"jobs", Kind::Integer, "N", "0",
+       "worker threads for the runs; 0 = all hardware\n"
+       "threads, 1 = serial (results identical).  Shard\n"
+       "workers are clamped per job so --jobs x --shards\n"
+       "never oversubscribes the machine", 0, kCountMax},
+      {"progress", Kind::Switch, "", "", "heartbeat lines on stderr as runs finish"},
+      {"report-json", Kind::Text, "FILE", "", "full SimulationResult of every run as JSON"},
   };
-  const std::string arch = args.get_string("arch", "now");
-  const std::int32_t nodes = int32_flag("nodes", 8);
-  const std::int32_t apps = int32_flag("apps", arch == "smp" ? nodes : 1);
-  const std::int32_t daemons = int32_flag("daemons", 1);
-  const std::string topology = args.get_string("topology", "direct");
+  rows.insert(rows.end(), own);
+  return rows;
+}
+
+rocc::SystemConfig model_config(const CliArgs& args) {
+  const auto int32_flag = [&](const char* name) {
+    return static_cast<std::int32_t>(args.get_long(name));
+  };
+  const std::string arch = args.get_string("arch");
+  const std::int32_t nodes = int32_flag("nodes");
+  const std::int32_t apps = args.has("apps") ? int32_flag("apps") : arch == "smp" ? nodes : 1;
+  const std::int32_t daemons = int32_flag("daemons");
+  const std::string topology = args.get_string("topology");
 
   rocc::SystemConfig cfg = [&] {
     if (arch == "now") return rocc::SystemConfig::now(nodes);
@@ -29,12 +67,12 @@ rocc::SystemConfig model_config(const CliArgs& args, double default_seconds) {
     throw std::invalid_argument("unknown --arch: " + arch);
   }();
   if (arch != "smp") cfg.app_processes_per_node = apps;
-  cfg.sampling_period_us = args.get_double("sampling-ms", 40.0) * 1'000.0;
-  cfg.batch_size = int32_flag("batch", 1);
-  cfg.duration_us = args.get_double("seconds", default_seconds) * 1e6;
-  cfg.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  cfg.shards = int32_flag("shards", 0);
-  cfg.uplink_latency_us = args.get_double("uplink-ms", 0.0) * 1'000.0;
+  cfg.sampling_period_us = args.get_double("sampling-ms") * 1'000.0;
+  cfg.batch_size = int32_flag("batch");
+  cfg.duration_us = args.get_double("seconds") * 1e6;
+  cfg.seed = static_cast<std::uint64_t>(args.get_long("seed"));
+  cfg.shards = int32_flag("shards");
+  cfg.uplink_latency_us = args.get_double("uplink-ms") * 1'000.0;
   return cfg;
 }
 
@@ -57,8 +95,8 @@ std::int32_t* integer_field(rocc::SystemConfig& cfg, const std::string& axis) {
 
 double metrics_tick_us(const CliArgs& args, rocc::SimTime duration_us) {
   constexpr double kMaxRows = 1e6;
-  const double tick_ms = args.get_double("metrics-tick-ms", 100.0);
-  const std::string text = args.get_string("metrics-tick-ms", "100");
+  const double tick_ms = args.get_double("metrics-tick-ms");
+  const std::string text = args.get_string("metrics-tick-ms");
   if (!(tick_ms > 0.0) || !std::isfinite(tick_ms)) {
     throw std::invalid_argument("flag --metrics-tick-ms: must be > 0 and finite: " + text);
   }

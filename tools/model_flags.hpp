@@ -1,10 +1,12 @@
-// Model flags shared by roccsim and roccsweep: the SystemConfig both tools
-// build from the same spellings, roccsim's metrics tick, roccsweep's axis
-// values, and the fault-outcome tally both tools print.
+// Model flags shared by roccsim and roccsweep: their rows, declared once,
+// and the SystemConfig both tools build from them; roccsim's metrics tick,
+// roccsweep's axis values, and the fault-outcome tally both tools print.
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli_args.hpp"
@@ -13,14 +15,21 @@
 
 namespace paradyn::tools {
 
-/// The configuration named by --arch, --nodes, --apps, --daemons,
-/// --topology, --sampling-ms, --batch, --seconds (default
-/// `default_seconds`), --seed, --shards and --uplink-ms.
-[[nodiscard]] rocc::SystemConfig model_config(const CliArgs& args, double default_seconds);
+/// The rows of the flags roccsim and roccsweep share — the model (--arch,
+/// --nodes, --apps, --daemons, --sampling-ms, --batch, --topology,
+/// --seconds, --seed, --shards, --uplink-ms), the runs (--reps, --jobs)
+/// and their reports (--progress, --report-json) — then the tool's `own`.
+/// --seconds defaults to `default_seconds`, the one default each tool sets.
+[[nodiscard]] std::vector<Flag> model_flags(std::string_view default_seconds,
+                                            std::initializer_list<Flag> own);
 
-/// roccsim's --metrics-tick-ms (default 100) in simulated us.  It must be
-/// positive and finite, and record at most 1,000,000 probe rows over a run
-/// of `duration_us`.
+/// The configuration the model flags name.
+[[nodiscard]] rocc::SystemConfig model_config(const CliArgs& args);
+
+/// roccsim's --metrics-tick-ms, and its value in simulated us: positive,
+/// finite, and at most 1,000,000 probe rows over a run of `duration_us`.
+inline constexpr Flag kMetricsTickMs{"metrics-tick-ms", Kind::Number, "X", "100",
+                                     "probe period in simulated ms"};
 [[nodiscard]] double metrics_tick_us(const CliArgs& args, rocc::SimTime duration_us);
 
 /// roccsweep's --values list for `axis`: every non-empty entry must parse

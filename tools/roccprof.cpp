@@ -20,34 +20,26 @@
 #include "cli_args.hpp"
 #include "obs/profile.hpp"
 
-namespace {
-
-void print_help() {
-  std::puts(
-      "roccprof — critical-path profiler for roccsim Chrome traces\n"
-      "\n"
-      "  roccprof FILE [options]\n"
-      "\n"
-      "  FILE            trace produced by roccsim/roccsweep --trace (or any\n"
-      "                  chrome://tracing-compatible JSON)\n"
-      "  --top-paths N   slowest sample chains to list; default 5\n"
-      "  --window-ms X   W3 hypothesis window width in simulated ms; default 100\n"
-      "  --hypotheses    print only the W3 bottleneck verdicts\n"
-      "  --json FILE     write the full report as JSON (schema roccprof-v1)\n"
-      "  --csv FILE      write the per-hop decomposition as CSV\n"
-      "  --folded FILE   write flamegraph-folded stacks (feed to flamegraph.pl)\n"
-      "  --help          this text\n");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace paradyn;
+  using tools::Kind;
   try {
-    const tools::CliArgs args(argc, argv, {"top-paths", "window-ms", "json", "csv", "folded"},
-                              {"hypotheses", "help"}, /*max_positionals=*/1);
+    const tools::CliArgs args(
+        argc, argv,
+        {{"top-paths", Kind::Integer, "N", "5", "slowest sample chains to list", 0,
+          tools::kCountMax},
+         {"window-ms", Kind::Number, "X", "100", "W3 hypothesis window width in simulated ms"},
+         {"hypotheses", Kind::Switch, "", "", "print only the W3 bottleneck verdicts"},
+         {"json", Kind::Text, "FILE", "", "write the full report as JSON (schema roccprof-v1)"},
+         {"csv", Kind::Text, "FILE", "", "write the per-hop decomposition as CSV"},
+         {"folded", Kind::Text, "FILE", "",
+          "write flamegraph-folded stacks (feed to flamegraph.pl)"},
+         tools::kHelp},
+        tools::kTraceFile);
     if (args.get_bool("help") || args.positionals().empty()) {
-      print_help();
+      args.print_help(
+          "roccprof — critical-path profiler for roccsim Chrome traces\n\n"
+          "  roccprof FILE [options]");
       return args.get_bool("help") ? 0 : 1;
     }
 
@@ -59,24 +51,23 @@ int main(int argc, char** argv) {
     }
 
     obs::ProfileOptions options;
-    options.top_paths =
-        static_cast<std::size_t>(args.get_long("top-paths", 5, 0, tools::kCountMax));
-    options.window_us = args.get_double("window-ms", 100.0) * 1'000.0;
+    options.top_paths = static_cast<std::size_t>(args.get_long("top-paths"));
+    options.window_us = args.get_double("window-ms") * 1'000.0;
     const obs::ProfileReport report = obs::profile_trace_stream(is, options);
 
     std::cout << path << ":\n";
     obs::print_profile_report(std::cout, report, args.get_bool("hypotheses"));
 
     if (args.has("json")) {
-      auto os = tools::open_output(args.get_string("json", ""));
+      auto os = tools::open_output(args.get_string("json"));
       obs::write_profile_json(os, report);
     }
     if (args.has("csv")) {
-      auto os = tools::open_output(args.get_string("csv", ""));
+      auto os = tools::open_output(args.get_string("csv"));
       obs::write_profile_csv(os, report);
     }
     if (args.has("folded")) {
-      auto os = tools::open_output(args.get_string("folded", ""));
+      auto os = tools::open_output(args.get_string("folded"));
       obs::write_profile_folded(os, report);
     }
     return 0;

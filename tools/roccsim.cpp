@@ -32,75 +32,6 @@
 
 namespace {
 
-void print_help() {
-  std::puts(
-      "roccsim — Paradyn IS / ROCC model simulator\n"
-      "\n"
-      "  --arch now|smp|mpp      architecture (default now)\n"
-      "  --nodes N               nodes (NOW/MPP) or CPUs (SMP); default 8\n"
-      "  --apps N                app processes per node (SMP: total); default 1\n"
-      "  --daemons N             Paradyn daemons (SMP only); default 1\n"
-      "  --sampling-ms X         sampling period in ms; default 40\n"
-      "  --batch N               batch size (1 = CF); default 1\n"
-      "  --topology direct|tree  MPP forwarding configuration; default direct\n"
-      "  --barrier-ms X          application barrier period in ms; default off\n"
-      "  --pipe N                pipe capacity in samples; default 64\n"
-      "  --seconds X             simulated seconds; default 10\n"
-      "  --warmup X              warm-up seconds excluded from metrics; default 0\n"
-      "  --shards N              run the model on N conservative-window DES shards\n"
-      "                          (PDES); results are bit-identical for every N, and\n"
-      "                          0 and 1 both mean one shard (default 0).  N >= 2\n"
-      "                          needs --uplink-ms > 0 and rejects SMP, --barrier-ms,\n"
-      "                          --adaptive-budget and --metrics\n"
-      "  --uplink-ms X           daemon uplink delivery latency in ms — part of the\n"
-      "                          model, and the cross-shard lookahead; default 0\n"
-      "  --adaptive-budget X     regulate the sampling period, global scope (Paradyn's\n"
-      "                          dynamic cost model): one period for all daemons, kept\n"
-      "                          under an IS CPU budget of X% of all CPUs; default off\n"
-      "  --fault SPEC            inject perturbations; SPEC is ';'-joined entries like\n"
-      "                          daemon_stall:daemon=0,start=1s,dur=500ms\n"
-      "                          (types: daemon_stall daemon_crash link_slow\n"
-      "                          sample_drop pipe_backpressure; see EXPERIMENTS.md).\n"
-      "                          Detection/recovery latency is measured per fault.\n"
-      "                          Windows may be stochastic (start=exp:2s) and stall /\n"
-      "                          crash faults may cascade (cascade=0.5)\n"
-      "  --repair SPEC           close the loop: repair detected faults; SPEC is\n"
-      "                          ';'-joined actions like\n"
-      "                          restart_daemon:timeout=500ms,max_retries=3,backoff=exp:200ms\n"
-      "                          (actions: restart_daemon reroute_link reset_pipe;\n"
-      "                          keys: timeout max_retries backoff jitter success_p\n"
-      "                          penalty threshold; see EXPERIMENTS.md).\n"
-      "                          Reports time-to-repair, attempts, and gave_up per fault\n"
-      "  --adaptive-sampling[=X] regulate the sampling period, per-daemon scope: each\n"
-      "                          daemon's period stretches up to 16x while its\n"
-      "                          predicted perturbation (its CPU plus its apps'\n"
-      "                          pipe-blocked time) tops X% of its host's CPUs\n"
-      "                          (default 5); exclusive with --adaptive-budget\n"
-      "  --seed N                RNG seed; default 1\n"
-      "  --reps N                replications with 90% CIs; default 1\n"
-      "  --jobs N                worker threads for the replications; default: all\n"
-      "                          hardware threads, 1 = serial (results identical)\n"
-      "  --uninstrumented        disable the IS (baseline run)\n"
-      "  --dedicated-main        host main Paradyn on its own workstation\n"
-      "\n"
-      "observability:\n"
-      "  --trace FILE            record a Chrome trace (open in Perfetto /\n"
-      "                          chrome://tracing); with --reps, one process per rep\n"
-      "  --trace-events N        per-run trace ring capacity in events; default 262144\n"
-      "                          (oldest events drop once exceeded)\n"
-      "  --metrics FILE          probe time-series CSV (queue depths, busy fractions);\n"
-      "                          with --reps, probes attach to the first rep only\n"
-      "  --metrics-tick-ms X     probe period in simulated ms; default 100\n"
-      "  --progress              heartbeat lines on stderr as replications finish\n"
-      "  --report-json FILE      full SimulationResult of every run as JSON\n"
-      "  --profile               profile the run inline: per-hop latency decomposition,\n"
-      "                          critical paths, and W3 bottleneck hypotheses (records\n"
-      "                          an in-memory trace when --trace is absent); adds a\n"
-      "                          bottlenecks[] block to --report-json\n"
-      "  --metrics-json FILE     probe time series (columns + rows) as JSON\n"
-      "  --help                  this text\n");
-}
-
 /// One line per fault: injection window plus measured latencies and — when a
 /// repair policy is armed — the repair outcome.
 void print_fault_outcomes(const std::vector<paradyn::rocc::FaultOutcome>& outcomes) {
@@ -199,26 +130,69 @@ void print_fault_means(const std::vector<paradyn::rocc::SimulationResult>& resul
 
 int main(int argc, char** argv) {
   using namespace paradyn;
+  using tools::Kind;
   try {
-    const tools::CliArgs args(
-        argc, argv,
-        {"arch", "nodes", "apps", "daemons", "sampling-ms", "batch", "topology", "barrier-ms",
-         "pipe", "seconds", "warmup", "shards", "uplink-ms", "seed", "reps", "jobs",
-         "adaptive-budget", "fault", "repair", "trace", "trace-events", "metrics",
-         "metrics-tick-ms", "report-json", "metrics-json"},
-        {"uninstrumented", "dedicated-main", "adaptive-sampling", "progress", "profile", "help"});
+    const tools::CliArgs args(argc, argv, tools::model_flags("10", {
+        {"barrier-ms", Kind::Number, "X", "0", "application barrier period in ms, 0 = off"},
+        {"pipe", Kind::Integer, "N", "64", "pipe capacity in samples", tools::kInt32Min,
+         tools::kCountMax},
+        {"warmup", Kind::Number, "X", "0", "warm-up seconds excluded from metrics"},
+        {"adaptive-budget", Kind::Number, "X", "",
+         "regulate the sampling period, global scope (Paradyn's\n"
+         "dynamic cost model): one period for all daemons, kept\n"
+         "under an IS CPU budget of X% of all CPUs; default off"},
+        {"adaptive-sampling", Kind::Number, "[=X]", "5",
+         "regulate the sampling period, per-daemon scope: each\n"
+         "daemon's period stretches up to 16x while its\n"
+         "predicted perturbation (its CPU plus its apps'\n"
+         "pipe-blocked time) tops X% of its host's CPUs;\n"
+         "exclusive with --adaptive-budget"},
+        {"fault", Kind::Text, "SPEC", "",
+         "inject perturbations; SPEC is ';'-joined entries like\n"
+         "daemon_stall:daemon=0,start=1s,dur=500ms\n"
+         "(types: daemon_stall daemon_crash link_slow\n"
+         "sample_drop pipe_backpressure; see EXPERIMENTS.md).\n"
+         "Detection/recovery latency is measured per fault.\n"
+         "Windows may be stochastic (start=exp:2s) and stall /\n"
+         "crash faults may cascade (cascade=0.5)"},
+        {"repair", Kind::Text, "SPEC", "",
+         "close the loop: repair detected faults; SPEC is\n"
+         "';'-joined actions like\n"
+         "restart_daemon:timeout=500ms,max_retries=3,backoff=exp:200ms\n"
+         "(actions: restart_daemon reroute_link reset_pipe;\n"
+         "keys: timeout max_retries backoff jitter success_p\n"
+         "penalty threshold; see EXPERIMENTS.md).\n"
+         "Reports time-to-repair, attempts, and gave_up per fault"},
+        {"uninstrumented", Kind::Switch, "", "", "disable the IS (baseline run)"},
+        {"dedicated-main", Kind::Switch, "", "", "host main Paradyn on its own workstation"},
+        {"trace", Kind::Text, "FILE", "",
+         "record a Chrome trace (open in Perfetto /\n"
+         "chrome://tracing); with --reps, one process per rep"},
+        {"trace-events", Kind::Integer, "N", "262144",
+         "per-run trace ring capacity in events\n"
+         "(oldest events drop once exceeded)", 0, tools::kCountMax},
+        {"metrics", Kind::Text, "FILE", "",
+         "probe time-series CSV (queue depths, busy fractions);\n"
+         "with --reps, probes attach to the first rep only"},
+        tools::kMetricsTickMs,
+        {"profile", Kind::Switch, "", "",
+         "profile the run inline: per-hop latency decomposition,\n"
+         "critical paths, and W3 bottleneck hypotheses (records\n"
+         "an in-memory trace when --trace is absent); adds a\n"
+         "bottlenecks[] block to --report-json"},
+        {"metrics-json", Kind::Text, "FILE", "", "probe time series (columns + rows) as JSON"},
+        tools::kHelp,
+    }));
     if (args.get_bool("help")) {
-      print_help();
+      args.print_help("roccsim — Paradyn IS / ROCC model simulator");
       return 0;
     }
 
-    rocc::SystemConfig cfg = tools::model_config(args, 10.0);
-    cfg.barrier_period_us = args.get_double("barrier-ms", 0.0) * 1'000.0;
-    cfg.pipe_capacity =
-        static_cast<std::int32_t>(args.get_long("pipe", 64, tools::kInt32Min, tools::kCountMax));
-    cfg.warmup_us = args.get_double("warmup", 0.0) * 1e6;
-    // One sampling regulator, two scopes: --adaptive-budget is the global
-    // one (default budget 1%), --adaptive-sampling the per-daemon one (5%).
+    rocc::SystemConfig cfg = tools::model_config(args);
+    cfg.barrier_period_us = args.get_double("barrier-ms") * 1'000.0;
+    cfg.pipe_capacity = static_cast<std::int32_t>(args.get_long("pipe"));
+    cfg.warmup_us = args.get_double("warmup") * 1e6;
+    // One sampling regulator, two scopes: global and per-daemon.
     if (args.has("adaptive-budget") && args.has("adaptive-sampling")) {
       throw std::invalid_argument(
           "--adaptive-budget and --adaptive-sampling are exclusive: they pick the global or "
@@ -226,19 +200,16 @@ int main(int argc, char** argv) {
     }
     if (args.has("adaptive-budget")) {
       cfg.regulator.scope = rocc::RegulatorScope::Global;
-      cfg.regulator.budget_pct = args.get_double("adaptive-budget", 1.0);
+      cfg.regulator.budget_pct = args.get_double("adaptive-budget");
     }
     if (args.has("adaptive-sampling")) {
       cfg.regulator.scope = rocc::RegulatorScope::PerDaemon;
-      // A switch: bare uses the default budget; --adaptive-sampling=X sets it.
-      cfg.regulator.budget_pct = args.get_string("adaptive-sampling", "true") == "true"
-                                     ? 5.0
-                                     : args.get_double("adaptive-sampling", 5.0);
+      cfg.regulator.budget_pct = args.get_double("adaptive-sampling");
     }
-    if (args.has("fault")) cfg.faults = rocc::FaultPlan::parse(args.get_string("fault", ""));
+    if (args.has("fault")) cfg.faults = rocc::FaultPlan::parse(args.get_string("fault"));
     consultant::RepairPolicy repair_policy;
     if (args.has("repair")) {
-      repair_policy = consultant::RepairPolicy::parse(args.get_string("repair", ""));
+      repair_policy = consultant::RepairPolicy::parse(args.get_string("repair"));
       if (cfg.faults.empty()) {
         throw std::invalid_argument("--repair requires --fault (nothing to repair)");
       }
@@ -247,17 +218,15 @@ int main(int argc, char** argv) {
     cfg.main_on_dedicated_host = args.get_bool("dedicated-main");
     cfg.validate();
 
-    const auto reps = static_cast<std::size_t>(args.get_long("reps", 1, 1, tools::kCountMax));
-    // 0 = all hardware threads.
-    const auto jobs = static_cast<std::size_t>(args.get_long("jobs", 0, 0, tools::kCountMax));
+    const auto reps = static_cast<std::size_t>(args.get_long("reps"));
+    const auto jobs = static_cast<std::size_t>(args.get_long("jobs"));
 
-    const std::string trace_file = args.get_string("trace", "");
-    const auto trace_events =
-        static_cast<std::size_t>(args.get_long("trace-events", 1L << 18, 0, tools::kCountMax));
-    const std::string metrics_file = args.get_string("metrics", "");
-    const std::string report_file = args.get_string("report-json", "");
+    const std::string trace_file = args.get_string("trace");
+    const auto trace_events = static_cast<std::size_t>(args.get_long("trace-events"));
+    const std::string metrics_file = args.get_string("metrics");
+    const std::string report_file = args.get_string("report-json");
     const bool profile = args.get_bool("profile");
-    const std::string metrics_json_file = args.get_string("metrics-json", "");
+    const std::string metrics_json_file = args.get_string("metrics-json");
     // --metrics-json wants the probes armed even without a CSV destination.
     const bool want_metrics = !metrics_file.empty() || !metrics_json_file.empty();
     // Checked whenever it is given or used, before any output.

@@ -34,40 +34,6 @@ namespace {
 /// sweep runs unsharded or the clamp left only one lane per job.
 using ShardSetup = std::function<void(paradyn::rocc::Simulation&)>;
 
-void print_help() {
-  std::puts(
-      "roccsweep — one-axis parameter sweep, CSV on stdout\n"
-      "\n"
-      "  --axis NAME        sampling-ms | batch | nodes | apps | daemons | pipe |\n"
-      "                     barrier-ms\n"
-      "                     (--axis nodes sweeps node count on NOW/MPP; on SMP it\n"
-      "                     sweeps cpus_per_node, the machine's CPU count)\n"
-      "  --values a,b,c     sweep points (required); each must be a finite number,\n"
-      "                     and an integer on batch, nodes, apps, daemons and pipe;\n"
-      "                     a malformed value fails before anything runs\n"
-      "  --arch now|smp|mpp --nodes N --apps N --daemons N --sampling-ms X\n"
-      "  --batch N --topology direct|tree --seconds X --reps N --seed N\n"
-      "  --shards N         run every simulation on N conservative-window DES\n"
-      "                     shards (PDES); results are bit-identical for every N,\n"
-      "                     and 0 and 1 both mean one shard (default 0).  N >= 2\n"
-      "                     needs --uplink-ms > 0 and rejects SMP and barriers\n"
-      "  --uplink-ms X      daemon uplink latency in ms — part of the model, and\n"
-      "                     the cross-shard lookahead; default 0\n"
-      "  --jobs N           worker threads for the sweep's runs; default: all\n"
-      "                     hardware threads, 1 = serial (results identical).\n"
-      "                     Shard workers are clamped per job so --jobs x --shards\n"
-      "                     never oversubscribes the machine\n"
-      "  --progress         heartbeat lines on stderr as runs finish\n"
-      "  --report-json FILE full SimulationResult of every run as JSON\n"
-      "  --fault-grid       instead of an axis sweep, run the canonical fault grid\n"
-      "                     (every fault type at two severities + a fault-free\n"
-      "                     baseline) and emit a detection/recovery-latency CSV\n"
-      "  --repair-grid      instead of an axis sweep, cross every repairable fault\n"
-      "                     flavor with the canonical repair policies (off, eager,\n"
-      "                     flaky, hopeless) and emit a repair/MTTR CSV\n"
-      "  --help             this text\n");
-}
-
 /// One row of a grid: a fault (empty spec = the fault-free baseline) and
 /// a repair policy (empty spec = detection only; the fault grid has none).
 struct GridRow {
@@ -221,34 +187,49 @@ void print_repair_row(const GridRow& row,
 
 int main(int argc, char** argv) {
   using namespace paradyn;
+  using tools::Kind;
   try {
-    const tools::CliArgs args(
-        argc, argv,
-        {"axis", "values", "arch", "nodes", "apps", "daemons", "sampling-ms", "batch",
-         "topology", "seconds", "reps", "seed", "shards", "uplink-ms", "jobs", "report-json"},
-        {"progress", "fault-grid", "repair-grid", "help"});
+    const tools::CliArgs args(argc, argv, tools::model_flags("5", {
+        {"axis", Kind::Text, "NAME", "",
+         "sampling-ms | batch | nodes | apps | daemons | pipe |\n"
+         "barrier-ms\n"
+         "(--axis nodes sweeps node count on NOW/MPP; on SMP it\n"
+         "sweeps cpus_per_node, the machine's CPU count)"},
+        {"values", Kind::Text, "a,b,c", "",
+         "sweep points (required); each must be a finite number,\n"
+         "and an integer on batch, nodes, apps, daemons and pipe;\n"
+         "a malformed value fails before anything runs"},
+        {"fault-grid", Kind::Switch, "", "",
+         "instead of an axis sweep, run the canonical fault grid\n"
+         "(every fault type at two severities + a fault-free\n"
+         "baseline) and emit a detection/recovery-latency CSV"},
+        {"repair-grid", Kind::Switch, "", "",
+         "instead of an axis sweep, cross every repairable fault\n"
+         "flavor with the canonical repair policies (off, eager,\n"
+         "flaky, hopeless) and emit a repair/MTTR CSV"},
+        tools::kHelp,
+    }));
     const bool grid_mode = args.get_bool("fault-grid");
     const bool repair_grid_mode = args.get_bool("repair-grid");
     if (args.get_bool("help") ||
         (!grid_mode && !repair_grid_mode && (!args.has("axis") || !args.has("values")))) {
-      print_help();
+      args.print_help("roccsweep — one-axis parameter sweep, CSV on stdout");
       return args.get_bool("help") ? 0 : 1;
     }
     if (grid_mode && repair_grid_mode) {
       throw std::invalid_argument("--fault-grid and --repair-grid are mutually exclusive");
     }
 
-    const std::string axis = args.get_string("axis", "");
+    const std::string axis = args.get_string("axis");
     const auto values = grid_mode || repair_grid_mode
                             ? std::vector<double>{}
-                            : tools::parse_values(axis, args.get_string("values", ""));
-    const rocc::SystemConfig base = tools::model_config(args, 5.0);
-    const auto reps = static_cast<std::size_t>(args.get_long("reps", 1, 1, tools::kCountMax));
-    // 0 = all hardware threads.
-    const auto jobs = static_cast<std::size_t>(args.get_long("jobs", 0, 0, tools::kCountMax));
+                            : tools::parse_values(axis, args.get_string("values"));
+    const rocc::SystemConfig base = tools::model_config(args);
+    const auto reps = static_cast<std::size_t>(args.get_long("reps"));
+    const auto jobs = static_cast<std::size_t>(args.get_long("jobs"));
 
     if (args.get_bool("progress")) experiments::set_progress_stream(&std::cerr);
-    const std::string report_file = args.get_string("report-json", "");
+    const std::string report_file = args.get_string("report-json");
 
     // Every replication job runs its own sharded simulation, so unclamped
     // PDES lanes would put --jobs x --shards threads on the machine at
@@ -285,7 +266,7 @@ int main(int argc, char** argv) {
     stamp.extra = grid_mode ? "fault-grid reps=" + std::to_string(reps)
                   : repair_grid_mode
                       ? "repair-grid reps=" + std::to_string(reps)
-                      : "axis=" + axis + " values=" + args.get_string("values", "") +
+                      : "axis=" + axis + " values=" + args.get_string("values") +
                             " reps=" + std::to_string(reps);
     // '#'-prefixed header on the CSV itself: plotting scripts skip it,
     // humans can always trace the file back to the run that made it.

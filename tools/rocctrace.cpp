@@ -21,20 +21,6 @@
 
 namespace {
 
-void print_help() {
-  std::puts(
-      "rocctrace — summarize a Chrome trace-event JSON file\n"
-      "\n"
-      "  rocctrace FILE [--top N] [--event NAME] [--cat NAME]\n"
-      "\n"
-      "  FILE          trace produced by roccsim/roccsweep --trace (or any\n"
-      "                chrome://tracing-compatible JSON)\n"
-      "  --top N       event types to list; default 20\n"
-      "  --event NAME  only event types / async chains with this name\n"
-      "  --cat NAME    only event types / async chains in this category\n"
-      "  --help        this text\n");
-}
-
 /// Keep only the rows matching the --event / --cat filters.  A filter value
 /// that matches nothing in the trace is a loud error with a did-you-mean
 /// over the names the trace actually contains — a typo must not silently
@@ -71,15 +57,23 @@ paradyn::obs::TraceSummary filter_summary(paradyn::obs::TraceSummary summary,
 
 int main(int argc, char** argv) {
   using namespace paradyn;
+  using tools::Kind;
   try {
-    const tools::CliArgs args(argc, argv, {"top", "event", "cat"}, {"help"},
-                              /*max_positionals=*/1);
+    const tools::CliArgs args(
+        argc, argv,
+        {{"top", Kind::Integer, "N", "20", "event types to list", 0, tools::kCountMax},
+         {"event", Kind::Text, "NAME", "", "only event types / async chains with this name"},
+         {"cat", Kind::Text, "NAME", "", "only event types / async chains in this category"},
+         tools::kHelp},
+        tools::kTraceFile);
     if (args.get_bool("help") || args.positionals().empty()) {
-      print_help();
+      args.print_help(
+          "rocctrace — summarize a Chrome trace-event JSON file\n\n"
+          "  rocctrace FILE [options]");
       return args.get_bool("help") ? 0 : 1;
     }
 
-    const auto top = static_cast<std::size_t>(args.get_long("top", 20, 0, tools::kCountMax));
+    const auto top = static_cast<std::size_t>(args.get_long("top"));
     const std::string& path = args.positionals().front();
     std::ifstream is(path);
     if (!is) {
@@ -87,8 +81,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const auto summary = filter_summary(obs::summarize_trace(is),
-                                        args.get_string("event", ""),
-                                        args.get_string("cat", ""));
+                                        args.get_string("event"), args.get_string("cat"));
     std::cout << path << ":\n";
     obs::print_trace_summary(std::cout, summary, top);
     return 0;

@@ -14,44 +14,33 @@
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
 
-namespace {
-
-void print_help() {
-  std::puts(
-      "tracegen — synthetic SP-2 trace generator / workload characterizer\n"
-      "\n"
-      "  --seconds X      generate X seconds of trace (default 10)\n"
-      "  --nodes N        nodes to trace (default 1)\n"
-      "  --seed N         RNG seed (default 1)\n"
-      "  --out FILE       write the generated trace as CSV\n"
-      "  --in FILE        read a trace CSV instead of generating\n"
-      "  --stats          print Table 1-style occupancy statistics\n"
-      "  --fit            print Table 2-style fitted distributions\n"
-      "  --help           this text\n");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace paradyn;
+  using tools::Kind;
   try {
-    const tools::CliArgs args(argc, argv, {"seconds", "nodes", "seed", "out", "in"},
-                              {"stats", "fit", "help"});
+    const tools::CliArgs args(
+        argc, argv,
+        {{"seconds", Kind::Number, "X", "10", "generate X seconds of trace"},
+         {"nodes", Kind::Integer, "N", "1", "nodes to trace", tools::kInt32Min, tools::kCountMax},
+         {"seed", Kind::Integer, "N", "1", "RNG seed"},
+         {"out", Kind::Text, "FILE", "", "write the generated trace as CSV"},
+         {"in", Kind::Text, "FILE", "", "read a trace CSV instead of generating"},
+         {"stats", Kind::Switch, "", "", "print Table 1-style occupancy statistics"},
+         {"fit", Kind::Switch, "", "", "print Table 2-style fitted distributions"},
+         tools::kHelp});
     if (args.get_bool("help")) {
-      print_help();
+      args.print_help("tracegen — synthetic SP-2 trace generator / workload characterizer");
       return 0;
     }
 
     std::vector<trace::TraceRecord> records;
     if (args.has("in")) {
-      records = trace::read_csv_file(args.get_string("in", ""));
-      std::printf("read %zu records from %s\n", records.size(),
-                  args.get_string("in", "").c_str());
+      records = trace::read_csv_file(args.get_string("in"));
+      std::printf("read %zu records from %s\n", records.size(), args.get_string("in").c_str());
     } else {
-      const double seconds = args.get_double("seconds", 10.0);
-      const auto nodes = static_cast<std::int32_t>(
-          args.get_long("nodes", 1, tools::kInt32Min, tools::kCountMax));
-      const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+      const double seconds = args.get_double("seconds");
+      const auto nodes = static_cast<std::int32_t>(args.get_long("nodes"));
+      const auto seed = static_cast<std::uint64_t>(args.get_long("seed"));
       records = trace::generate_trace(trace::Sp2TraceModel::paper_pvmbt(seconds * 1e6), nodes,
                                       seed);
       std::printf("generated %zu records (%.1f s, %d node(s), seed %llu)\n", records.size(),
@@ -59,8 +48,8 @@ int main(int argc, char** argv) {
     }
 
     if (args.has("out")) {
-      trace::write_csv_file(args.get_string("out", ""), records);
-      std::printf("wrote %s\n", args.get_string("out", "").c_str());
+      trace::write_csv_file(args.get_string("out"), records);
+      std::printf("wrote %s\n", args.get_string("out").c_str());
     }
 
     if (args.get_bool("stats")) {
