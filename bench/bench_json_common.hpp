@@ -5,6 +5,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -25,7 +26,8 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Write `{"key": value, ...}` to `path` (one flat JSON object).
+/// Write `{"key": value, ...}` to `path` (one flat JSON object); a file
+/// that cannot be written prints "bench-json: cannot write PATH" and exits 1.
 inline void write_bench_json(const std::string& path,
                              const std::vector<std::pair<std::string, double>>& metrics) {
   std::ofstream out(path);
@@ -35,6 +37,11 @@ inline void write_bench_json(const std::string& path,
         << (i + 1 < metrics.size() ? ",\n" : "\n");
   }
   out << "}\n";
+  out.flush();
+  if (!out) {
+    std::cerr << "bench-json: cannot write " << path << "\n";
+    std::exit(1);
+  }
   std::cerr << "bench-json: wrote " << metrics.size() << " metric(s) to " << path << "\n";
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -37,15 +38,20 @@ inline void print_stamp(const char* tool) {
 }
 
 /// Parse `flags`, make --jobs the experiments default, print the stamp of
-/// `tool`, and return the --bench-json FILE ("" without one).  A bad flag
-/// prints "tool: message" on stderr and exits 1.
+/// `tool`, and return the --bench-json FILE ("" without one).  A bad flag,
+/// or a FILE that cannot be opened for writing, prints "tool: message" on
+/// stderr and exits 1 before the stamp.
 inline std::string start(const char* tool, int argc, char** argv,
                          std::vector<tools::Flag> flags) {
   try {
     const tools::CliArgs args(argc, argv, std::move(flags));
     if (args.has("jobs")) experiments::set_default_jobs(args.get_long("jobs"));
+    const std::string json = args.get_string("bench-json");
+    if (!json.empty() && !std::ofstream(json, std::ios::app)) {
+      throw std::invalid_argument("cannot write " + json);
+    }
     print_stamp(tool);
-    return args.get_string("bench-json");
+    return json;
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s: %s\n", tool, e.what());
     std::exit(1);

@@ -53,6 +53,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "des/inline_function.hpp"
@@ -88,8 +89,8 @@ class EventQueue {
  public:
   /// Inline capture budget per event: a moved-in rocc::SmallCallback (a
   /// 32-byte InlineFunction), a std::function, or the largest model capture
-  /// (48 bytes), so a slot is one 64-byte InlineFunction.  Larger captures
-  /// are a compile error, not a heap allocation.
+  /// (48 bytes: a forwarded Batch and its receiver), so a slot is one 64-byte
+  /// InlineFunction.  Larger captures are a compile error, not a heap allocation.
   static constexpr std::size_t kCallbackCapacity = 48;
   using Callback = InlineFunction<kCallbackCapacity>;
 
@@ -103,7 +104,11 @@ class EventQueue {
     const std::uint32_t slot = acquire_slot();
     time_[slot] = time;
     seq_[slot] = next_seq_++;
-    callback_of(slot).emplace(std::forward<F>(callback));
+    if constexpr (std::is_same_v<std::remove_cvref_t<F>, Callback>) {
+      callback_of(slot) = std::forward<F>(callback);  // a ready callback moves in as is
+    } else {
+      callback_of(slot).emplace(std::forward<F>(callback));
+    }
     state_[slot] = State::Pending;
     const std::uint32_t generation = generation_[slot];
     link(slot, time);

@@ -26,7 +26,7 @@ ShardSet::ShardSet(const ShardSetConfig& config) : config_(config) {
 }
 
 void ShardSet::post(std::size_t from, std::size_t to, SimTime delivery_time,
-                    std::uint64_t sender_key, std::function<void()> deliver) {
+                    std::uint64_t sender_key, Engine::Callback deliver) {
   if (from >= engines_.size() || to >= engines_.size()) {
     throw std::out_of_range("ShardSet::post: shard index out of range");
   }
@@ -42,21 +42,19 @@ void ShardSet::flush_outboxes() {
   // Gather, order canonically, and inject.  The sort key never involves the
   // source shard index, so the injection order — and the (time, insertion)
   // order inside every destination queue — is invariant under re-sharding.
-  std::vector<Message> pending;
   for (auto& outbox : outboxes_) {
-    for (auto& msg : outbox) pending.push_back(std::move(msg));
+    for (auto& msg : outbox) pending_.push_back(std::move(msg));
     outbox.clear();
   }
-  std::sort(pending.begin(), pending.end(), [](const Message& a, const Message& b) {
+  std::sort(pending_.begin(), pending_.end(), [](const Message& a, const Message& b) {
     if (a.delivery_time != b.delivery_time) return a.delivery_time < b.delivery_time;
     if (a.sender_key != b.sender_key) return a.sender_key < b.sender_key;
     return a.seq < b.seq;
   });
-  for (auto& msg : pending) {
-    engines_[msg.to].schedule_at(msg.delivery_time,
-                                 [fn = std::move(msg.deliver)] { fn(); });
-    ++delivered_;
+  for (auto& msg : pending_) {
+    engines_[msg.to].schedule_at(msg.delivery_time, std::move(msg.deliver));
   }
+  pending_.clear();
 }
 
 void ShardSet::run(const std::function<void(SimTime)>& checkpoint) {
@@ -92,9 +90,6 @@ void ShardSet::run(const std::function<void(SimTime)>& checkpoint) {
     }
   }
 
-  const auto serial = [](std::size_t count, const std::function<void(std::size_t)>& body) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-  };
   for (const Boundary& b : merged) {
     horizon_ = b.time;
     const std::function<void(std::size_t)> body = [this, &b](std::size_t shard) {
@@ -107,7 +102,7 @@ void ShardSet::run(const std::function<void(SimTime)>& checkpoint) {
     if (executor_) {
       executor_(engines_.size(), body);
     } else {
-      serial(engines_.size(), body);
+      for (std::size_t s = 0; s < engines_.size(); ++s) body(s);
     }
     flush_outboxes();
     if (checkpoint && b.inclusive && b.time == config_.warmup_us) checkpoint(b.time);

@@ -74,8 +74,10 @@ class ShardSet {
   /// the conservative contract is broken and this throws.  `sender_key`
   /// identifies the logical sender (e.g. a daemon index); together with a
   /// per-sender sequence number it gives injections a canonical total order.
+  /// `deliver` is the event the destination engine runs, stored inline as
+  /// every event is: a capture above Engine's 48-byte slot does not compile.
   void post(std::size_t from, std::size_t to, SimTime delivery_time, std::uint64_t sender_key,
-            std::function<void()> deliver);
+            Engine::Callback deliver);
 
   /// Run all shards to duration_us, synchronizing every window boundary.
   /// `checkpoint` (optional) fires once with the warm-up time after every
@@ -86,16 +88,13 @@ class ShardSet {
   /// Sum of events executed across all shard engines.
   [[nodiscard]] std::uint64_t events_processed() const noexcept;
 
-  /// Cross-shard messages delivered so far.
-  [[nodiscard]] std::uint64_t messages_delivered() const noexcept { return delivered_; }
-
  private:
   struct Message {
     std::size_t to = 0;
     SimTime delivery_time = 0.0;
     std::uint64_t sender_key = 0;
     std::uint64_t seq = 0;
-    std::function<void()> deliver;
+    Engine::Callback deliver;
   };
 
   void flush_outboxes();
@@ -104,9 +103,9 @@ class ShardSet {
   std::deque<Engine> engines_;  // deque: stable addresses, Engine is not movable
   std::vector<std::vector<Message>> outboxes_;  // one per source shard
   std::vector<std::uint64_t> seq_;              // one per source shard: per-sender ordering
+  std::vector<Message> pending_;  // one barrier's injections; keeps its capacity
   Executor executor_;
   SimTime horizon_ = 0.0;  // end of the window currently executing
-  std::uint64_t delivered_ = 0;
 };
 
 }  // namespace paradyn::des

@@ -11,6 +11,7 @@
 #include <ostream>
 #include <utility>
 
+#include "experiments/shard_executor.hpp"
 #include "experiments/thread_pool.hpp"
 #include "obs/progress.hpp"
 
@@ -58,21 +59,19 @@ void RunReport::print(std::ostream& os, std::string_view label) const {
   os << line;
 }
 
+std::size_t shard_lanes(std::size_t workers, std::size_t shards, std::size_t hardware) noexcept {
+  return std::min(shards, std::max<std::size_t>(1, hardware / std::max<std::size_t>(1, workers)));
+}
+
 ParallelRunner::ParallelRunner(std::size_t jobs) : jobs_(jobs == 0 ? default_jobs() : jobs) {}
 
 std::vector<rocc::SimulationResult> ParallelRunner::replications(const rocc::SystemConfig& config,
                                                                  std::size_t n) {
-  auto grid = run_grid({config}, config.seed, n);
+  auto grid = cells({config}, config.seed, n);
   return std::move(grid.front());
 }
 
 std::vector<std::vector<rocc::SimulationResult>> ParallelRunner::cells(
-    const std::vector<rocc::SystemConfig>& cell_configs, std::uint64_t base_seed,
-    std::size_t replications) {
-  return run_grid(cell_configs, base_seed, replications);
-}
-
-std::vector<std::vector<rocc::SimulationResult>> ParallelRunner::run_grid(
     const std::vector<rocc::SystemConfig>& cell_configs, std::uint64_t base_seed,
     std::size_t replications) {
   const std::size_t num_cells = cell_configs.size();
@@ -95,19 +94,29 @@ std::vector<std::vector<rocc::SimulationResult>> ParallelRunner::run_grid(
     meter.emplace(*ps, "sweep", report_.runs);
   }
 
+  // At most one worker per run; a single worker runs inline on the caller.
+  const std::size_t workers = std::min(jobs_, report_.runs);
+  std::int32_t shards = 1;
+  for (const auto& c : cell_configs) shards = std::max(shards, c.shards);
+  const std::size_t lanes =  // a shard-free grid never queries the hardware
+      shards < 2 ? 1 : shard_lanes(workers, shards, ThreadPool::hardware_jobs());
+  std::optional<ThreadPool> lane_pool;  // each run's worker is its lane 0
+  if (lanes > 1) lane_pool.emplace(workers * (lanes - 1));
+
   const auto run_one = [&](std::size_t cell, std::size_t rep) {
     rocc::SystemConfig c = cell_configs[cell];
     c.seed = base_seed + rep;  // common random numbers across cells
     const double t0 = now_sec();
     rocc::Simulation sim(std::move(c));
+    if (lane_pool && cell_configs[cell].shards > 1) {
+      sim.set_shard_executor(shard_pool_executor(*lane_pool, lanes));
+    }
     if (hook_) hook_(sim, cell, rep);
     results[cell][rep] = sim.run();
     run_wall[cell * replications + rep] = now_sec() - t0;
     if (meter) meter->run_completed(results[cell][rep].events_processed);
   };
 
-  // At most one worker per run; a single worker runs inline on the caller.
-  const std::size_t workers = std::min(jobs_, report_.runs);
   if (workers <= 1) {
     for (std::size_t cell = 0; cell < num_cells; ++cell) {
       for (std::size_t rep = 0; rep < replications; ++rep) run_one(cell, rep);

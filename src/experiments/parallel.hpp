@@ -57,6 +57,11 @@ void set_default_jobs(std::size_t jobs) noexcept;
 void set_progress_stream(std::ostream* os) noexcept;
 [[nodiscard]] std::ostream* progress_stream() noexcept;
 
+/// The one lane rule: each of `workers` concurrent runs fans its shard
+/// windows over min(shards, max(1, hardware / workers)) threads.
+[[nodiscard]] std::size_t shard_lanes(std::size_t workers, std::size_t shards,
+                                      std::size_t hardware) noexcept;
+
 /// Per-run customization hook, applied to each Simulation after
 /// construction and before run() — the observability path: attach tracers
 /// and metrics probes to chosen runs of a sweep.  Called on worker threads;
@@ -66,7 +71,9 @@ using RunHook = std::function<void(rocc::Simulation& sim, std::size_t cell, std:
 class ParallelRunner {
  public:
   /// jobs = 0 picks up default_jobs().  A grid starts min(jobs, runs)
-  /// workers; with one it runs inline on the caller thread, no pool.
+  /// workers; with one it runs inline on the caller thread, no pool.  Runs
+  /// of two or more shards get shard_pool_executor on shard_lanes() lanes,
+  /// from one pool of workers x (lanes - 1) threads the grid owns.
   explicit ParallelRunner(std::size_t jobs = 0);
 
   [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
@@ -90,10 +97,6 @@ class ParallelRunner {
   void set_run_hook(RunHook hook) { hook_ = std::move(hook); }
 
  private:
-  std::vector<std::vector<rocc::SimulationResult>> run_grid(
-      const std::vector<rocc::SystemConfig>& cell_configs, std::uint64_t base_seed,
-      std::size_t replications);
-
   std::size_t jobs_;
   RunReport report_;
   RunHook hook_;

@@ -309,7 +309,7 @@ void Simulation::send(std::size_t from, std::size_t to, std::uint64_t sender_key
     return;
   }
   shards_->post(from, to, shards_->engine(from).now() + uplink, sender_key,
-                std::function<void()>(std::forward<Deliver>(deliver)));
+                std::forward<Deliver>(deliver));
 }
 
 void Simulation::trace_marker(std::size_t shard, const char* category, const char* name,

@@ -110,8 +110,8 @@ class Simulation {
                           const std::string& process_name = "rocc");
 
   /// Executor for the window loop (see des::ShardSet): absent, shards run
-  /// serially in index order; tools install a ThreadPool-backed executor
-  /// when hardware allows.  Results are bit-identical either way.
+  /// serially in index order; experiments::ParallelRunner installs a pooled
+  /// one by its lane rule.  Results are bit-identical either way.
   void set_shard_executor(des::ShardSet::Executor executor);
 
   /// Register the standard probes (event-queue depth, pipe occupancy,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
 
@@ -19,6 +20,27 @@ std::shared_ptr<const Exponential> exponential(double mean) {
 
 std::shared_ptr<const Lognormal> lognormal(double mean, double stddev) {
   return std::make_shared<Lognormal>(Lognormal::from_mean_stddev(mean, stddev));
+}
+
+/// Records `model` is expected to emit on `nodes` nodes: one per mean
+/// inter-arrival, or two per mean cycle of an alternating process (which
+/// needs both lengths); the main process runs on node 0 only.
+double expected_records(const Sp2TraceModel& model, std::int32_t nodes) {
+  double per_us = 0.0;
+  for (const ProcessTraceModel& pm : model.processes) {
+    double rate = 0.0;
+    if (pm.alternating) {
+      if (!pm.cpu_length || !pm.net_length) {
+        throw std::invalid_argument("generate_trace: alternating process needs both lengths");
+      }
+      rate = 2.0 / (pm.cpu_length->mean() + pm.net_length->mean());
+    } else {
+      if (pm.cpu_length && pm.cpu_interarrival) rate += 1.0 / pm.cpu_interarrival->mean();
+      if (pm.net_length && pm.net_interarrival) rate += 1.0 / pm.net_interarrival->mean();
+    }
+    per_us += pm.pclass == ProcessClass::MainParadyn ? rate : rate * nodes;
+  }
+  return per_us * model.duration_us;
 }
 
 }  // namespace
@@ -84,6 +106,14 @@ std::vector<TraceRecord> generate_trace(const Sp2TraceModel& model, std::int32_t
   if (!(model.duration_us > 0.0) || !std::isfinite(model.duration_us)) {
     throw std::invalid_argument("generate_trace: duration must be > 0 and finite");
   }
+  // Every record stays in memory until the sort: fail here, not in the allocator.
+  if (const double n = expected_records(model, nodes); !(n <= kMaxTraceRecords)) {
+    char message[128];
+    std::snprintf(message, sizeof(message),
+                  "generate_trace: the model expects about %.3g records, above the cap of %zu "
+                  "(1 GiB of records)", n, kMaxTraceRecords);
+    throw std::invalid_argument(message);
+  }
 
   std::vector<TraceRecord> records;
   std::int32_t next_pid = 1;
@@ -98,9 +128,6 @@ std::vector<TraceRecord> generate_trace(const Sp2TraceModel& model, std::int32_t
       des::RngStream rng(seed, static_cast<std::uint64_t>(node) * 131 + pi, 17);
 
       if (pm.alternating) {
-        if (!pm.cpu_length || !pm.net_length) {
-          throw std::invalid_argument("generate_trace: alternating process needs both lengths");
-        }
         const auto cpu_length = stats::FrozenSampler::compile(pm.cpu_length);
         const auto net_length = stats::FrozenSampler::compile(pm.net_length);
         double t = 0.0;

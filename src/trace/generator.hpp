@@ -7,6 +7,7 @@
 // characterization pipeline on a generated trace regenerates Table 1/2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -44,8 +45,12 @@ struct Sp2TraceModel {
   [[nodiscard]] static Sp2TraceModel paper_pvmbt(double duration_us = 10e6);
 };
 
+/// The most records generate_trace will hold: 1 GiB of them.
+inline constexpr std::size_t kMaxTraceRecords = (std::size_t{1} << 30) / sizeof(TraceRecord);
+
 /// Generate a trace for `nodes` nodes under `model`, deterministically from
-/// `seed`.  Records are returned sorted by timestamp.
+/// `seed`.  Records are returned sorted by timestamp.  A model expected to
+/// emit more than kMaxTraceRecords records is rejected before generating.
 [[nodiscard]] std::vector<TraceRecord> generate_trace(const Sp2TraceModel& model,
                                                       std::int32_t nodes, std::uint64_t seed);
 

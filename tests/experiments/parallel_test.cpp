@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -149,6 +150,53 @@ TEST(ParallelRunner, RunHookSeesEveryRunAndEventsAreAccounted) {
   runner.set_run_hook({});
   const auto plain = runner.replications(tiny_config(), 3);
   for (std::size_t i = 0; i < plain.size(); ++i) expect_identical(results[i], plain[i]);
+}
+
+TEST(ShardLanes, OneRuleForEveryGrid) {
+  for (std::size_t hw = 1; hw <= 9; ++hw) {
+    for (std::size_t shards = 1; shards <= 9; ++shards) {
+      // One run gets every hardware thread it can use.
+      EXPECT_EQ(shard_lanes(1, shards, hw), std::min(shards, hw));
+      for (std::size_t workers = 1; workers <= 9; ++workers) {
+        SCOPED_TRACE(testing::Message() << "hw " << hw << ", shards " << shards << ", workers "
+                                        << workers);
+        const std::size_t lanes = shard_lanes(workers, shards, hw);
+        EXPECT_GE(lanes, 1u);
+        EXPECT_LE(lanes, shards);
+        // Shard lanes add threads only while the hardware has room.
+        if (lanes > 1) {
+          EXPECT_LE(workers * lanes, hw);
+        }
+        // Never fewer lanes than the per-job clamp a sweep of `jobs` >=
+        // workers used to apply.
+        for (std::size_t jobs = workers; jobs <= 9; ++jobs) {
+          const std::size_t clamp =
+              jobs * shards > hw ? std::min(shards, std::max<std::size_t>(1, hw / jobs)) : shards;
+          EXPECT_GE(lanes, clamp) << "jobs " << jobs;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelRunner, ShardedGridMatchesSerialPathExactly) {
+  // Two sharded runs at once share the grid's lane pool; the executor
+  // never changes results.
+  auto cfg = rocc::SystemConfig::now(8);
+  cfg.duration_us = 0.3e6;
+  cfg.sampling_period_us = 10'000.0;
+  cfg.uplink_latency_us = 500.0;
+  cfg.shards = 4;
+  const auto serial = rocc::run_replications(cfg, 3);
+  for (const std::size_t jobs : {1u, 2u, 3u}) {
+    ParallelRunner runner(jobs);
+    const auto parallel = runner.replications(cfg, 3);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      expect_identical(serial[i], parallel[i]);
+      EXPECT_EQ(serial[i].events_processed, parallel[i].events_processed);
+    }
+  }
 }
 
 TEST(DefaultJobs, OverrideAndRestore) {

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <future>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
+
+#include "experiments/shard_executor.hpp"
 
 namespace paradyn::experiments {
 namespace {
@@ -62,6 +68,23 @@ TEST(ThreadPool, ZeroThreadsClampedToOne) {
 }
 
 TEST(ThreadPool, HardwareJobsAtLeastOne) { EXPECT_GE(ThreadPool::hardware_jobs(), 1u); }
+
+TEST(ShardPoolExecutor, EveryLaneFinishesBeforeAThrowLeaves) {
+  // The window body lives in ShardSet::run's frame; a throw that left while
+  // other lanes still ran it would let them call a destroyed function.
+  for (const std::size_t thrower : {0u, 2u}) {
+    std::atomic<int> finished{0};
+    const std::function<void(std::size_t)> body = [&](std::size_t s) {
+      if (s == thrower) throw std::runtime_error("shard " + std::to_string(s));
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ++finished;
+    };
+    ThreadPool pool(3);  // joined before `body` goes, whatever the executor does
+    const des::ShardSet::Executor exec = shard_pool_executor(pool, 4);
+    EXPECT_THROW(exec(4, body), std::runtime_error) << thrower;
+    EXPECT_EQ(finished.load(), 3) << thrower;
+  }
+}
 
 }  // namespace
 }  // namespace paradyn::experiments

@@ -18,6 +18,7 @@
 #include "experiments/runner.hpp"
 #include "rocc/faults.hpp"
 #include "rocc/simulation.hpp"
+#include "support/bit_identical.hpp"
 #include "support/fault_points.hpp"
 #include "support/heap_event_queue.hpp"
 
@@ -34,18 +35,6 @@ SystemConfig faulted_config() {
       "sample_drop:node=all,start=600ms,dur=200ms,p=0.3;"
       "pipe_backpressure:daemon=0,start=100ms,dur=700ms,capacity=2");
   return c;
-}
-
-void expect_bit_identical(const SimulationResult& a, const SimulationResult& b) {
-  EXPECT_EQ(a.samples_generated, b.samples_generated);
-  EXPECT_EQ(a.samples_delivered, b.samples_delivered);
-  EXPECT_EQ(a.samples_dropped, b.samples_dropped);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_DOUBLE_EQ(a.latency_us.mean(), b.latency_us.mean());
-  EXPECT_DOUBLE_EQ(a.latency_us.max(), b.latency_us.max());
-  EXPECT_DOUBLE_EQ(a.pd_cpu_time_per_node_us, b.pd_cpu_time_per_node_us);
-  EXPECT_DOUBLE_EQ(a.app_cpu_time_per_node_us, b.app_cpu_time_per_node_us);
-  EXPECT_DOUBLE_EQ(a.main_cpu_time_us, b.main_cpu_time_us);
 }
 
 TEST(FaultDeterminism, ReplicationSetBitIdenticalAcrossJobs) {

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_json_common.hpp"
 #include "experiments/parallel.hpp"
 #include "repro_common.hpp"
 
@@ -30,10 +31,13 @@ TEST(BenchFlags, BadJobsExitOneBeforeTheStamp) {
 }
 
 TEST(BenchFlags, BenchJsonTakesBothSpellings) {
-  // fault_grid --bench-json out.json wrote no JSON and exited 0.
+  // fault_grid --bench-json out.json wrote no JSON and exited 0.  start()
+  // opens the file to check it, so it lives in the test's scratch directory.
+  const std::string out = testing::TempDir() + "out.json";
+  const std::string joined = "--bench-json=" + out;
   testing::internal::CaptureStdout();
-  EXPECT_EQ(start_with({"--bench-json", "out.json"}, {kBenchJson}), "out.json");
-  EXPECT_EQ(start_with({"--bench-json=out.json"}, {kBenchJson}), "out.json");
+  EXPECT_EQ(start_with({"--bench-json", out.c_str()}, {kBenchJson}), out);
+  EXPECT_EQ(start_with({joined.c_str()}, {kBenchJson}), out);
   EXPECT_EQ(start_with({}, {kBenchJson}), "");
   (void)testing::internal::GetCapturedStdout();
   // A bench accepts exactly the flags it reads.
@@ -41,6 +45,15 @@ TEST(BenchFlags, BenchJsonTakesBothSpellings) {
               "^fig: unknown flag: --jobs\n$");
   EXPECT_EXIT(start_with({"--bench-json", "x"}, {kJobs}), testing::ExitedWithCode(1),
               "^fig: unknown flag: --bench-json\n$");
+}
+
+TEST(BenchFlags, UnwritableBenchJsonExitsOneBeforeTheStamp) {
+  // fault_grid --bench-json /nonexistent/dir/x.json reported "wrote 6
+  // metric(s)" and exited 0 with no file written.
+  EXPECT_EXIT(start_with({"--bench-json", "/nonexistent/dir/x.json"}, {kBenchJson}),
+              testing::ExitedWithCode(1), "^fig: cannot write /nonexistent/dir/x\\.json\n$");
+  EXPECT_EXIT(write_bench_json("/nonexistent/dir/x.json", {{"m", 1.0}}),
+              testing::ExitedWithCode(1), "^bench-json: cannot write /nonexistent/dir/x\\.json\n$");
 }
 
 TEST(BenchFlags, JobsBecomeTheExperimentsDefault) {

@@ -44,6 +44,24 @@ TEST(ModelConfig, CountsOutsideInt32Fail) {
   EXPECT_THROW((void)model_config(parse({"--arch", "vax"})), std::invalid_argument);
 }
 
+TEST(ModelConfig, UnknownArchAndTopologySuggestTheNearest) {
+  // --topology tre ran direct forwarding, byte-identical to --topology direct.
+  const auto message = [](std::vector<const char*> argv) {
+    try {
+      (void)model_config(parse(std::move(argv)));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message({"--arch", "mpp", "--topology", "tre"}),
+            "unknown --topology: tre (did you mean tree?)");
+  EXPECT_EQ(message({"--topology", "drect"}), "unknown --topology: drect (did you mean direct?)");
+  EXPECT_EQ(message({"--topology", "ring"}), "unknown --topology: ring");
+  EXPECT_EQ(message({"--arch", "foo"}), "unknown --arch: foo (did you mean now?)");
+  EXPECT_EQ(message({"--arch", "mppp"}), "unknown --arch: mppp (did you mean mpp?)");
+}
+
 TEST(ModelConfig, RowDefaultsAreTheAbsentReads) {
   // Every default lives in its row; --apps alone is computed where it is
   // read: 1 per node, and on SMP one app per CPU.

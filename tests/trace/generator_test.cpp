@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "stats/summary.hpp"
 
@@ -113,6 +115,26 @@ TEST(Generator, Validation) {
     bad.duration_us = d;
     EXPECT_THROW((void)generate_trace(bad, 1, 1), std::invalid_argument) << d;
   }
+}
+
+TEST(Generator, RejectsAModelAboveTheRecordCap) {
+  // tracegen --seconds 1e7 asked for ~1.3e10 records (~1,270 per
+  // node-second), all held in memory.
+  const auto huge = Sp2TraceModel::paper_pvmbt(1e13);
+  try {
+    (void)generate_trace(huge, 1, 1);
+    FAIL() << "a 1e7 s trace was generated";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("about 1.26e+10 records"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::to_string(kMaxTraceRecords)), std::string::npos) << message;
+  }
+  // The estimate scales with the node count: 7,000 s is ~8.9e6 records on
+  // one node but ~3.4e7 on four.  The longest trace any bench or example
+  // generates (100 s on one node, ~127,000 records) stays far below it.
+  EXPECT_THROW((void)generate_trace(Sp2TraceModel::paper_pvmbt(7e9), 4, 1),
+               std::invalid_argument);
+  EXPECT_GT(kMaxTraceRecords, 100u * 127'000u);
 }
 
 }  // namespace

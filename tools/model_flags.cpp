@@ -3,8 +3,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/suggest.hpp"
 
 namespace paradyn::tools {
 
@@ -36,9 +39,9 @@ std::vector<Flag> model_flags(std::string_view default_seconds,
        "over them, roccsweep their means", 1, kCountMax},
       {"jobs", Kind::Integer, "N", "0",
        "worker threads for the runs; 0 = all hardware\n"
-       "threads, 1 = serial (results identical).  Shard\n"
-       "workers are clamped per job so --jobs x --shards\n"
-       "never oversubscribes the machine", 0, kCountMax},
+       "threads, 1 = serial (results identical).  A run of\n"
+       "N >= 2 shards gets min(N, max(1, hardware threads /\n"
+       "min(--jobs, runs))) window threads", 0, kCountMax},
       {"progress", Kind::Switch, "", "", "heartbeat lines on stderr as runs finish"},
       {"report-json", Kind::Text, "FILE", "", "full SimulationResult of every run as JSON"},
   };
@@ -46,37 +49,17 @@ std::vector<Flag> model_flags(std::string_view default_seconds,
   return rows;
 }
 
-rocc::SystemConfig model_config(const CliArgs& args) {
-  const auto int32_flag = [&](const char* name) {
-    return static_cast<std::int32_t>(args.get_long(name));
-  };
-  const std::string arch = args.get_string("arch");
-  const std::int32_t nodes = int32_flag("nodes");
-  const std::int32_t apps = args.has("apps") ? int32_flag("apps") : arch == "smp" ? nodes : 1;
-  const std::int32_t daemons = int32_flag("daemons");
-  const std::string topology = args.get_string("topology");
-
-  rocc::SystemConfig cfg = [&] {
-    if (arch == "now") return rocc::SystemConfig::now(nodes);
-    if (arch == "smp") return rocc::SystemConfig::smp(nodes, apps, daemons);
-    if (arch == "mpp") {
-      return rocc::SystemConfig::mpp(nodes, topology == "tree"
-                                                ? rocc::ForwardingTopology::BinaryTree
-                                                : rocc::ForwardingTopology::Direct);
-    }
-    throw std::invalid_argument("unknown --arch: " + arch);
-  }();
-  if (arch != "smp") cfg.app_processes_per_node = apps;
-  cfg.sampling_period_us = args.get_double("sampling-ms") * 1'000.0;
-  cfg.batch_size = int32_flag("batch");
-  cfg.duration_us = args.get_double("seconds") * 1e6;
-  cfg.seed = static_cast<std::uint64_t>(args.get_long("seed"));
-  cfg.shards = int32_flag("shards");
-  cfg.uplink_latency_us = args.get_double("uplink-ms") * 1'000.0;
-  return cfg;
-}
-
 namespace {
+
+/// The value of text flag --`name`, which must be one of `known`.
+std::string one_of(const CliArgs& args, const std::string& name,
+                   const std::set<std::string>& known) {
+  const std::string value = args.get_string(name);
+  if (known.count(value) != 0) return value;
+  const std::string close = util::suggestion(value, known);
+  throw std::invalid_argument("unknown --" + name + ": " + value +
+                              (close.empty() ? "" : " (did you mean " + close + "?)"));
+}
 
 /// The int32 field an integer axis sets (--axis nodes sets the CPU count
 /// on SMP), or nullptr for the other axes.
@@ -92,6 +75,31 @@ std::int32_t* integer_field(rocc::SystemConfig& cfg, const std::string& axis) {
 }
 
 }  // namespace
+
+rocc::SystemConfig model_config(const CliArgs& args) {
+  const auto int32_flag = [&](const char* name) {
+    return static_cast<std::int32_t>(args.get_long(name));
+  };
+  const std::string arch = one_of(args, "arch", {"now", "smp", "mpp"});
+  const std::int32_t nodes = int32_flag("nodes");
+  const std::int32_t apps = args.has("apps") ? int32_flag("apps") : arch == "smp" ? nodes : 1;
+  const std::int32_t daemons = int32_flag("daemons");
+  const auto topology = one_of(args, "topology", {"direct", "tree"}) == "tree"
+                            ? rocc::ForwardingTopology::BinaryTree
+                            : rocc::ForwardingTopology::Direct;
+
+  rocc::SystemConfig cfg = arch == "now"   ? rocc::SystemConfig::now(nodes)
+                           : arch == "smp" ? rocc::SystemConfig::smp(nodes, apps, daemons)
+                                           : rocc::SystemConfig::mpp(nodes, topology);
+  if (arch != "smp") cfg.app_processes_per_node = apps;
+  cfg.sampling_period_us = args.get_double("sampling-ms") * 1'000.0;
+  cfg.batch_size = int32_flag("batch");
+  cfg.duration_us = args.get_double("seconds") * 1e6;
+  cfg.seed = static_cast<std::uint64_t>(args.get_long("seed"));
+  cfg.shards = int32_flag("shards");
+  cfg.uplink_latency_us = args.get_double("uplink-ms") * 1'000.0;
+  return cfg;
+}
 
 double metrics_tick_us(const CliArgs& args, rocc::SimTime duration_us) {
   constexpr double kMaxRows = 1e6;

@@ -20,7 +20,6 @@
 #include "consultant/fault_detector.hpp"
 #include "experiments/report_json.hpp"
 #include "experiments/runner.hpp"
-#include "experiments/shard_executor.hpp"
 #include "experiments/table.hpp"
 #include "model_flags.hpp"
 #include "obs/metrics.hpp"
@@ -261,17 +260,6 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry registry;
     std::optional<obs::ProfileReport> profile_report;
 
-    // A single sharded run fans its window loop over a pool when the
-    // hardware has room; replications keep one thread per run.  The
-    // executor never changes results (bit-identical by contract).
-    std::optional<experiments::ThreadPool> shard_pool;
-    const std::size_t lanes =
-        reps == 1 && cfg.shards > 1
-            ? std::min<std::size_t>(static_cast<std::size_t>(cfg.shards),
-                                    experiments::ThreadPool::hardware_jobs())
-            : 1;
-    if (lanes > 1) shard_pool.emplace(lanes - 1);  // the caller thread is lane 0
-
     // With several reps the hook runs on worker threads: each rep records
     // into its own tracer, only rep 0 carries the metrics probes (a
     // registry belongs to a single simulation), and each rep gets its own
@@ -280,7 +268,6 @@ int main(int argc, char** argv) {
     std::vector<std::unique_ptr<consultant::DetectionHarness>> harnesses(reps);
     const experiments::RunHook hook = [&](rocc::Simulation& sim, std::size_t /*cell*/,
                                           std::size_t rep) {
-      if (shard_pool) sim.set_shard_executor(experiments::shard_pool_executor(*shard_pool, lanes));
       // Sharded runs name their tracers "shard s", so only rep 0 records,
       // which keeps the shard names unambiguous across replications.
       if (recorder && (cfg.shards <= 1 || rep == 0)) {

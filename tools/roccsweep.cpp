@@ -6,13 +6,10 @@
 //
 // Columns: the axis, then pd_util, main_util, app_util, latency_ms,
 // throughput (means over --reps seed-varied replications).
-#include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <functional>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,7 +17,6 @@
 #include "consultant/fault_detector.hpp"
 #include "experiments/report_json.hpp"
 #include "experiments/runner.hpp"
-#include "experiments/shard_executor.hpp"
 #include "experiments/table.hpp"
 #include "model_flags.hpp"
 #include "obs/repro.hpp"
@@ -29,10 +25,6 @@
 #include "rocc/simulation.hpp"
 
 namespace {
-
-/// Per-simulation PDES wiring (installs the shard executor); empty when the
-/// sweep runs unsharded or the clamp left only one lane per job.
-using ShardSetup = std::function<void(paradyn::rocc::Simulation&)>;
 
 /// One row of a grid: a fault (empty spec = the fault-free baseline) and
 /// a repair policy (empty spec = detection only; the fault grid has none).
@@ -109,7 +101,7 @@ std::vector<GridRow> repair_grid(double duration_us) {
 /// (and the row's repair policy) attached; returns each row's finalized runs.
 std::vector<std::vector<paradyn::rocc::SimulationResult>> run_grid(
     const std::vector<GridRow>& rows, const paradyn::rocc::SystemConfig& base, std::size_t reps,
-    paradyn::experiments::ParallelRunner& runner, const ShardSetup& shard_setup) {
+    paradyn::experiments::ParallelRunner& runner) {
   using namespace paradyn;
   std::vector<rocc::SystemConfig> configs;
   std::vector<consultant::RepairPolicy> policies;
@@ -123,7 +115,6 @@ std::vector<std::vector<paradyn::rocc::SimulationResult>> run_grid(
   }
   std::vector<std::unique_ptr<consultant::DetectionHarness>> harnesses(rows.size() * reps);
   runner.set_run_hook([&](rocc::Simulation& sim, std::size_t cell, std::size_t rep) {
-    if (shard_setup) shard_setup(sim);
     harnesses[cell * reps + rep] =
         std::make_unique<consultant::DetectionHarness>(sim, policies[cell]);
   });
@@ -231,32 +222,6 @@ int main(int argc, char** argv) {
     if (args.get_bool("progress")) experiments::set_progress_stream(&std::cerr);
     const std::string report_file = args.get_string("report-json");
 
-    // Every replication job runs its own sharded simulation, so unclamped
-    // PDES lanes would put --jobs x --shards threads on the machine at
-    // once.  Clamp lanes per job to the hardware budget (warn once); the
-    // executor choice never changes results, so the clamp is free.
-    const std::size_t effective_jobs = jobs == 0 ? experiments::default_jobs() : jobs;
-    std::optional<experiments::ThreadPool> shard_pool;
-    ShardSetup shard_setup;
-    if (base.shards > 1) {
-      const std::size_t hw = experiments::ThreadPool::hardware_jobs();
-      auto lanes = static_cast<std::size_t>(base.shards);
-      if (effective_jobs * lanes > hw) {
-        lanes = std::min(static_cast<std::size_t>(base.shards),
-                         std::max<std::size_t>(1, hw / effective_jobs));
-        std::fprintf(stderr,
-                     "roccsweep: clamping shard workers to %zu per job (--jobs %zu x --shards "
-                     "%d exceeds %zu hardware thread(s)); results are unchanged\n",
-                     lanes, effective_jobs, base.shards, hw);
-      }
-      if (lanes > 1) {
-        shard_pool.emplace(effective_jobs * (lanes - 1));
-        shard_setup = [&pool = *shard_pool, lanes](rocc::Simulation& sim) {
-          sim.set_shard_executor(experiments::shard_pool_executor(pool, lanes));
-        };
-      }
-    }
-
     obs::ReproStamp stamp;
     stamp.tool = "roccsweep";
     stamp.config = base.summary();
@@ -283,7 +248,7 @@ int main(int argc, char** argv) {
                             "gave_up_frac,attempts_mean,backoff_ms,dropped");
       const auto rows = grid_mode ? fault_grid(base.duration_us) : repair_grid(base.duration_us);
       experiments::ParallelRunner runner(jobs);
-      const auto results = run_grid(rows, base, reps, runner, shard_setup);
+      const auto results = run_grid(rows, base, reps, runner);
       for (std::size_t i = 0; i < rows.size(); ++i) {
         (grid_mode ? print_fault_row : print_repair_row)(rows[i], results[i]);
         runs.insert(runs.end(), results[i].begin(), results[i].end());
@@ -298,9 +263,7 @@ int main(int argc, char** argv) {
             cfg.validate();
             return cfg;
           },
-          reps, jobs, [&](rocc::Simulation& sim, std::size_t, std::size_t) {
-            if (shard_setup) shard_setup(sim);
-          });
+          reps, jobs);
       const auto& panels = experiments::paper_panels();
       std::vector<std::vector<double>> series;
       for (const experiments::MetricFn& fn :
